@@ -8,6 +8,7 @@ replay, no threshold found), 2 usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -123,9 +124,9 @@ def cmd_inspect(args) -> int:
         "d": game.d,
         "alpha": game.alpha,
         "beta": game.beta,
-        "bell_n": bell_number(game.n) if game.n <= 20 else None,
+        "bell_n": bell_number(game.n),
         "delta": delta,
-        "value_range": coalition_value_range(game) if game.n <= 16 else None,
+        "value_range": coalition_value_range(game),
     }
     try:
         mono = check_capability_monotonicity(game, max_size=args.max_size)
@@ -171,24 +172,11 @@ def cmd_run(args) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse manifest: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.output_dir:
-        manifest = type(manifest)(
-            game_path=manifest.game_path,
-            output_dir=Path(args.output_dir),
-            seed=manifest.seed if args.seed is None else args.seed,
-            jobs=manifest.jobs,
-            conditions=manifest.conditions,
-            sweeps=manifest.sweeps,
-        )
-    elif args.seed is not None:
-        manifest = type(manifest)(
-            game_path=manifest.game_path,
-            output_dir=manifest.output_dir,
-            seed=args.seed,
-            jobs=manifest.jobs,
-            conditions=manifest.conditions,
-            sweeps=manifest.sweeps,
-        )
+    manifest = dataclasses.replace(
+        manifest,
+        output_dir=Path(args.output_dir) if args.output_dir else manifest.output_dir,
+        seed=manifest.seed if args.seed is None else args.seed,
+    )
     if not manifest.game_path.exists():
         print(f"error: game file not found: {manifest.game_path}", file=sys.stderr)
         return EXIT_USAGE
@@ -376,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--epsilon", type=float, default=0.15)
     p.add_argument("--max-size", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)
 
@@ -402,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a recorded episode log and diff it")
     p.add_argument("log")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_replay)
 
@@ -411,13 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", default=None)
     p.add_argument("--partition", default=None)
     p.add_argument("--epsilon", type=float, default=0.15)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("regress", help="fit stability rate on consistency")
     p.add_argument("points", help="CSV with consistency,nash_rate columns")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_regress)
 

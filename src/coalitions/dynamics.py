@@ -27,6 +27,7 @@ from .game import (
     GameSpec,
     Partition,
     TIE_EPS,
+    coalition_value_bounds,
     game_from_dict,
     game_to_dict,
     per_capita_table,
@@ -431,10 +432,7 @@ def convergence_bound(game: GameSpec) -> ConvergenceBound:
     delta = value_gap_delta(game, max_size=game.n)
     if delta <= 0:
         raise ValueError("no value gap: cannot bound convergence")
-    lo, hi = math.inf, -math.inf
-    vals = value_table(game)
-    for mask in range(1, 1 << game.n):
-        lo, hi = min(lo, vals[mask]), max(hi, vals[mask])
+    lo, hi = coalition_value_bounds(game)
     spread = max(hi, 0.0) - min(lo, 0.0)
     if math.isinf(delta):
         return ConvergenceBound(0.0, 0.0, delta, spread)

@@ -560,13 +560,21 @@ def sweep(
 
 @contextmanager
 def atomic_write(path: str | Path):
-    """Write to a temp file in the target directory, then rename into place."""
+    """Write to a temp file in the target directory, then rename into place.
+
+    The file gets the mode open() would give it (0o666 less the umask), not
+    the 0o600 of mkstemp.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
+        # the umask can only be read by setting it; restore it at once
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -8,7 +8,8 @@ per-capita share of that value.
 
 Coalitions are bitmasks over agent ids, so set operations are O(1) and every
 structural check below reduces to integer arithmetic over a precomputed
-value table.
+value table.  That table holds all 2**n coalitions, which bounds games to
+MAX_AGENTS agents.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 TIE_EPS = 1e-12
 DEDUP_EPS = 1e-9
-MAX_AGENTS = 64
+# the value table's limit: 2**20 masks, ~32 MB per cached table of floats
+MAX_AGENTS = 20
 DEFAULT_ALPHA = 0.15
 DEFAULT_BETA = 1.3
 
@@ -284,16 +288,16 @@ def _as_mask(coalition: Coalition | int) -> int:
 
 
 def _aggregate_mean(game: GameSpec, mask: int) -> float:
-    members = [i for i in range(game.n) if mask >> i & 1]
-    profiles = [game.agents[i].profile.values for i in members]
-    if game.aggregation is Aggregation.COMPONENTWISE_MAX:
-        agg = (max(p[j] for p in profiles) for j in range(game.d))
-    else:
-        agg = (
-            max(p[j] for p in profiles) - min(p[j] for p in profiles)
-            for j in range(game.d)
-        )
-    return sum(agg) / game.d
+    profiles = [game.agents[i].profile.values for i in range(game.n) if mask >> i & 1]
+    # added left to right like the value table; sum() compensates on
+    # Python >= 3.12 and would differ from it in the last bit
+    total = 0.0
+    for column in zip(*profiles):
+        if game.aggregation is Aggregation.COMPONENTWISE_MAX:
+            total += max(column)
+        else:
+            total += max(column) - min(column)
+    return total / game.d
 
 
 def coalition_value(game: GameSpec, coalition: Coalition | int) -> float:
@@ -322,38 +326,93 @@ def potential(game: GameSpec, partition: Partition) -> float:
     return sum(coalition_value(game, c) for c in partition.coalitions)
 
 
+# The value kernel works in blocks of 2**BLOCK_BITS masks (32 KB of float64).
+# Arrays spanning the whole 2**n table, freed once the table was built, left
+# holes in the heap: about 4 MB more peak memory for one n = 18 game.
+BLOCK_BITS = 12
+
+
+def _mask_sizes(n: int) -> np.ndarray:
+    """Member count of every mask 0..2**n - 1, by the subset DP."""
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        lo = 1 << i
+        np.add(sizes[:lo], 1, out=sizes[lo : 2 * lo])
+    return sizes
+
+
+def _subset_fold(column: np.ndarray, fold: np.ufunc, empty: float) -> np.ndarray:
+    """out[m] = fold of column[i] over the bits i of m, `empty` at m = 0."""
+    out = np.empty(1 << len(column))
+    out[0] = empty
+    for i, x in enumerate(column):
+        lo = 1 << i
+        fold(out[:lo], x, out=out[lo : 2 * lo])
+    return out
+
+
+def _value_blocks(game: GameSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """coalition_value of every mask, as (first mask, values, sizes) blocks.
+
+    A subset DP folds each dimension's componentwise max (and, for the
+    spread aggregation, min) over the low BLOCK_BITS agents and, separately,
+    over the rest; the block for high bits h combines h's fold with every
+    low fold.  Entries equal coalition_value bit for bit: max and min are
+    exact in any order, the dimensions are added left to right, and the size
+    cost is the same Python expression, looked up by member count.  Mask 0
+    holds nan and size 0.
+    """
+    b = min(game.n, BLOCK_BITS)
+    profiles = np.array([a.profile.values for a in game.agents])
+
+    def folded(fold: np.ufunc, empty: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        # per dimension: the fold over the low agents and over the others
+        return [
+            (_subset_fold(profiles[:b, j], fold, empty), _subset_fold(profiles[b:, j], fold, empty))
+            for j in range(game.d)
+        ]
+
+    spread = game.aggregation is Aggregation.COMPONENTWISE_SPREAD
+    maxima = folded(np.maximum, -math.inf)
+    minima = folded(np.minimum, math.inf) if spread else []
+    cost = np.array([game.alpha * k**game.beta for k in range(game.n + 1)])
+    low_sizes, high_sizes = _mask_sizes(b), _mask_sizes(game.n - b)
+    for h in range(1 << (game.n - b)):
+        total = np.zeros(1 << b)
+        for j, (low, high) in enumerate(maxima):
+            agg = np.maximum(low, high[h])
+            if spread:
+                low, high = minima[j]
+                agg -= np.minimum(low, high[h])
+            total += agg
+        total /= game.d
+        sizes = low_sizes + high_sizes[h]
+        total -= cost[sizes]
+        if h == 0:
+            total[0] = math.nan  # the empty coalition has no value
+        yield h << b, total, sizes
+
+
+def _table(blocks: Iterator[np.ndarray]) -> tuple[float, ...]:
+    # grown in place, without a list of the whole table beside it
+    return tuple(chain.from_iterable(block.tolist() for block in blocks))
+
+
 @lru_cache(maxsize=64)
 def value_table(game: GameSpec) -> tuple[float, ...]:
     """Coalition values for every nonempty mask, indexed by mask.
 
-    Index 0 holds nan (the empty coalition has no value).  Intended for the
-    hot paths; limited to n <= 20 to bound memory.
+    Index 0 holds nan (the empty coalition has no value).  Built in numpy by
+    a subset DP over bitmasks (see _value_blocks): O(2**n * d) array work,
+    entries equal to coalition_value exactly.  n <= MAX_AGENTS bounds it.
     """
-    if game.n > 20:
-        raise EnumerationBudgetError("value_table supports at most 20 agents")
-    vals = [math.nan] * (1 << game.n)
-    for mask in range(1, 1 << game.n):
-        vals[mask] = coalition_value(game, mask)
-    return tuple(vals)
+    return _table((values for _, values, _ in _value_blocks(game)))
 
 
 @lru_cache(maxsize=64)
 def per_capita_table(game: GameSpec) -> tuple[float, ...]:
     """Per-capita coalition values for every nonempty mask, indexed by mask."""
-    vals = value_table(game)
-    return tuple(
-        v / mask.bit_count() if mask else math.nan for mask, v in enumerate(vals)
-    )
-
-
-def iter_coalition_masks(n: int, max_size: int) -> Iterator[int]:
-    """All nonempty coalition masks of size <= max_size, smallest sizes first."""
-    for k in range(1, min(max_size, n) + 1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            yield mask
+    return _table((values / sizes for _, values, sizes in _value_blocks(game)))
 
 
 def count_coalitions(n: int, max_size: int) -> int:
@@ -367,7 +426,7 @@ def value_gap_delta(
 ) -> float:
     """Minimum nonzero per-capita value separation seen by any single agent.
 
-    Enumerates, for each agent, the per-capita values of every coalition of
+    Takes, for each agent, the per-capita values of every coalition of
     size <= max_size containing it, merges values closer than DEDUP_EPS, and
     returns the smallest surviving gap.  Returns math.inf when every agent
     sees a single distinct value.
@@ -384,33 +443,37 @@ def value_gap_delta(
             f"value-gap enumeration over {count_coalitions(game.n, max_size)} "
             f"coalitions exceeds the budget of {budget}"
         )
-    per_agent: list[list[float]] = [[] for _ in range(game.n)]
-    for mask in iter_coalition_masks(game.n, max_size):
-        pc = coalition_value(game, mask) / mask.bit_count()
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            per_agent[i].append(pc)
-            m &= m - 1
+    masks, per_capita = [], []
+    for first, values, sizes in _value_blocks(game):
+        kept = np.flatnonzero((sizes > 0) & (sizes <= max_size))
+        masks.append(kept + first)
+        per_capita.append(values[kept] / sizes[kept])
+    masks, per_capita = np.concatenate(masks), np.concatenate(per_capita)
     best = math.inf
-    for values in per_agent:
-        values.sort()
-        prev = values[0]
-        for v in values[1:]:
-            gap = v - prev
-            if gap > DEDUP_EPS:
-                best = min(best, gap)
-            prev = v
+    for agent in range(game.n):
+        gaps = np.diff(np.sort(per_capita[(masks >> agent) & 1 == 1]))
+        gaps = gaps[gaps > DEDUP_EPS]
+        if gaps.size:
+            best = min(best, float(gaps.min()))
     return best
+
+
+def coalition_value_bounds(
+    game: GameSpec, max_size: int | None = None
+) -> tuple[float, float]:
+    """(min v(S), max v(S)) over nonempty coalitions of size <= max_size."""
+    max_size = game.n if max_size is None else max_size
+    lo, hi = math.inf, -math.inf
+    for _, values, sizes in _value_blocks(game):
+        kept = values[(sizes > 0) & (sizes <= max_size)]
+        lo = min(lo, float(kept.min(initial=math.inf)))
+        hi = max(hi, float(kept.max(initial=-math.inf)))
+    return lo, hi
 
 
 def coalition_value_range(game: GameSpec, max_size: int | None = None) -> float:
     """max v(S) - min v(S) over nonempty coalitions of size <= max_size."""
-    max_size = game.n if max_size is None else max_size
-    lo, hi = math.inf, -math.inf
-    for mask in iter_coalition_masks(game.n, max_size):
-        v = coalition_value(game, mask)
-        lo, hi = min(lo, v), max(hi, v)
+    lo, hi = coalition_value_bounds(game, max_size)
     return hi - lo
 
 

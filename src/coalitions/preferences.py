@@ -23,6 +23,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .game import Coalition, GameSpec, TIE_EPS, per_capita_table
 
 
@@ -143,10 +145,14 @@ def unit_uniform(*parts: int | str) -> float:
     return int.from_bytes(digest, "big") / 2.0**64
 
 
+def _derived_seed(parts: Sequence[int | str]) -> int:
+    digest = hashlib.blake2b(_key_bytes(parts), digest_size=16).digest()
+    return int.from_bytes(digest, "big")
+
+
 def derived_rng(*parts: int | str) -> random.Random:
     """A fresh random.Random seeded from the given coordinates."""
-    digest = hashlib.blake2b(_key_bytes(parts), digest_size=16).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return random.Random(_derived_seed(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +384,14 @@ def _crossing(centers: Sequence[float], rates: Sequence[float], threshold: float
     return None
 
 
+def _bin_rates(counts: np.ndarray) -> tuple[list[int], list[float]]:
+    """Per-bin totals and irrational-choice rates from key counts, where
+    key = bin * 2 + irrational."""
+    bad = counts[1::2].tolist()
+    totals = (counts[0::2] + counts[1::2]).tolist()
+    return totals, [b / t if t else math.nan for b, t in zip(bad, totals)]
+
+
 def estimate_epsilon(
     choice_log: Sequence[ChoiceRecord | tuple],
     bins: int = 10,
@@ -395,6 +409,12 @@ def estimate_epsilon(
     between bin centers; a percentile bootstrap over log rows gives the CI.
     Returns found=False when the rate never drops below the threshold, as
     with uniformly random verdicts.
+
+    Each row is binned once into the key bin * 2 + irrational, so one
+    bootstrap resample is one draw of row indices and one bincount.  The
+    draws come from a numpy Generator seeded with the 128-bit blake2b key
+    of ("epsilon-bootstrap", seed), so the CI is a function of the log and
+    the seed; the point estimate does not depend on the seed.
     """
     records = [
         r if isinstance(r, ChoiceRecord) else ChoiceRecord(float(r[0]), Verdict(r[1]))
@@ -403,25 +423,14 @@ def estimate_epsilon(
     records = [r for r in records if abs(r.delta_v) > TIE_EPS]
     if not any(r.delta_v > 0 for r in records) or not any(r.delta_v < 0 for r in records):
         raise ValueError("choice log must contain gaps of both signs")
-    gaps = [abs(r.delta_v) for r in records]
-    width = max(gaps) / bins
+    gaps = np.abs([r.delta_v for r in records])
+    width = float(gaps.max()) / bins
     if width <= 0:
         raise InsufficientDataError("all gaps are zero")
+    irrational = [_is_irrational(r.delta_v, r.verdict) for r in records]
+    keys = np.minimum((gaps / width).astype(np.int64), bins - 1) * 2 + irrational
 
-    def bin_of(gap: float) -> int:
-        return min(int(gap / width), bins - 1)
-
-    def rates_of(rows: Sequence[ChoiceRecord]) -> tuple[list[int], list[float]]:
-        totals = [0] * bins
-        bad = [0] * bins
-        for r in rows:
-            b = bin_of(abs(r.delta_v))
-            totals[b] += 1
-            if _is_irrational(r.delta_v, r.verdict):
-                bad[b] += 1
-        return totals, [bad[b] / totals[b] if totals[b] else math.nan for b in range(bins)]
-
-    totals, rates = rates_of(records)
+    totals, rates = _bin_rates(np.bincount(keys, minlength=2 * bins))
     thin = min(totals)
     if thin < min_per_bin:
         raise InsufficientDataError(
@@ -439,12 +448,14 @@ def estimate_epsilon(
             bin_rates=tuple(rates),
         )
 
-    rng = derived_rng("epsilon-bootstrap", seed)
+    rng = np.random.default_rng(_derived_seed(("epsilon-bootstrap", seed)))
     resampled = []
-    m = len(records)
+    m = len(keys)
+    # one resample at a time: an iterations x m index matrix would cost
+    # 8 * iterations * m bytes
     for _ in range(bootstrap_iterations):
-        sample = [records[rng.randrange(m)] for _ in range(m)]
-        _, rs = rates_of(sample)
+        sample = keys[rng.integers(0, m, m)]
+        _, rs = _bin_rates(np.bincount(sample, minlength=2 * bins))
         est = _crossing(centers, rs, CRITICAL_IRRATIONAL_RATE)
         if est is not None:
             resampled.append(est)

@@ -1,22 +1,28 @@
-"""Independent brute-force references for the value function and the δ gap.
+"""Independent brute-force references for the value function, the δ gap and
+the binning of choice logs.
 
-These recompute from explicit member lists and the game's profiles, without
-calling the engine's value or gap functions, so tests can check the engine
-against them.
+These recompute from explicit member lists, the game's profiles and the
+choice rows with plain Python loops, without calling the engine's value, gap
+or binning code, so tests can check the engine against them.
 """
 
 import math
 from itertools import combinations
 
-from coalitions.game import GameSpec
+from coalitions.game import TIE_EPS, Aggregation, GameSpec
+from coalitions.preferences import CRITICAL_IRRATIONAL_RATE, ChoiceRecord, Verdict, _crossing
 
 
 def brute_value(game: GameSpec, members: list[int]) -> float:
     """Independent recomputation from explicit member lists."""
-    agg = [
-        max(game.profile(i)[j] for i in members) for j in range(game.d)
-    ]
-    return sum(agg) / game.d - game.alpha * len(members) ** game.beta
+    total = 0.0  # left to right, the order the engine adds dimensions in
+    for j in range(game.d):
+        column = [game.profile(i)[j] for i in members]
+        if game.aggregation is Aggregation.COMPONENTWISE_MAX:
+            total += max(column)
+        else:
+            total += max(column) - min(column)
+    return total / game.d - game.alpha * len(members) ** game.beta
 
 
 def brute_delta(game: GameSpec, max_size: int) -> float:
@@ -35,3 +41,24 @@ def brute_delta(game: GameSpec, max_size: int) -> float:
             if b - a > 1e-9:
                 best = min(best, b - a)
     return best
+
+
+def brute_epsilon_bins(
+    rows: list[ChoiceRecord], bins: int = 10
+) -> tuple[tuple[float, ...], tuple[float, ...], float | None]:
+    """Bin centers, per-bin irrational-choice rates and the threshold
+    crossing of a choice log, binned row by row (the crossing itself is the
+    engine's `_crossing`, which the binning feeds)."""
+    rows = [r for r in rows if abs(r.delta_v) > TIE_EPS]
+    width = max(abs(r.delta_v) for r in rows) / bins
+    totals = [0] * bins
+    bad = [0] * bins
+    for r in rows:
+        b = min(int(abs(r.delta_v) / width), bins - 1)
+        totals[b] += 1
+        wrong = Verdict.PREFER_CURRENT if r.delta_v > 0 else Verdict.PREFER_CANDIDATE
+        if r.verdict is wrong:
+            bad[b] += 1
+    centers = tuple((b + 0.5) * width for b in range(bins))
+    rates = tuple(bad[b] / totals[b] if totals[b] else math.nan for b in range(bins))
+    return centers, rates, _crossing(centers, rates, CRITICAL_IRRATIONAL_RATE)

@@ -68,6 +68,16 @@ def test_inspect_missing_file(tmp_path, capsys):
     assert run_cli("inspect", tmp_path / "nope.json") == 2
 
 
+def test_inspect_rejects_more_agents_than_supported(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    agents = [{"id": i, "profile": [0.5]} for i in range(21)]
+    path.write_text(json.dumps({"d": 1, "agents": agents}))
+    assert run_cli("inspect", path) == 2
+    err = capsys.readouterr().err
+    assert "at most 20 agents" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

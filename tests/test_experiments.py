@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -271,6 +273,17 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
             raise RuntimeError("interrupted")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_gives_files_the_umask_mode(tmp_path, umask, mode):
+    # mkstemp creates 0o600 files; results must get the mode open() gives
+    previous = os.umask(umask)
+    try:
+        write_results_csv([], tmp_path / "results.csv")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "results.csv").stat().st_mode) == mode
 
 
 def test_manifest_run_is_deterministic(tmp_path, six_mixed):

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from brute_force import brute_delta, brute_value
 
+from coalitions.dynamics import convergence_bound
 from coalitions.game import (
+    MAX_AGENTS,
     Aggregation,
     CapabilityProfile,
     Coalition,
@@ -18,12 +20,15 @@ from coalitions.game import (
     check_capability_monotonicity,
     check_potential_alignment,
     coalition_value,
+    coalition_value_range,
     game_from_dict,
     game_to_dict,
     iter_partition_blocks,
+    per_capita_table,
     per_capita_value,
     potential,
     value_gap_delta,
+    value_table,
 )
 
 
@@ -104,6 +109,40 @@ def test_value_decreases_in_alpha_and_beta(profiles, params):
 
 
 # ---------------------------------------------------------------------------
+# value tables: the subset-DP kernel against per-mask coalition_value
+
+unit_scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1, allow_nan=False))
+
+
+@st.composite
+def random_games(draw):
+    n, d = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    profiles = draw(st.lists(st.lists(unit_scores, min_size=d, max_size=d), min_size=n, max_size=n))
+    return GameSpec.from_profiles(
+        profiles,
+        alpha=draw(st.floats(0.01, 1.0)),
+        beta=draw(st.floats(1.0, 2.0)),
+        aggregation=draw(st.sampled_from(list(Aggregation))),
+    )
+
+
+@given(random_games())
+@settings(max_examples=60, deadline=None)
+def test_value_kernel_matches_per_mask_values(game):
+    masks = range(1, 1 << game.n)
+    direct = [coalition_value(game, m) for m in masks]
+    values, per_capita = value_table(game), per_capita_table(game)
+    assert math.isnan(values[0]) and math.isnan(per_capita[0])
+    assert list(values[1:]) == direct
+    assert list(per_capita[1:]) == [v / m.bit_count() for m, v in zip(masks, direct)]
+    for k in range(1, game.n + 1):
+        sized = [v for m, v in zip(masks, direct) if m.bit_count() <= k]
+        assert coalition_value_range(game, k) == max(sized) - min(sized)
+    assert convergence_bound(game).value_range == max(max(direct), 0.0) - min(min(direct), 0.0)
+    assert value_gap_delta(game, max_size=game.n) == brute_delta(game, game.n)
+
+
+# ---------------------------------------------------------------------------
 # potential
 
 def test_potential_of_counterexample_partitions(dominated_pair):
@@ -165,7 +204,7 @@ def test_delta_single_agent_is_infinite():
 def test_delta_budget_error():
     from coalitions.game import EnumerationBudgetError
 
-    game = GameSpec.from_profiles([[0.5]] * 24)
+    game = GameSpec.from_profiles([[0.5]] * 20)
     with pytest.raises(EnumerationBudgetError):
         value_gap_delta(game, max_size=12, budget=1000)
 
@@ -242,6 +281,10 @@ def test_game_invariants():
         GameSpec.from_profiles([[0.5]], beta=0.9)
     with pytest.raises(ValueError, match="profile"):
         GameSpec.from_profiles([[0.5, 0.5], [0.5]])
+    # every accepted game fits the 2**n value table
+    assert GameSpec.from_profiles([[0.5]] * MAX_AGENTS).n == MAX_AGENTS
+    with pytest.raises(ValueError, match=f"at most {MAX_AGENTS} agents"):
+        GameSpec.from_profiles([[0.5]] * (MAX_AGENTS + 1))
 
 
 def test_partition_invariants():

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from brute_force import brute_epsilon_bins
+
 from coalitions.game import Coalition, EMPTY_COALITION
 from coalitions.preferences import (
     ChoiceRecord,
@@ -230,12 +232,49 @@ def logit_choice_log(eps: float, n: int = 10_000, seed: int = 0) -> list[ChoiceR
     return out
 
 
+def accept_choice_log(eps: float) -> list[ChoiceRecord]:
+    """The choice log acceptance criterion C11 estimates from."""
+    oracle = OracleSpec(kind=OracleKind.LOGIT, epsilon=eps, seed=11)
+    rng = derived_rng("accept-log", int(eps * 100))
+    out = []
+    for i in range(10_000):
+        dv = -0.5 + rng.random()
+        out.append(ChoiceRecord(dv, decide(oracle, dv, ("a11", i))))
+    return out
+
+
+def random_verdict_log() -> list[ChoiceRecord]:
+    rng = derived_rng("rand-verdicts", 0)
+    return [
+        ChoiceRecord(
+            -0.5 + rng.random(),
+            Verdict.PREFER_CANDIDATE if rng.random() < 0.5 else Verdict.PREFER_CURRENT,
+        )
+        for _ in range(10_000)
+    ]
+
+
 @pytest.mark.parametrize("eps,lo,hi", [(0.15, 0.12, 0.18), (0.22, 0.18, 0.26)])
 def test_epsilon_round_trip(eps, lo, hi):
-    est = estimate_epsilon(logit_choice_log(eps, seed=1), seed=1)
+    rows = logit_choice_log(eps, seed=1)
+    est = estimate_epsilon(rows, seed=1)
     assert est.found
     assert lo <= est.estimate <= hi
     assert est.ci_low < est.estimate < est.ci_high
+    # the CI repeats for a seed; another seed moves the CI, not the estimate
+    again = estimate_epsilon(rows, seed=1)
+    assert (again.ci_low, again.ci_high) == (est.ci_low, est.ci_high)
+    other = estimate_epsilon(rows, seed=2)
+    assert other.estimate == est.estimate
+    assert (other.ci_low, other.ci_high) != (est.ci_low, est.ci_high)
+
+
+@pytest.mark.parametrize("log", [lambda: accept_choice_log(0.15), random_verdict_log])
+def test_epsilon_binning_matches_loop_reference(log):
+    rows = log()
+    est = estimate_epsilon(rows, bootstrap_iterations=0)
+    centers, rates, crossing = brute_epsilon_bins(rows)
+    assert (est.bin_centers, est.bin_rates, est.estimate) == (centers, rates, crossing)
 
 
 def test_epsilon_of_perfect_log_is_zero():
@@ -249,15 +288,7 @@ def test_epsilon_of_perfect_log_is_zero():
 
 
 def test_epsilon_not_found_for_random_verdicts():
-    rng = derived_rng("rand-verdicts", 0)
-    rows = [
-        ChoiceRecord(
-            -0.5 + rng.random(),
-            Verdict.PREFER_CANDIDATE if rng.random() < 0.5 else Verdict.PREFER_CURRENT,
-        )
-        for _ in range(10_000)
-    ]
-    est = estimate_epsilon(rows)
+    est = estimate_epsilon(random_verdict_log())
     assert not est.found and est.estimate is None
 
 
