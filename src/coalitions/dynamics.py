@@ -41,6 +41,7 @@ from .preferences import (
     Verdict,
     decide,
     derived_rng,
+    draw_prefix,
     majority_verdict,
 )
 from .stability import is_nash_stable_masks, random_partition, verify_nash
@@ -141,12 +142,17 @@ class DeviationEvent:
 @dataclass(frozen=True)
 class RoundRecord:
     index: int
-    partition_before: tuple[tuple[int, ...], ...]
+    masks_before: tuple[int, ...]  # block masks at the start of the round
     n_queries: int
     deviation: DeviationEvent | None
     phi_before: float
     phi_after: float
     queries: tuple[QueryRecord, ...] = ()
+
+    @property
+    def partition_before(self) -> tuple[tuple[int, ...], ...]:
+        """Member tuples of the blocks at the start of the round."""
+        return tuple(Coalition(m).members for m in self.masks_before)
 
     def to_dict(self, record_queries: bool) -> dict:
         out = {
@@ -215,9 +221,11 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     pc = per_capita_table(game)
     oracles = config.oracles
     gaps = [o.gap_threshold for o in oracles]
+    prefix_of = {s: draw_prefix(s, config.episode_id) for s in {o.seed for o in oracles}}
+    prefixes = [prefix_of[o.seed] for o in oracles]
 
     partition = config.initial.realize(n, config.seed, config.episode_id)
-    blocks = sorted(partition.masks, key=lambda m: m & -m)
+    blocks = tuple(sorted(partition.masks, key=lambda m: m & -m))
     phi = sum(vals[b] for b in blocks)
 
     rounds: list[RoundRecord] = []
@@ -245,7 +253,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
             if config.rule is DeviationRule.RANDOM_IMPROVING:
                 derived_rng("scan", config.seed, config.episode_id, round_index).shuffle(order)
 
-            partition_before = tuple(tuple(Coalition(m).members) for m in blocks)
+            masks_before = blocks
             queries: list[QueryRecord] = []
             ordinal = 0
             chosen: tuple[int, int, int] | None = None  # agent, own, target
@@ -267,18 +275,19 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                         continue
                     delta = pc[joined] - pc[own]
                     oracle = oracles[agent]
-                    ctx = (config.episode_id, round_index, ordinal)
+                    ctx = (round_index, ordinal)
                     if oracle.kind is OracleKind.EXTERNAL:
                         verdict = _external_majority(
-                            oracle, game, agent, own, target, ctx, external
+                            oracle, game, agent, own, target,
+                            (config.episode_id, round_index, ordinal), external,
                         )
                     elif oracle.majority_k == 1:
-                        verdict = decide(oracle, delta, ctx)
+                        verdict = decide(oracle, delta, ctx, prefix=prefixes[agent])
                     else:
-                        verdict = majority_verdict(
-                            decide(oracle, delta, ctx, rep)
+                        verdict = majority_verdict([
+                            decide(oracle, delta, ctx, rep, prefix=prefixes[agent])
                             for rep in range(oracle.majority_k)
-                        )
+                        ])
                     if delta > TIE_EPS:
                         reference = Verdict.PREFER_CANDIDATE
                     elif delta < -TIE_EPS:
@@ -323,7 +332,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                 rounds.append(
                     RoundRecord(
                         index=round_index,
-                        partition_before=partition_before,
+                        masks_before=masks_before,
                         n_queries=ordinal,
                         deviation=None,
                         phi_before=phi,
@@ -345,12 +354,12 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
             if rest:
                 new_blocks.append(rest)
             new_blocks.append(joined)
-            blocks = sorted(new_blocks, key=lambda m: m & -m)
+            blocks = tuple(sorted(new_blocks, key=lambda m: m & -m))
             deviations += 1
             rounds.append(
                 RoundRecord(
                     index=round_index,
-                    partition_before=partition_before,
+                    masks_before=masks_before,
                     n_queries=ordinal,
                     deviation=DeviationEvent(
                         agent=agent,

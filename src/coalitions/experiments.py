@@ -284,6 +284,9 @@ def run_condition(
 # ---------------------------------------------------------------------------
 # statistics
 
+_BOOTSTRAP_CHUNK = 1 << 18
+
+
 def bootstrap_ci(
     samples: Sequence[float],
     iterations: int = 10_000,
@@ -302,7 +305,9 @@ def bootstrap_ci(
     )
     n = len(arr)
     means = np.empty(iterations)
-    chunk = max(1, min(iterations, 8_000_000 // max(n, 1)))
+    # Generator.integers yields the same stream in any chunking; a chunk of
+    # about 2**18 indices keeps the index matrix and its gather near 2 MB each
+    chunk = max(1, min(iterations, _BOOTSTRAP_CHUNK // n))
     done = 0
     while done < iterations:
         take = min(chunk, iterations - done)

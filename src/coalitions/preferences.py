@@ -20,6 +20,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -95,7 +96,7 @@ class OracleSpec:
         if self.kind is OracleKind.EXTERNAL and self.external is None:
             raise ValueError("external oracles need an endpoint spec")
 
-    @property
+    @cached_property
     def gap_threshold(self) -> float:
         """Value gap below which a decision counts as critical."""
         return 2.0 * self.epsilon if self.critical_gap is None else self.critical_gap
@@ -139,10 +140,29 @@ def _key_bytes(parts: Sequence[int | str]) -> bytes:
     return bytes(buf)
 
 
+#: The (round, ordinal, rep) counters of an episode draw, laid out as
+#: `_key_bytes` lays out three integers.
+_COUNTERS = struct.Struct(">cqcqcq")
+
+
+def draw_prefix(seed: int, episode: int) -> bytes:
+    """Constant head of the draw keys of one episode for one oracle seed.
+
+    `prefix + _COUNTERS.pack(b"i", round, b"i", ordinal, b"i", rep)` is
+    `_key_bytes(("pref", seed, episode, round, ordinal, rep))`, so passing it
+    to `decide` changes no draw.
+    """
+    return _key_bytes(("pref", seed, episode))
+
+
+def _uniform(key: bytes) -> float:
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return int.from_bytes(digest, "big") / 2.0**64
+
+
 def unit_uniform(*parts: int | str) -> float:
     """Deterministic uniform draw in [0, 1) keyed by the given coordinates."""
-    digest = hashlib.blake2b(_key_bytes(parts), digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0**64
+    return _uniform(_key_bytes(parts))
 
 
 def _derived_seed(parts: Sequence[int | str]) -> int:
@@ -173,44 +193,51 @@ def logit_accept_probability(delta: float, epsilon: float) -> float:
     return math.exp(max(x, -700.0)) / (1.0 + math.exp(max(x, -700.0)))
 
 
-def _flip(verdict: Verdict) -> Verdict:
-    if verdict is Verdict.PREFER_CURRENT:
-        return Verdict.PREFER_CANDIDATE
-    if verdict is Verdict.PREFER_CANDIDATE:
-        return Verdict.PREFER_CURRENT
-    return Verdict.INDIFFERENT
-
-
 def decide(
     oracle: OracleSpec,
     delta: float,
     ctx: Sequence[int | str],
     rep: int = 0,
+    *,
+    prefix: bytes | None = None,
 ) -> Verdict:
     """Apply the oracle's decision model to a raw per-capita gap.
 
     This is the hot path shared by `answer` and the episode runner.  Exact
     ties (|delta| below the tie tolerance) are answered Indifferent by every
     internal model, so structural self-comparisons never inject noise.
+
+    The draw is keyed by ("pref", oracle seed, *ctx, rep).  The episode
+    runner passes `prefix = draw_prefix(oracle.seed, episode)` with
+    ctx = (round, ordinal), which gives the same key without repacking its
+    constant head on every draw.
     """
-    if oracle.kind is OracleKind.PERFECT:
+    kind = oracle.kind
+    if kind is OracleKind.PERFECT:
         if delta > TIE_EPS:
             return Verdict.PREFER_CANDIDATE
         if delta < -TIE_EPS:
             return Verdict.PREFER_CURRENT
         return Verdict.INDIFFERENT
-    if oracle.kind is OracleKind.LOGIT:
+    if kind is OracleKind.LOGIT:
         p = logit_accept_probability(delta, oracle.epsilon)
-        u = unit_uniform("pref", oracle.seed, *ctx, rep)
-        return Verdict.PREFER_CANDIDATE if u < p else Verdict.PREFER_CURRENT
-    if oracle.kind is OracleKind.CONSISTENCY_NOISE:
+        hit, miss = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
+    elif kind is OracleKind.CONSISTENCY_NOISE:
+        # the correct verdict with probability p, the opposite one otherwise
         if abs(delta) <= TIE_EPS:
             return Verdict.INDIFFERENT
-        truth = Verdict.PREFER_CANDIDATE if delta > 0 else Verdict.PREFER_CURRENT
-        keep = oracle.p_critical if abs(delta) < oracle.gap_threshold else oracle.p_easy
+        if delta > 0:
+            hit, miss = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
+        else:
+            hit, miss = Verdict.PREFER_CURRENT, Verdict.PREFER_CANDIDATE
+        p = oracle.p_critical if abs(delta) < oracle.gap_threshold else oracle.p_easy
+    else:
+        raise ValueError(f"decide() does not handle oracle kind {oracle.kind}")
+    if prefix is None:
         u = unit_uniform("pref", oracle.seed, *ctx, rep)
-        return truth if u < keep else _flip(truth)
-    raise ValueError(f"decide() does not handle oracle kind {oracle.kind}")
+    else:
+        u = _uniform(prefix + _COUNTERS.pack(b"i", ctx[0], b"i", ctx[1], b"i", rep))
+    return hit if u < p else miss
 
 
 def answer(
@@ -238,16 +265,17 @@ def answer(
     return PreferenceAnswer(decide(oracle, query_delta(game, q), ctx, rep))
 
 
+_VERDICTS = tuple(Verdict)
+
+
 def majority_verdict(verdicts: Iterable[Verdict]) -> Verdict:
     """Modal verdict; any tie in counts resolves to PreferCurrent."""
-    counts: dict[Verdict, int] = {}
-    for v in verdicts:
-        counts[v] = counts.get(v, 0) + 1
-    if not counts:
+    verdicts = list(verdicts)
+    counts = [verdicts.count(v) for v in _VERDICTS]
+    top = max(counts)
+    if counts.count(top) > 1:  # a tie, or no verdicts at all
         return Verdict.PREFER_CURRENT
-    top = max(counts.values())
-    winners = [v for v, c in counts.items() if c == top]
-    return winners[0] if len(winners) == 1 else Verdict.PREFER_CURRENT
+    return _VERDICTS[counts.index(top)]
 
 
 def answer_majority(

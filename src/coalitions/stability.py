@@ -347,7 +347,10 @@ def verify_core(
 
 def is_nash_stable_masks(game: GameSpec, masks: Sequence[int]) -> bool:
     """Fast ground-truth Nash test on raw block masks (early exit)."""
-    pc = per_capita_table(game)
+    return _nash_stable(per_capita_table(game), masks)
+
+
+def _nash_stable(pc: Sequence[float], masks: Sequence[int]) -> bool:
     for own in masks:
         bits = own
         while bits:
@@ -370,8 +373,9 @@ def find_nash_stable(game: GameSpec) -> list[Partition]:
         raise EnumerationBudgetError(
             f"exhaustive search supports at most {MAX_ENUM_AGENTS} agents"
         )
-    out = []
-    for blocks in iter_partition_blocks(game.n):
-        if is_nash_stable_masks(game, blocks):
-            out.append(Partition.from_masks(game.n, blocks))
-    return out
+    pc = per_capita_table(game)  # once: a cached lookup still hashes the game
+    return [
+        Partition.from_masks(game.n, blocks)
+        for blocks in iter_partition_blocks(game.n)
+        if _nash_stable(pc, blocks)
+    ]

@@ -1,13 +1,16 @@
-"""Independent brute-force references for the value function, the δ gap and
-the binning of choice logs.
+"""Independent brute-force references for the value function, the δ gap,
+the binning of choice logs and the bootstrap CI of a mean.
 
 These recompute from explicit member lists, the game's profiles and the
 choice rows with plain Python loops, without calling the engine's value, gap
 or binning code, so tests can check the engine against them.
 """
 
+import hashlib
 import math
 from itertools import combinations
+
+import numpy as np
 
 from coalitions.game import TIE_EPS, Aggregation, GameSpec
 from coalitions.preferences import CRITICAL_IRRATIONAL_RATE, ChoiceRecord, Verdict, _crossing
@@ -62,3 +65,18 @@ def brute_epsilon_bins(
     centers = tuple((b + 0.5) * width for b in range(bins))
     rates = tuple(bad[b] / totals[b] if totals[b] else math.nan for b in range(bins))
     return centers, rates, _crossing(centers, rates, CRITICAL_IRRATIONAL_RATE)
+
+
+def brute_bootstrap_ci(
+    samples: list[float], iterations: int, level: float, seed: int
+) -> tuple[float, float]:
+    """Percentile bootstrap CI of the mean with every resample drawn in one
+    index matrix, from the same seeded numpy stream as the engine."""
+    arr = np.asarray(samples, dtype=float)
+    digest = hashlib.blake2b(f"bootstrap:{seed}".encode(), digest_size=8).digest()
+    rng = np.random.default_rng(int.from_bytes(digest, "big"))
+    idx = rng.integers(0, len(arr), size=(iterations, len(arr)))
+    means = arr[idx].mean(axis=1)
+    alpha = 1 - level
+    lo, hi = np.quantile(means, [alpha / 2, 1 - alpha / 2])
+    return float(lo), float(hi)

@@ -1,5 +1,6 @@
 """Episode runner, convergence bounds, logs, and replay."""
 
+import hashlib
 import math
 
 import pytest
@@ -82,6 +83,71 @@ def test_rounds_apply_exactly_one_deviation(six_mixed):
         if not target:
             moved.append(frozenset({dev.agent}))
         assert set(moved) == {frozenset(b) for b in after.partition_before}
+
+
+NOISE = OracleKind.CONSISTENCY_NOISE
+
+# Literal sha256 digests of the JSONL of six_mixed episodes from random
+# starts, so a change to the draw stream or the log bytes fails here even when
+# replay, which compares the engine with itself, still passes.
+# case: (config keywords, outcome, rounds, queries, digest)
+PINNED_EPISODES = {
+    "noise_k1": (
+        dict(oracles=(OracleSpec(kind=NOISE, p_critical=0.7, seed=5),), seed=7, episode_id=3),
+        "nash_stable", 22, 105,
+        "72b86e01d3e0305a96266d910fd06a2c8cd4bd6f42d98823c5d2d6124fdd1050",
+    ),
+    "noise_k3": (
+        dict(
+            oracles=(OracleSpec(kind=NOISE, p_critical=0.6, p_easy=0.9, seed=2, majority_k=3),),
+            seed=1, episode_id=12, record_queries=False,
+        ),
+        "nash_stable", 29, 199,
+        "9e7d30aaa849bec6ccf1b768f38108630a4ec786cfacf9e8e519ab997996a4c8",
+    ),
+    "logit": (
+        dict(oracles=(OracleSpec(kind=OracleKind.LOGIT, epsilon=0.1, seed=9),), seed=4, episode_id=250),
+        "timeout", 30, 56,
+        "7a9c8f3c4bb57affdefe286d8935611583bd76d0511c50083fd6616bb48ab63f",
+    ),
+    "perfect_best": (
+        dict(oracles=(PERFECT,), seed=3, episode_id=8, rule=DeviationRule.BEST_IMPROVING),
+        "nash_stable", 5, 120,
+        "6510125a2591c72b120a10a08fbee7131f1a95cb9c473f78df3e9a4b6e7bf0c0",
+    ),
+    "noise_random": (
+        dict(
+            oracles=(OracleSpec(kind=NOISE, p_critical=0.8, seed=-4),),
+            seed=2, episode_id=0, rule=DeviationRule.RANDOM_IMPROVING, record_queries=False,
+        ),
+        "nash_stable", 11, 84,
+        "d49d5ca35a8bbbd03ed4f0c4aa5975cb1c5e47a1d02ed06ff88f8a32395481cc",
+    ),
+    "mixed_oracles": (
+        dict(
+            oracles=tuple(
+                OracleSpec(kind=NOISE, p_critical=0.75, seed=s)
+                if s % 2
+                else OracleSpec(kind=OracleKind.LOGIT, epsilon=0.2, seed=s, majority_k=3)
+                for s in range(6)
+            ),
+            seed=6, episode_id=2**40, rule=DeviationRule.RANDOM_IMPROVING,
+        ),
+        "timeout", 30, 135,
+        "a37214a078c78351d646c84a7f1961ebd493ba847facc8b2845a2561764c7161",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EPISODES))
+def test_episode_log_bytes_are_pinned(six_mixed, case):
+    kwargs, outcome, rounds, queries, digest = PINNED_EPISODES[case]
+    log = run_episode(
+        EpisodeConfig(game=six_mixed, initial=InitialPartition(kind="random"), **kwargs)
+    )
+    assert (log.outcome.value, log.round_count, log.summary.n_queries) == (outcome, rounds, queries)
+    text = "\n".join(episode_log_lines(log)) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_explicit_initial_partition(six_mixed):

@@ -8,6 +8,8 @@ import stat
 
 import pytest
 
+from brute_force import brute_bootstrap_ci
+
 from coalitions.game import GameSpec, check_capability_monotonicity, check_potential_alignment
 from coalitions.preferences import OracleKind, OracleSpec, derived_rng
 from coalitions.stability import bell_number, find_nash_stable
@@ -126,6 +128,16 @@ def test_welfare_of_mixed_profiles_beats_weakest_clone(six_mixed):
 
 # ---------------------------------------------------------------------------
 # bootstrap
+
+@pytest.mark.parametrize("n", [1, 37, 400, 1001])
+def test_bootstrap_ci_matches_one_chunk_reference(n):
+    rng = derived_rng("chunks", n)
+    samples = [rng.random() for _ in range(n)]
+    # 2000 resamples span several chunks for every n above 131
+    assert bootstrap_ci(samples, iterations=2000, level=0.9, seed=n) == brute_bootstrap_ci(
+        samples, iterations=2000, level=0.9, seed=n
+    )
+
 
 def test_bootstrap_degenerate_samples():
     lo, hi = bootstrap_ci([0.4] * 25, iterations=200, seed=1)
