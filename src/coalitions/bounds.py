@@ -23,10 +23,10 @@ from .game import (
     Partition,
     check_capability_monotonicity,
     check_potential_alignment,
+    iter_deviation_checks,
     per_capita_table,
     value_gap_delta,
 )
-from .stability import iter_deviation_checks
 
 from .dynamics import EpisodeConfig, EpisodeLog, EpisodeOutcome, run_episode
 from .preferences import OracleKind, OracleSpec
@@ -99,9 +99,8 @@ def count_critical_decisions(
     threshold = 2.0 * epsilon
     k_n = 0
     k_eff = 0
-    for agent, own, target in iter_deviation_checks(partition):
+    for _, own, _, joined in iter_deviation_checks(partition.masks):
         k_n += 1
-        joined = target | 1 << agent
         delta = 0.0 if joined == own else pc[joined] - pc[own]
         if abs(delta) < threshold:
             k_eff += 1

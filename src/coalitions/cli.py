@@ -18,6 +18,7 @@ from pathlib import Path
 from .game import (
     EnumerationBudgetError,
     GameSpec,
+    Partition,
     check_capability_monotonicity,
     check_potential_alignment,
     coalition_value_range,
@@ -70,6 +71,17 @@ def _load_game_or_exit(path: str) -> GameSpec:
         raise SystemExit(EXIT_USAGE)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse game file: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _load_partition_or_exit(path: str, n: int) -> Partition:
+    try:
+        return load_partition(path, n=n)
+    except FileNotFoundError:
+        print(f"error: partition file not found: {path}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        print(f"error: cannot parse partition: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -188,14 +200,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     game = _load_game_or_exit(args.game)
-    try:
-        partition = load_partition(args.partition, n=game.n)
-    except FileNotFoundError:
-        print(f"error: partition file not found: {args.partition}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse partition: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    partition = _load_partition_or_exit(args.partition, game.n)
     concept = StabilityConcept(args.concept)
     if concept is StabilityConcept.NASH:
         if args.oracle != "perfect" or args.oracle_cmd or args.oracle_url:
@@ -243,6 +248,9 @@ def cmd_replay(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if (args.game is None) != (args.partition is None):
+        print("error: --game and --partition must be given together", file=sys.stderr)
+        return EXIT_USAGE
     try:
         params = json.loads(Path(args.params).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -251,9 +259,9 @@ def cmd_bounds(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse params: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.game and args.partition:
+    if args.game is not None:
         game = _load_game_or_exit(args.game)
-        partition = load_partition(args.partition, n=game.n)
+        partition = _load_partition_or_exit(args.partition, game.n)
         k_eff, k_n = count_critical_decisions(game, partition, args.epsilon)
         params["k_eff"], params["k_n"] = k_eff, k_n
     try:

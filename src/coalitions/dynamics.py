@@ -2,9 +2,10 @@
 
 One episode runs round-based deviation search: agents are scanned in a fixed
 order, each is asked about every deviation target (other coalitions plus
-going solo), and the first declared improvement is applied, one deviation
-per round.  An episode ends when a full scan finds no willing deviator
-(stable) or when the round budget runs out (timeout, counted as unstable).
+going solo, in `iter_deviation_checks` order), and the first declared
+improvement is applied, one deviation per round.  An episode ends when a
+full scan finds no willing deviator (stable) or when the round budget runs
+out (timeout, counted as unstable).
 
 Every round is logged with the potential before and after, the issued
 queries, and whether each answer matched the ground-truth comparison, so a
@@ -30,6 +31,7 @@ from .game import (
     coalition_value_bounds,
     game_from_dict,
     game_to_dict,
+    iter_deviation_checks,
     per_capita_table,
     value_gap_delta,
     value_table,
@@ -242,91 +244,78 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     round_index = 0
     try:
         for round_index in range(1, config.max_rounds + 1):
-            own_of = {}
-            for m in blocks:
-                bits = m
-                while bits:
-                    b = bits & -bits
-                    bits &= bits - 1
-                    own_of[b.bit_length() - 1] = m
-            order = list(range(n))
+            order = None
             if config.rule is DeviationRule.RANDOM_IMPROVING:
+                order = list(range(n))
                 derived_rng("scan", config.seed, config.episode_id, round_index).shuffle(order)
 
             masks_before = blocks
             queries: list[QueryRecord] = []
             ordinal = 0
-            chosen: tuple[int, int, int] | None = None  # agent, own, target
+            chosen: tuple[int, int, int, int] | None = None  # agent, own, target, joined
             best_delta = -math.inf
 
-            for agent in order:
-                own = own_of[agent]
-                bit = 1 << agent
-                for target in [m for m in blocks if m != own] + [0]:
-                    ordinal += 1
-                    n_queries += 1
-                    joined = target | bit
-                    if joined == own:
-                        # going solo while already alone: structural tie
-                        if config.record_queries:
-                            queries.append(
-                                QueryRecord(agent, (), 0.0, Verdict.INDIFFERENT, False, None)
-                            )
-                        continue
-                    delta = pc[joined] - pc[own]
-                    oracle = oracles[agent]
-                    ctx = (round_index, ordinal)
-                    if oracle.kind is OracleKind.EXTERNAL:
-                        verdict = _external_majority(
-                            oracle, game, agent, own, target,
-                            (config.episode_id, round_index, ordinal), external,
-                        )
-                    elif oracle.majority_k == 1:
-                        verdict = decide(oracle, delta, ctx, prefix=prefixes[agent])
-                    else:
-                        verdict = majority_verdict([
-                            decide(oracle, delta, ctx, rep, prefix=prefixes[agent])
-                            for rep in range(oracle.majority_k)
-                        ])
-                    if delta > TIE_EPS:
-                        reference = Verdict.PREFER_CANDIDATE
-                    elif delta < -TIE_EPS:
-                        reference = Verdict.PREFER_CURRENT
-                    else:
-                        reference = Verdict.INDIFFERENT
-                    critical = abs(delta) < gaps[agent]
-                    matched: bool | None = None
-                    if reference is not Verdict.INDIFFERENT:
-                        matched = verdict is reference
-                        if critical:
-                            crit_total += 1
-                            crit_match += matched
-                        else:
-                            easy_total += 1
-                            easy_match += matched
-                        if not matched:
-                            consistent = False
+            for agent, own, target, joined in iter_deviation_checks(blocks, order):
+                ordinal += 1
+                n_queries += 1
+                if joined == own:
+                    # going solo while already alone: structural tie
                     if config.record_queries:
                         queries.append(
-                            QueryRecord(
-                                agent,
-                                Coalition(target).members,
-                                delta,
-                                verdict,
-                                critical,
-                                matched,
-                            )
+                            QueryRecord(agent, (), 0.0, Verdict.INDIFFERENT, False, None)
                         )
-                    if verdict is Verdict.PREFER_CANDIDATE:
-                        if config.rule is DeviationRule.BEST_IMPROVING:
-                            if delta > best_delta:
-                                best_delta = delta
-                                chosen = (agent, own, target)
-                        else:
-                            chosen = (agent, own, target)
-                            break
-                if chosen is not None and config.rule is not DeviationRule.BEST_IMPROVING:
-                    break
+                    continue
+                delta = pc[joined] - pc[own]
+                oracle = oracles[agent]
+                ctx = (round_index, ordinal)
+                if oracle.kind is OracleKind.EXTERNAL:
+                    verdict = _external_majority(
+                        oracle, game, agent, own, target,
+                        (config.episode_id, round_index, ordinal), external,
+                    )
+                elif oracle.majority_k == 1:
+                    verdict = decide(oracle, delta, ctx, prefix=prefixes[agent])
+                else:
+                    verdict = majority_verdict([
+                        decide(oracle, delta, ctx, rep, prefix=prefixes[agent])
+                        for rep in range(oracle.majority_k)
+                    ])
+                if delta > TIE_EPS:
+                    reference = Verdict.PREFER_CANDIDATE
+                elif delta < -TIE_EPS:
+                    reference = Verdict.PREFER_CURRENT
+                else:
+                    reference = Verdict.INDIFFERENT
+                critical = abs(delta) < gaps[agent]
+                matched: bool | None = None
+                if reference is not Verdict.INDIFFERENT:
+                    matched = verdict is reference
+                    if critical:
+                        crit_total += 1
+                        crit_match += matched
+                    else:
+                        easy_total += 1
+                        easy_match += matched
+                    if not matched:
+                        consistent = False
+                if config.record_queries:
+                    queries.append(
+                        QueryRecord(
+                            agent,
+                            Coalition(target).members,
+                            delta,
+                            verdict,
+                            critical,
+                            matched,
+                        )
+                    )
+                if verdict is Verdict.PREFER_CANDIDATE:
+                    if config.rule is not DeviationRule.BEST_IMPROVING:
+                        chosen = (agent, own, target, joined)
+                        break
+                    if delta > best_delta:
+                        best_delta = delta
+                        chosen = (agent, own, target, joined)
 
             if chosen is None:
                 rounds.append(
@@ -343,10 +332,8 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                 outcome = EpisodeOutcome.NASH_STABLE
                 break
 
-            agent, own, target = chosen
-            bit = 1 << agent
-            rest = own & ~bit
-            joined = target | bit
+            agent, own, target, joined = chosen
+            rest = own & ~(1 << agent)
             phi_after = phi - vals[own] + (vals[rest] if rest else 0.0) + vals[joined]
             if target:
                 phi_after -= vals[target]
@@ -606,6 +593,12 @@ def replay_lines(recorded: Sequence[str]) -> ReplayReport:
             f"replaying with {ENGINE_VERSION!r}"
         )
     config = config_from_dict(header["config"])
+    for agent, oracle in enumerate(config.oracles):
+        if oracle.kind is OracleKind.EXTERNAL:
+            raise ValueError(
+                f"agent {agent} answers through an external oracle; "
+                "replay re-runs only built-in oracles"
+            )
     fresh = episode_log_lines(run_episode(config))
     # compare content below the header so a version bump alone is a warning,
     # not a divergence

@@ -27,9 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .game import (
-    EMPTY_COALITION,
+    Coalition,
     GameSpec,
     coalition_value,
+    iter_deviation_checks,
     load_game,
     value_gap_delta,
 )
@@ -154,16 +155,13 @@ def sample_queries(
     while len(queries) < count:
         partition = random_partition(game.n, rng)
         agent = rng.randrange(game.n)
-        own = partition.coalition_of(agent)
-        targets = [c for c in partition.coalitions if c.mask != own.mask]
-        targets.append(EMPTY_COALITION)
-        targets = [t for t in targets if t.mask | (1 << agent) != own.mask]
-        if not targets:
+        checks = iter_deviation_checks(partition.masks, (agent,))
+        moves = [(own, target) for _, own, target, joined in checks if joined != own]
+        if not moves:
             continue
+        own, target = moves[rng.randrange(len(moves))]
         queries.append(
-            PreferenceQuery(
-                agent=agent, current=own, candidate=targets[rng.randrange(len(targets))]
-            )
+            PreferenceQuery(agent=agent, current=Coalition(own), candidate=Coalition(target))
         )
     return queries
 

@@ -582,6 +582,34 @@ def iter_partition_blocks(n: int) -> Iterator[tuple[int, ...]]:
             m[j] = m[j - 1]
 
 
+def iter_deviation_checks(
+    masks: Sequence[int], agents: Iterable[int] | None = None
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (agent, own, target, joined) for every deviation comparison.
+
+    `masks` are the blocks of a partition; `joined` is `target | 1 << agent`.
+    Agents come in `agents` order (default: ascending ids).  Each agent's
+    targets are the other blocks in the given order, then the solo move
+    (target 0).  The solo move of an agent already alone is a
+    self-comparison (`joined == own`); it is still yielded so every scan
+    makes exactly n * |partition| checks.
+    """
+    own_of = {}
+    for m in masks:
+        bits = m
+        while bits:
+            b = bits & -bits
+            bits &= bits - 1
+            own_of[b.bit_length() - 1] = m
+    for agent in sorted(own_of) if agents is None else agents:
+        own = own_of[agent]
+        bit = 1 << agent
+        for target in masks:
+            if target != own:
+                yield agent, own, target, target | bit
+        yield agent, own, 0, bit
+
+
 def check_potential_alignment(
     game: GameSpec,
     partition_cap: int = 150_000,
@@ -590,7 +618,8 @@ def check_potential_alignment(
 
     Exhausts all partitions; fails with the first witness where an agent's
     per-capita value improves but the total value does not strictly increase
-    (a zero change counts as a failure).
+    (a zero change counts as a failure).  Self-comparisons are not counted
+    as deviations.
     """
     bell = _bell_number(game.n)
     if bell > partition_cap:
@@ -598,74 +627,42 @@ def check_potential_alignment(
             f"alignment check over {bell} partitions exceeds the cap of {partition_cap}"
         )
     vals = value_table(game)
+    pc = per_capita_table(game)
     n = game.n
     partitions = 0
     deviations = 0
     for blocks in iter_partition_blocks(n):
         partitions += 1
         phi = sum(vals[b] for b in blocks)
-        for own in blocks:
-            bits = own
-            while bits:
-                agent_bit = bits & -bits
-                bits &= bits - 1
-                agent = agent_bit.bit_length() - 1
-                pc_own = vals[own] / own.bit_count()
-                for target in blocks:
-                    if target == own:
-                        continue
-                    deviations += 1
-                    joined = target | agent_bit
-                    pc_new = vals[joined] / joined.bit_count()
-                    if pc_new <= pc_own + TIE_EPS:
-                        continue
-                    rest = own & ~agent_bit
-                    phi_new = (
-                        phi
-                        - vals[own]
-                        - vals[target]
-                        + vals[joined]
-                        + (vals[rest] if rest else 0.0)
-                    )
-                    if phi_new <= phi + TIE_EPS:
-                        return AlignmentReport(
-                            passed=False,
-                            partitions_checked=partitions,
-                            deviations_checked=deviations,
-                            witness=AlignmentWitness(
-                                partition=Partition.from_masks(n, blocks),
-                                agent=agent,
-                                target_members=Coalition(target).members,
-                                per_capita_before=pc_own,
-                                per_capita_after=pc_new,
-                                potential_before=phi,
-                                potential_after=phi_new,
-                            ),
-                        )
-                # solo deviation
-                if own != agent_bit:
-                    deviations += 1
-                    pc_new = vals[agent_bit]
-                    if pc_new > pc_own + TIE_EPS:
-                        rest = own & ~agent_bit
-                        phi_new = phi - vals[own] + vals[agent_bit] + (
-                            vals[rest] if rest else 0.0
-                        )
-                        if phi_new <= phi + TIE_EPS:
-                            return AlignmentReport(
-                                passed=False,
-                                partitions_checked=partitions,
-                                deviations_checked=deviations,
-                                witness=AlignmentWitness(
-                                    partition=Partition.from_masks(n, blocks),
-                                    agent=agent,
-                                    target_members=(),
-                                    per_capita_before=pc_own,
-                                    per_capita_after=pc_new,
-                                    potential_before=phi,
-                                    potential_after=phi_new,
-                                ),
-                            )
+        for agent, own, target, joined in iter_deviation_checks(blocks):
+            if joined == own:
+                continue
+            deviations += 1
+            if pc[joined] <= pc[own] + TIE_EPS:
+                continue
+            rest = own & ~(1 << agent)
+            phi_new = (
+                phi
+                - vals[own]
+                - (vals[target] if target else 0.0)
+                + vals[joined]
+                + (vals[rest] if rest else 0.0)
+            )
+            if phi_new <= phi + TIE_EPS:
+                return AlignmentReport(
+                    passed=False,
+                    partitions_checked=partitions,
+                    deviations_checked=deviations,
+                    witness=AlignmentWitness(
+                        partition=Partition.from_masks(n, blocks),
+                        agent=agent,
+                        target_members=Coalition(target).members,
+                        per_capita_before=pc[own],
+                        per_capita_after=pc[joined],
+                        potential_before=phi,
+                        potential_after=phi_new,
+                    ),
+                )
     return AlignmentReport(
         passed=True, partitions_checked=partitions, deviations_checked=deviations
     )

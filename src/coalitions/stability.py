@@ -2,9 +2,13 @@
 
 Ground-truth verification compares per-capita values directly; behavioral
 verification routes every deviation comparison through a preference oracle.
-Both share one deviation iterator so query accounting is identical: each
-agent is checked against every other coalition of the partition plus the
-solo move, which makes exactly n * |partition| checks.
+Each agent is checked against every other coalition of the partition plus
+the solo move, which makes exactly n * |partition| checks.  One scan,
+`iter_deviation_checks` (defined in `game` and re-exported here), yields
+those checks for every user: `verify_nash` (both modes), `verify_individual`,
+`bounds.count_critical_decisions`, `dynamics.run_episode`,
+`experiments.sample_queries` and `game.check_potential_alignment`.  The
+early-exit `_nash_stable` predicate keeps its own loop for speed (see there).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .game import (
     Partition,
     TIE_EPS,
     _bell_number,
+    iter_deviation_checks,
     iter_partition_blocks,
     per_capita_table,
 )
@@ -143,54 +148,16 @@ def random_partition(n: int, rng: random.Random) -> Partition:
     return Partition.from_masks(n, blocks)
 
 
-def iter_deviation_checks(
-    partition: Partition,
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (agent, own_mask, target_mask) for every deviation comparison.
-
-    Agents are scanned in ascending id order; for each agent the targets are
-    the other coalitions in canonical order followed by the solo move
-    (target mask 0).  The solo move of an agent already alone is a
-    self-comparison; it is still yielded so query counts match the
-    n * |partition| contract.
-    """
-    masks = partition.masks
-    own_of = {}
-    for m in masks:
-        bits = m
-        while bits:
-            agent_bit = bits & -bits
-            bits &= bits - 1
-            own_of[agent_bit.bit_length() - 1] = m
-    for agent in range(partition.n):
-        own = own_of[agent]
-        for target in masks:
-            if target != own:
-                yield agent, own, target
-        yield agent, own, 0
-
-
-def _ground_truth_scan(
-    game: GameSpec, partition: Partition
-) -> tuple[int, DeviationWitness | None]:
-    pc = per_capita_table(game)
-    queries = 0
-    witness = None
-    for agent, own, target in iter_deviation_checks(partition):
-        queries += 1
-        joined = target | 1 << agent
-        if joined == own:
-            continue
-        gain = pc[joined] - pc[own]
-        if gain > TIE_EPS and witness is None:
-            witness = DeviationWitness(
-                agent=agent,
-                from_members=Coalition(own).members,
-                to_members=Coalition(target).members,
-                value_before=pc[own],
-                value_after=pc[joined],
-            )
-    return queries, witness
+def _witness(
+    pc: Sequence[float], agent: int, own: int, target: int, joined: int
+) -> DeviationWitness:
+    return DeviationWitness(
+        agent=agent,
+        from_members=Coalition(own).members,
+        to_members=Coalition(target).members,
+        value_before=pc[own],
+        value_after=pc[joined],
+    )
 
 
 def verify_nash(
@@ -212,51 +179,38 @@ def verify_nash(
     """
     if partition.n != game.n:
         raise ValueError("partition size does not match the game")
-    if oracle is None:
-        queries, witness = _ground_truth_scan(game, partition)
-        return StabilityReport(
-            concept=StabilityConcept.NASH,
-            stable=witness is None,
-            queries_used=queries,
-            witness=witness,
-        )
-
-    from .preferences import PreferenceQuery, Verdict, answer_majority
+    if oracle is not None:
+        from .preferences import PreferenceQuery, Verdict, answer_majority
 
     pc = per_capita_table(game)
     queries = 0
     witness = None
-    ordinal = 0
-    for agent, own, target in iter_deviation_checks(partition):
+    for agent, own, target, joined in iter_deviation_checks(partition.masks):
         queries += 1
-        ordinal += 1
-        joined = target | 1 << agent
         if joined == own:
             continue
-        q = PreferenceQuery(
-            agent=agent, current=Coalition(own), candidate=Coalition(target)
-        )
-        verdict = answer_majority(
-            oracle,
-            game,
-            q,
-            ctx=("verify", episode_id, round_index, ordinal),
-            external=external,
-        ).verdict
-        if verdict is Verdict.PREFER_CANDIDATE and witness is None:
-            witness = DeviationWitness(
-                agent=agent,
-                from_members=Coalition(own).members,
-                to_members=Coalition(target).members,
-                value_before=pc[own],
-                value_after=pc[joined],
+        if oracle is None:
+            improves = pc[joined] - pc[own] > TIE_EPS
+        else:
+            q = PreferenceQuery(
+                agent=agent, current=Coalition(own), candidate=Coalition(target)
             )
+            verdict = answer_majority(
+                oracle,
+                game,
+                q,
+                ctx=("verify", episode_id, round_index, queries),
+                external=external,
+            ).verdict
+            improves = verdict is Verdict.PREFER_CANDIDATE
+        if improves and witness is None:
+            witness = _witness(pc, agent, own, target, joined)
     return StabilityReport(
         concept=StabilityConcept.NASH,
         stable=witness is None,
         queries_used=queries,
         witness=witness,
-        mode="behavioral",
+        mode="ground_truth" if oracle is None else "behavioral",
     )
 
 
@@ -272,22 +226,15 @@ def verify_individual(game: GameSpec, partition: Partition) -> StabilityReport:
     pc = per_capita_table(game)
     queries = 0
     witness = None
-    for agent, own, target in iter_deviation_checks(partition):
+    for agent, own, target, joined in iter_deviation_checks(partition.masks):
         queries += 1
-        joined = target | 1 << agent
         if joined == own or witness is not None:
             continue
         if pc[joined] - pc[own] <= TIE_EPS:
             continue
         if target and pc[joined] < pc[target] - TIE_EPS:
             continue  # receiving coalition objects
-        witness = DeviationWitness(
-            agent=agent,
-            from_members=Coalition(own).members,
-            to_members=Coalition(target).members,
-            value_before=pc[own],
-            value_after=pc[joined],
-        )
+        witness = _witness(pc, agent, own, target, joined)
     return StabilityReport(
         concept=StabilityConcept.INDIVIDUAL,
         stable=witness is None,
@@ -351,6 +298,10 @@ def is_nash_stable_masks(game: GameSpec, masks: Sequence[int]) -> bool:
 
 
 def _nash_stable(pc: Sequence[float], masks: Sequence[int]) -> bool:
+    # Its own loop, not iter_deviation_checks: it exits at the first
+    # improving move and builds no agent -> block map.  Routed through the
+    # generator, find_nash_stable over the 115,975 partitions of n=10 ran
+    # about 6x slower (about 4x with a lazy owner lookup).
     for own in masks:
         bits = own
         while bits:

@@ -1,9 +1,10 @@
 """Independent brute-force references for the value function, the δ gap,
-the binning of choice logs and the bootstrap CI of a mean.
+the deviation scan, the potential-alignment check, the binning of choice
+logs and the bootstrap CI of a mean.
 
 These recompute from explicit member lists, the game's profiles and the
-choice rows with plain Python loops, without calling the engine's value, gap
-or binning code, so tests can check the engine against them.
+choice rows with plain Python loops, without calling the engine's value,
+gap, scan or binning code, so tests can check the engine against them.
 """
 
 import hashlib
@@ -44,6 +45,96 @@ def brute_delta(game: GameSpec, max_size: int) -> float:
             if b - a > 1e-9:
                 best = min(best, b - a)
     return best
+
+
+def brute_deviation_checks(
+    masks: list[int], agents: list[int] | None = None
+) -> list[tuple[int, int, int, int]]:
+    """(agent, own, target, joined) for every deviation check: each agent in
+    `agents` order (default ascending) against every other block in the
+    given order, then alone (target 0), self-comparisons included."""
+    n = sum(bin(m).count("1") for m in masks)
+    checks = []
+    for agent in range(n) if agents is None else agents:
+        own = [m for m in masks if m >> agent & 1][0]
+        for target in masks:
+            if target != own:
+                checks.append((agent, own, target, target | 1 << agent))
+        checks.append((agent, own, 0, 1 << agent))
+    return checks
+
+
+def _partitions(n: int) -> list[list[int]]:
+    """Block masks of every partition of 0..n-1 in lexicographic
+    restricted-growth order, blocks ordered by smallest member."""
+    out = []
+
+    def extend(i: int, blocks: list[int]) -> None:
+        if i == n:
+            out.append(list(blocks))
+            return
+        for b in range(len(blocks) + 1):
+            if b == len(blocks):
+                blocks.append(0)
+            blocks[b] |= 1 << i
+            extend(i + 1, blocks)
+            blocks[b] &= ~(1 << i)
+            if not blocks[b]:
+                blocks.pop()
+
+    extend(0, [])
+    return out
+
+
+def brute_alignment(game: GameSpec) -> tuple[bool, int, int, tuple | None]:
+    """(passed, partitions checked, deviations checked, witness) of the
+    exact-potential check: over every partition, each agent in ascending id
+    order tries every other block and then going solo; self-comparisons are
+    not counted.  The first strictly improving move that does not strictly
+    raise the total value is the witness (partition masks, agent, target
+    members, per-capita before/after, potential before/after).  The new
+    potential is summed as phi - v(own) - v(target) + v(joined) + v(rest)."""
+
+    memo: dict[int, float] = {}
+
+    def v(mask: int) -> float:
+        if mask not in memo:
+            memo[mask] = brute_value(game, [i for i in range(game.n) if mask >> i & 1])
+        return memo[mask]
+
+    def pc(mask: int) -> float:
+        return v(mask) / bin(mask).count("1")
+
+    partitions = deviations = 0
+    for blocks in _partitions(game.n):
+        partitions += 1
+        phi = 0
+        for b in blocks:
+            phi += v(b)
+        for agent in range(game.n):
+            own = [m for m in blocks if m >> agent & 1][0]
+            for target in [m for m in blocks if m != own] + [0]:
+                joined = target | 1 << agent
+                if joined == own:
+                    continue
+                deviations += 1
+                if pc(joined) <= pc(own) + TIE_EPS:
+                    continue
+                rest = own & ~(1 << agent)
+                phi_new = (
+                    phi
+                    - v(own)
+                    - (v(target) if target else 0.0)
+                    + v(joined)
+                    + (v(rest) if rest else 0.0)
+                )
+                if phi_new <= phi + TIE_EPS:
+                    members = tuple(i for i in range(game.n) if target >> i & 1)
+                    witness = (
+                        tuple(blocks), agent, members, pc(own), pc(joined), phi, phi_new
+                    )
+                    return False, partitions, deviations, witness
+    return True, partitions, deviations, None
 
 
 def brute_epsilon_bins(

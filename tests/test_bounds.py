@@ -86,9 +86,8 @@ def test_bound_input_validation():
 def brute_counts(game, partition, epsilon):
     pc = per_capita_table(game)
     k_eff = k_n = 0
-    for agent, own, target in iter_deviation_checks(partition):
+    for agent, own, target, joined in iter_deviation_checks(partition.masks):
         k_n += 1
-        joined = target | 1 << agent
         gap = abs(pc[joined] - pc[own]) if joined != own else 0.0
         k_eff += gap < 2 * epsilon
     return k_eff, k_n

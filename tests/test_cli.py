@@ -170,6 +170,28 @@ def test_replay_version_mismatch_warns(tmp_path, six_mixed, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_replay_external_oracle_log_is_rejected(tmp_path, six_mixed, capsys):
+    log = run_episode(
+        EpisodeConfig(game=six_mixed, oracles=(OracleSpec(kind=OracleKind.PERFECT),))
+    )
+    path = tmp_path / "ext.jsonl"
+    write_episode_log(log, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    for oracle in header["config"]["oracles"]:
+        oracle["kind"] = "external"
+        oracle["external"] = {
+            "command": ["python", "-m", "coalitions.oracle_stub"],
+            "url": None, "timeout_s": 1.0, "protocol": "staged",
+        }
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("replay", path) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot parse log" in err
+    assert "agent 0" in err and "external oracle" in err
+
+
 # ---------------------------------------------------------------------------
 # bounds / regress / estimate-epsilon
 
@@ -201,6 +223,33 @@ def test_bounds_with_partition_counts(game_file, tmp_path, capsys):
     )
     assert code == 0
     assert "lower_bound" in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--game", "--partition missing.json"), "error: partition file not found"),
+        (("--game", "--partition short.json"), "error: cannot parse partition"),
+        (("--game",), "must be given together"),
+        (("--partition short.json",), "must be given together"),
+    ],
+)
+def test_bounds_partition_usage_errors(flags, message, game_file, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(
+        json.dumps({"p": 0.86, "p_easy": 0.98, "k_eff": 5, "k_n": 15, "gamma": 0.9,
+                    "delta": 0.08, "epsilon_bar": 0.15})
+    )
+    # agents 4 and 5 are left out
+    (tmp_path / "short.json").write_text(json.dumps({"coalitions": [[0, 1], [2, 3]]}))
+    argv = ["bounds", "--params", params]
+    for flag in flags:
+        name, _, file = flag.partition(" ")
+        argv += [name, tmp_path / file if file else game_file]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_regress_command(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Condition harness, sweeps, statistics, manifests, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from coalitions.experiments import (
     load_manifest,
     run_condition,
     run_manifest,
+    sample_queries,
     sweep,
     wilcoxon_signed_rank,
     write_results_csv,
@@ -368,3 +370,23 @@ def test_pairwise_welfare_tests(six_mixed):
     assert (c.condition_a, c.condition_b) == ("p0.64", "p0.86")
     assert 0 <= c.p_value <= 1
     assert c.adjusted_p == pytest.approx(c.p_value)  # single test: no inflation
+
+
+@pytest.mark.parametrize(
+    "seed, head, digest",
+    [
+        (0, [(1, 18, 32), (1, 42, 0), (4, 56, 0)],
+         "a2d9c14c01887d0f77673cc0ae03bb7c1a8160a0f3f23251f3fc610c24c3ef08"),
+        (7, [(1, 3, 0), (1, 7, 16), (3, 24, 4)],
+         "4225d9238b97c5efe90b901ede0bfbe9ad891fba489fe82e4f1a1d5f2f3eb35e"),
+    ],
+)
+def test_sample_queries_pinned(six_mixed, seed, head, digest):
+    # (agent, current mask, candidate mask) of each seeded consistency query
+    queries = [
+        (q.agent, q.current.mask, q.candidate.mask)
+        for q in sample_queries(six_mixed, 30, seed)
+    ]
+    assert queries[:3] == head
+    assert hashlib.sha256(json.dumps(queries).encode()).hexdigest() == digest
+    assert all(q[2] | 1 << q[0] != q[1] for q in queries)  # no self-comparisons

@@ -6,9 +6,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import brute_delta, brute_value
+from brute_force import brute_alignment, brute_delta, brute_value
 
 from coalitions.dynamics import convergence_bound
+from coalitions.experiments import generate_game
+from coalitions.preferences import derived_rng
 from coalitions.game import (
     MAX_AGENTS,
     Aggregation,
@@ -262,6 +264,32 @@ def test_alignment_on_six_agent_game_finds_zero_gain_moves(six_mixed):
     w = report.witness
     assert w.per_capita_after > w.per_capita_before
     assert w.potential_after == pytest.approx(w.potential_before, abs=1e-9)
+
+
+def test_alignment_matches_brute_force(six_mixed, dominated_pair, trio):
+    games = [six_mixed, dominated_pair, trio]
+    for attempt in range(1, 51):  # the game family C05 draws from
+        n = 2 + derived_rng("family", attempt).randrange(7)
+        games.append(generate_game(n, 3, 0.15, 1.3, seed=attempt, lo=0.0, hi=1.0))
+    for game in games:
+        report = check_potential_alignment(game)
+        passed, partitions, deviations, witness = brute_alignment(game)
+        assert report.passed == passed
+        assert report.partitions_checked == partitions
+        assert report.deviations_checked == deviations
+        if witness is None:
+            assert report.witness is None
+            continue
+        w = report.witness
+        assert (
+            w.partition.masks,
+            w.agent,
+            w.target_members,
+            w.per_capita_before,
+            w.per_capita_after,
+            w.potential_before,
+            w.potential_after,
+        ) == witness
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute_force import brute_deviation_checks
+
 from coalitions.game import Coalition, GameSpec, Partition, per_capita_table
 from coalitions.preferences import derived_rng
 from coalitions.stability import (
@@ -14,6 +16,8 @@ from coalitions.stability import (
     bell_number,
     enumerate_partitions,
     find_nash_stable,
+    is_nash_stable_masks,
+    iter_deviation_checks,
     random_partition,
     verify_core,
     verify_individual,
@@ -120,6 +124,14 @@ def test_query_count_property_and_order_independence(seed):
     report = verify_nash(game, partition)
     assert report.queries_used == game.n * len(partition)
     assert report.stable == brute_nash_reversed(game, partition)
+    assert is_nash_stable_masks(game, partition.masks) == report.stable
+    masks = list(partition.masks)
+    assert list(iter_deviation_checks(masks)) == brute_deviation_checks(masks)
+    shuffled = list(range(game.n))
+    derived_rng("agents", seed).shuffle(shuffled)
+    assert list(iter_deviation_checks(masks, shuffled)) == brute_deviation_checks(
+        masks, shuffled
+    )
 
 
 def test_behavioral_verification_with_perfect_oracle(six_mixed):
