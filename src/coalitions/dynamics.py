@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -32,6 +33,7 @@ from .game import (
     game_from_dict,
     game_to_dict,
     iter_deviation_checks,
+    mask_members,
     per_capita_table,
     value_gap_delta,
     value_table,
@@ -41,10 +43,10 @@ from .preferences import (
     OracleSpec,
     PreferenceQuery,
     Verdict,
-    decide,
+    answer_majority,
     derived_rng,
     draw_prefix,
-    majority_verdict,
+    episode_decider,
 )
 from .stability import is_nash_stable_masks, random_partition, verify_nash
 
@@ -110,35 +112,26 @@ class EpisodeConfig:
 @dataclass(frozen=True)
 class QueryRecord:
     agent: int
-    target: tuple[int, ...]  # empty tuple = solo move
+    target_mask: int  # 0 = solo move
     delta_v: float
     verdict: Verdict
     critical: bool
     matched: bool | None  # None on exact ties
 
-    def to_list(self) -> list:
-        return [
-            self.agent,
-            list(self.target),
-            round(self.delta_v, 12),
-            self.verdict.value,
-            int(self.critical),
-            None if self.matched is None else int(self.matched),
-        ]
-
 
 @dataclass(frozen=True)
 class DeviationEvent:
     agent: int
-    from_members: tuple[int, ...]
-    to_members: tuple[int, ...]
+    from_mask: int  # the agent's block before the move
+    to_mask: int  # the agent's block after the move (its singleton when solo)
 
-    def to_dict(self) -> dict:
-        return {
-            "agent": self.agent,
-            "from": list(self.from_members),
-            "to": list(self.to_members),
-        }
+    @property
+    def from_members(self) -> tuple[int, ...]:
+        return mask_members(self.from_mask)
+
+    @property
+    def to_members(self) -> tuple[int, ...]:
+        return mask_members(self.to_mask)
 
 
 @dataclass(frozen=True)
@@ -154,21 +147,7 @@ class RoundRecord:
     @property
     def partition_before(self) -> tuple[tuple[int, ...], ...]:
         """Member tuples of the blocks at the start of the round."""
-        return tuple(Coalition(m).members for m in self.masks_before)
-
-    def to_dict(self, record_queries: bool) -> dict:
-        out = {
-            "type": "round",
-            "index": self.index,
-            "partition": [list(b) for b in self.partition_before],
-            "n_queries": self.n_queries,
-            "deviation": self.deviation.to_dict() if self.deviation else None,
-            "phi_before": round(self.phi_before, 12),
-            "phi_after": round(self.phi_after, 12),
-        }
-        if record_queries:
-            out["queries"] = [q.to_list() for q in self.queries]
-        return out
+        return tuple(map(mask_members, self.masks_before))
 
 
 @dataclass(frozen=True)
@@ -221,10 +200,11 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     n = game.n
     vals = value_table(game)
     pc = per_capita_table(game)
-    oracles = config.oracles
-    gaps = [o.gap_threshold for o in oracles]
-    prefix_of = {s: draw_prefix(s, config.episode_id) for s in {o.seed for o in oracles}}
-    prefixes = [prefix_of[o.seed] for o in oracles]
+    deciders = _episode_deciders(config, external)
+    gaps = [o.gap_threshold for o in config.oracles]
+    record = config.record_queries
+    first_wins = config.rule is not DeviationRule.BEST_IMPROVING
+    candidate, current = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
 
     partition = config.initial.realize(n, config.seed, config.episode_id)
     blocks = tuple(sorted(partition.masks, key=lambda m: m & -m))
@@ -241,7 +221,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
 
     from .plugin import OracleTransportError  # deferred: only needed on failure paths
 
-    round_index = 0
+    round_index = ordinal = 0
     try:
         for round_index in range(1, config.max_rounds + 1):
             order = None
@@ -257,39 +237,21 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
 
             for agent, own, target, joined in iter_deviation_checks(blocks, order):
                 ordinal += 1
-                n_queries += 1
                 if joined == own:
                     # going solo while already alone: structural tie
-                    if config.record_queries:
-                        queries.append(
-                            QueryRecord(agent, (), 0.0, Verdict.INDIFFERENT, False, None)
-                        )
+                    if record:
+                        queries.append(QueryRecord(agent, 0, 0.0, Verdict.INDIFFERENT, False, None))
                     continue
                 delta = pc[joined] - pc[own]
-                oracle = oracles[agent]
-                ctx = (round_index, ordinal)
-                if oracle.kind is OracleKind.EXTERNAL:
-                    verdict = _external_majority(
-                        oracle, game, agent, own, target,
-                        (config.episode_id, round_index, ordinal), external,
-                    )
-                elif oracle.majority_k == 1:
-                    verdict = decide(oracle, delta, ctx, prefix=prefixes[agent])
-                else:
-                    verdict = majority_verdict([
-                        decide(oracle, delta, ctx, rep, prefix=prefixes[agent])
-                        for rep in range(oracle.majority_k)
-                    ])
-                if delta > TIE_EPS:
-                    reference = Verdict.PREFER_CANDIDATE
-                elif delta < -TIE_EPS:
-                    reference = Verdict.PREFER_CURRENT
-                else:
-                    reference = Verdict.INDIFFERENT
+                verdict = deciders[agent](delta, round_index, ordinal, own, target)
                 critical = abs(delta) < gaps[agent]
-                matched: bool | None = None
-                if reference is not Verdict.INDIFFERENT:
-                    matched = verdict is reference
+                if delta > TIE_EPS:
+                    matched = verdict is candidate
+                elif delta < -TIE_EPS:
+                    matched = verdict is current
+                else:
+                    matched = None
+                if matched is not None:
                     if critical:
                         crit_total += 1
                         crit_match += matched
@@ -298,36 +260,20 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                         easy_match += matched
                     if not matched:
                         consistent = False
-                if config.record_queries:
-                    queries.append(
-                        QueryRecord(
-                            agent,
-                            Coalition(target).members,
-                            delta,
-                            verdict,
-                            critical,
-                            matched,
-                        )
-                    )
-                if verdict is Verdict.PREFER_CANDIDATE:
-                    if config.rule is not DeviationRule.BEST_IMPROVING:
+                if record:
+                    queries.append(QueryRecord(agent, target, delta, verdict, critical, matched))
+                if verdict is candidate:
+                    if first_wins:
                         chosen = (agent, own, target, joined)
                         break
                     if delta > best_delta:
                         best_delta = delta
                         chosen = (agent, own, target, joined)
+            n_queries += ordinal
 
             if chosen is None:
                 rounds.append(
-                    RoundRecord(
-                        index=round_index,
-                        masks_before=masks_before,
-                        n_queries=ordinal,
-                        deviation=None,
-                        phi_before=phi,
-                        phi_after=phi,
-                        queries=tuple(queries),
-                    )
+                    RoundRecord(round_index, masks_before, ordinal, None, phi, phi, tuple(queries))
                 )
                 outcome = EpisodeOutcome.NASH_STABLE
                 break
@@ -345,21 +291,18 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
             deviations += 1
             rounds.append(
                 RoundRecord(
-                    index=round_index,
-                    masks_before=masks_before,
-                    n_queries=ordinal,
-                    deviation=DeviationEvent(
-                        agent=agent,
-                        from_members=Coalition(own).members,
-                        to_members=Coalition(joined).members,
-                    ),
-                    phi_before=phi,
-                    phi_after=phi_after,
-                    queries=tuple(queries),
+                    round_index,
+                    masks_before,
+                    ordinal,
+                    DeviationEvent(agent, own, joined),
+                    phi,
+                    phi_after,
+                    tuple(queries),
                 )
             )
             phi = phi_after
     except OracleTransportError as exc:
+        n_queries += ordinal  # the failed query counts
         outcome = EpisodeOutcome.ERROR
         error = f"{type(exc).__name__}: {exc}"
 
@@ -387,23 +330,40 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     )
 
 
-def _external_majority(
-    oracle: OracleSpec,
-    game: GameSpec,
-    agent: int,
-    own: int,
-    target: int,
-    ctx: Sequence[int],
-    external,
-) -> Verdict:
-    from .preferences import answer_majority
+def _episode_deciders(config: EpisodeConfig, external) -> list:
+    """Each agent's decision closure for this episode (see `episode_decider`).
 
-    if external is None or oracle.external not in external:
-        raise RuntimeError("external oracle requires an open plugin session")
-    q = PreferenceQuery(agent=agent, current=Coalition(own), candidate=Coalition(target))
-    return answer_majority(
-        oracle, game, q, ctx=ctx, external=external[oracle.external]
-    ).verdict
+    A closure is built once per oracle object: `config.oracles` usually holds
+    one spec n times.  Keying by identity, not by the spec's value, skips
+    hashing the frozen dataclass on every episode.  External oracles get a
+    closure that asks the agent's plugin session.
+    """
+    made: dict[int, object] = {}
+    deciders = []
+    for agent, oracle in enumerate(config.oracles):
+        if oracle.kind is OracleKind.EXTERNAL:
+            deciders.append(_external_decider(oracle, config, agent, external))
+            continue
+        decider = made.get(id(oracle))
+        if decider is None:
+            prefix = draw_prefix(oracle.seed, config.episode_id)
+            decider = made[id(oracle)] = episode_decider(oracle, prefix)
+        deciders.append(decider)
+    return deciders
+
+
+def _external_decider(oracle: OracleSpec, config: EpisodeConfig, agent: int, external):
+    def decide_external(delta, round_index, ordinal, own, target):
+        if external is None or oracle.external not in external:
+            raise RuntimeError("external oracle requires an open plugin session")
+        q = PreferenceQuery(agent=agent, current=Coalition(own), candidate=Coalition(target))
+        return answer_majority(
+            oracle, config.game, q,
+            ctx=(config.episode_id, round_index, ordinal),
+            external=external[oracle.external],
+        ).verdict
+
+    return decide_external
 
 
 @dataclass(frozen=True)
@@ -529,19 +489,74 @@ def config_from_dict(data: dict) -> EpisodeConfig:
     )
 
 
+@lru_cache(maxsize=1 << 14)
+def _members_json(mask: int) -> str:
+    """The JSON text of a block's member list, e.g. "[0,2,5]"."""
+    return "[" + ",".join(map(str, mask_members(mask))) + "]"
+
+
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_json(x: float) -> str:
+    """`json.dumps(round(x, 12))`: json writes finite floats with repr."""
+    text = repr(round(x, 12))
+    return _NONFINITE_JSON.get(text, text)
+
+
+_MATCHED_JSON = {None: "null", False: "0", True: "1"}
+# canonical JSON of a round (keys sorted), up to the optional "queries" key
+_ROUND_HEAD = (
+    '{"deviation":%s,"index":%d,"n_queries":%d,"partition":[%s],'
+    '"phi_after":%s,"phi_before":%s'
+)
+_DEVIATION = '{"agent":%d,"from":%s,"to":%s}'
+_QUERY = '[%d,%s,%s,"%s",%d,%s]'
+
+
+def _round_line(r: RoundRecord, record_queries: bool) -> str:
+    """One round as canonical JSON (sorted keys, no spaces), built from text
+    fragments instead of a dict passed through json.dumps."""
+    dev = r.deviation
+    line = _ROUND_HEAD % (
+        "null" if dev is None else _DEVIATION % (
+            dev.agent, _members_json(dev.from_mask), _members_json(dev.to_mask)
+        ),
+        r.index,
+        r.n_queries,
+        ",".join(map(_members_json, r.masks_before)),
+        _float_json(r.phi_after),
+        _float_json(r.phi_before),
+    )
+    if record_queries:
+        line += ',"queries":[%s]' % ",".join(
+            _QUERY % (
+                q.agent,
+                _members_json(q.target_mask),
+                _float_json(q.delta_v),
+                q.verdict.value,
+                q.critical,
+                _MATCHED_JSON[q.matched],
+            )
+            for q in r.queries
+        )
+    return line + ',"type":"round"}'
+
+
 def episode_log_lines(log: EpisodeLog) -> list[str]:
     """Serialize a log as JSONL: header, one line per round, terminal line.
 
-    The terminal line embeds an exhaustive ground-truth verification of the
-    final partition so a log is auditable without re-running anything.
+    Every line is canonical JSON (sorted keys, no spaces).  The terminal line
+    embeds an exhaustive ground-truth verification of the final partition so
+    a log is auditable without re-running anything.
     """
     lines = [
         _canonical(
             {"type": "header", "engine": log.engine, "config": config_to_dict(log.config)}
         )
     ]
-    for r in log.rounds:
-        lines.append(_canonical(r.to_dict(log.config.record_queries)))
+    record_queries = log.config.record_queries
+    lines += [_round_line(r, record_queries) for r in log.rounds]
     verification = verify_nash(log.config.game, log.terminal_partition).to_dict()
     lines.append(
         _canonical(

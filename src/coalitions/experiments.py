@@ -149,7 +149,10 @@ def sample_queries(
 
     Structural self-comparisons (a lone agent going solo) are excluded:
     they are answered deterministically and carry no consistency signal.
+    A one-agent game has no other comparison, so it yields no queries.
     """
+    if game.n < 2:
+        return []
     rng = derived_rng("consistency-queries", seed)
     queries = []
     while len(queries) < count:
@@ -258,9 +261,10 @@ def run_condition(
     consistency = None
     if oracle.kind is not OracleKind.EXTERNAL:
         queries = sample_queries(game, consistency_queries, condition.seed_base)
-        consistency = measure_consistency(
-            oracle, game, queries, repeats=consistency_repeats
-        ).agreement
+        if queries:
+            consistency = measure_consistency(
+                oracle, game, queries, repeats=consistency_repeats
+            ).agreement
     gt_rate = sum(log.summary.ground_truth_stable for log in logs) / len(logs)
     return ConditionResult(
         name=condition.name,

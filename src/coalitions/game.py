@@ -149,6 +149,21 @@ class GameSpec:
         return replace(self, **kwargs)
 
 
+@lru_cache(maxsize=1 << 14)
+def mask_members(mask: int) -> tuple[int, ...]:
+    """Ascending agent ids of a coalition bitmask.
+
+    Every mask-to-members expansion goes through here.  The cache is bounded
+    because a game of MAX_AGENTS agents has 2**20 masks.
+    """
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
 @dataclass(frozen=True)
 class Coalition:
     """A set of agent ids, stored as a bitmask."""
@@ -170,7 +185,7 @@ class Coalition:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
+        return mask_members(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -656,7 +671,7 @@ def check_potential_alignment(
                     witness=AlignmentWitness(
                         partition=Partition.from_masks(n, blocks),
                         agent=agent,
-                        target_members=Coalition(target).members,
+                        target_members=mask_members(target),
                         per_capita_before=pc[own],
                         per_capita_after=pc[joined],
                         potential_before=phi,

@@ -193,6 +193,105 @@ def logit_accept_probability(delta: float, epsilon: float) -> float:
     return math.exp(max(x, -700.0)) / (1.0 + math.exp(max(x, -700.0)))
 
 
+# Each decision model is a factory: given the oracle and a `coin`, it returns
+# the decision `(delta, round_index, ordinal, own, target) -> Verdict` on a
+# raw per-capita gap.  `coin(p, round_index, ordinal)` is True when the
+# oracle's draw for that query falls below p; the built-in models read only
+# delta and pass the counters on to the coin.  `own` and `target` (masks) name
+# the comparison for oracles that ask about it, as an external one does.
+
+def _perfect(oracle: OracleSpec, coin):
+    def decide_perfect(delta, round_index=0, ordinal=0, own=0, target=0):
+        if delta > TIE_EPS:
+            return Verdict.PREFER_CANDIDATE
+        if delta < -TIE_EPS:
+            return Verdict.PREFER_CURRENT
+        return Verdict.INDIFFERENT
+
+    return decide_perfect
+
+
+def _logit(oracle: OracleSpec, coin):
+    epsilon = oracle.epsilon
+
+    def decide_logit(delta, round_index=0, ordinal=0, own=0, target=0):
+        # no tie rule: an exact tie takes the move with probability 1/2
+        if coin(logit_accept_probability(delta, epsilon), round_index, ordinal):
+            return Verdict.PREFER_CANDIDATE
+        return Verdict.PREFER_CURRENT
+
+    return decide_logit
+
+
+def _consistency_noise(oracle: OracleSpec, coin):
+    gap, p_critical, p_easy = oracle.gap_threshold, oracle.p_critical, oracle.p_easy
+
+    def decide_consistency_noise(delta, round_index=0, ordinal=0, own=0, target=0):
+        # the correct verdict with probability p, the opposite one otherwise
+        size = abs(delta)
+        if size <= TIE_EPS:
+            return Verdict.INDIFFERENT
+        correct = coin(p_critical if size < gap else p_easy, round_index, ordinal)
+        if (delta > 0) == correct:
+            return Verdict.PREFER_CANDIDATE
+        return Verdict.PREFER_CURRENT
+
+    return decide_consistency_noise
+
+
+_MODELS = {
+    OracleKind.PERFECT: _perfect,
+    OracleKind.LOGIT: _logit,
+    OracleKind.CONSISTENCY_NOISE: _consistency_noise,
+}
+
+
+def _model(oracle: OracleSpec):
+    try:
+        return _MODELS[oracle.kind]
+    except KeyError:
+        raise ValueError(f"decide() does not handle oracle kind {oracle.kind}") from None
+
+
+def _majority_coin(prefix: bytes, k: int):
+    """`coin(p, round_index, ordinal)`: do most of the draws keyed
+    `prefix + (round_index, ordinal, rep)`, rep = 0..k-1, fall below p?
+
+    k is odd, so one side reaches k // 2 + 1 draws; the remaining draws
+    cannot change the count's verdict and are not made.
+    """
+    pack = _COUNTERS.pack
+    if k == 1:
+        def coin(p, round_index, ordinal):
+            return _uniform(prefix + pack(b"i", round_index, b"i", ordinal, b"i", 0)) < p
+
+        return coin
+    need = k // 2 + 1
+
+    def coin(p, round_index, ordinal):
+        hits = 0
+        for rep in range(k):
+            hits += _uniform(prefix + pack(b"i", round_index, b"i", ordinal, b"i", rep)) < p
+            if hits == need:
+                return True
+            if rep + 1 - hits == need:
+                return False
+
+    return coin
+
+
+def episode_decider(oracle: OracleSpec, prefix: bytes):
+    """The oracle's decision for one episode, resolved once.
+
+    Returns `decider(delta, round_index, ordinal, own, target) -> Verdict`,
+    the majority verdict of `oracle.majority_k` draws keyed
+    `prefix + (round_index, ordinal, rep)`, where `prefix =
+    draw_prefix(oracle.seed, episode)`.  It answers as majority_verdict over
+    `decide(oracle, delta, (round_index, ordinal), rep, prefix=prefix)`.
+    """
+    return _model(oracle)(oracle, _majority_coin(prefix, oracle.majority_k))
+
+
 def decide(
     oracle: OracleSpec,
     delta: float,
@@ -201,43 +300,28 @@ def decide(
     *,
     prefix: bytes | None = None,
 ) -> Verdict:
-    """Apply the oracle's decision model to a raw per-capita gap.
+    """Apply the oracle's decision model to a raw per-capita gap: one draw.
 
-    This is the hot path shared by `answer` and the episode runner.  Exact
-    ties (|delta| below the tie tolerance) are answered Indifferent by every
-    internal model, so structural self-comparisons never inject noise.
+    Exact ties (|delta| <= TIE_EPS) are answered Indifferent by the perfect
+    and consistency-noise models, without a draw, so structural
+    self-comparisons inject no noise there.  Logit has no tie rule: at
+    delta = 0 it draws and takes the move with probability 1/2.
 
-    The draw is keyed by ("pref", oracle seed, *ctx, rep).  The episode
-    runner passes `prefix = draw_prefix(oracle.seed, episode)` with
-    ctx = (round, ordinal), which gives the same key without repacking its
-    constant head on every draw.
+    The draw is keyed by ("pref", oracle.seed, *ctx, rep).  With
+    `prefix = draw_prefix(oracle.seed, episode)` and ctx = (round, ordinal)
+    the key is the same, without repacking its constant head.  The episode
+    runner uses `episode_decider`, which folds majority_k such draws.
     """
-    kind = oracle.kind
-    if kind is OracleKind.PERFECT:
-        if delta > TIE_EPS:
-            return Verdict.PREFER_CANDIDATE
-        if delta < -TIE_EPS:
-            return Verdict.PREFER_CURRENT
-        return Verdict.INDIFFERENT
-    if kind is OracleKind.LOGIT:
-        p = logit_accept_probability(delta, oracle.epsilon)
-        hit, miss = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
-    elif kind is OracleKind.CONSISTENCY_NOISE:
-        # the correct verdict with probability p, the opposite one otherwise
-        if abs(delta) <= TIE_EPS:
-            return Verdict.INDIFFERENT
-        if delta > 0:
-            hit, miss = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
-        else:
-            hit, miss = Verdict.PREFER_CURRENT, Verdict.PREFER_CANDIDATE
-        p = oracle.p_critical if abs(delta) < oracle.gap_threshold else oracle.p_easy
-    else:
-        raise ValueError(f"decide() does not handle oracle kind {oracle.kind}")
     if prefix is None:
-        u = unit_uniform("pref", oracle.seed, *ctx, rep)
+        key = ("pref", oracle.seed, *ctx, rep)
+
+        def coin(p, round_index, ordinal):
+            return unit_uniform(*key) < p
     else:
-        u = _uniform(prefix + _COUNTERS.pack(b"i", ctx[0], b"i", ctx[1], b"i", rep))
-    return hit if u < p else miss
+        def coin(p, round_index, ordinal):
+            return _uniform(prefix + _COUNTERS.pack(b"i", ctx[0], b"i", ctx[1], b"i", rep)) < p
+
+    return _model(oracle)(oracle, coin)(delta)
 
 
 def answer(
@@ -337,6 +421,8 @@ def measure_consistency(
     """
     if repeats < 2:
         raise ValueError("repeats must be >= 2")
+    if not queries:
+        raise ValueError("measure_consistency needs at least one query")
     rows = []
     for qi, q in enumerate(queries):
         counts: dict[Verdict, int] = {}

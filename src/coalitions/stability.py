@@ -30,6 +30,7 @@ from .game import (
     _bell_number,
     iter_deviation_checks,
     iter_partition_blocks,
+    mask_members,
     per_capita_table,
 )
 
@@ -153,8 +154,8 @@ def _witness(
 ) -> DeviationWitness:
     return DeviationWitness(
         agent=agent,
-        from_members=Coalition(own).members,
-        to_members=Coalition(target).members,
+        from_members=mask_members(own),
+        to_members=mask_members(target),
         value_before=pc[own],
         value_after=pc[joined],
     )

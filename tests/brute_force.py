@@ -1,6 +1,7 @@
 """Independent brute-force references for the value function, the δ gap,
 the deviation scan, the potential-alignment check, the binning of choice
-logs and the bootstrap CI of a mean.
+logs, the bootstrap CI of a mean, the oracle decision models and the dict
+form of an episode's round lines.
 
 These recompute from explicit member lists, the game's profiles and the
 choice rows with plain Python loops, without calling the engine's value,
@@ -14,7 +15,18 @@ from itertools import combinations
 import numpy as np
 
 from coalitions.game import TIE_EPS, Aggregation, GameSpec
-from coalitions.preferences import CRITICAL_IRRATIONAL_RATE, ChoiceRecord, Verdict, _crossing
+from coalitions.preferences import (
+    _COUNTERS,
+    CRITICAL_IRRATIONAL_RATE,
+    ChoiceRecord,
+    OracleKind,
+    OracleSpec,
+    Verdict,
+    _crossing,
+    _uniform,
+    logit_accept_probability,
+    unit_uniform,
+)
 
 
 def brute_value(game: GameSpec, members: list[int]) -> float:
@@ -171,3 +183,80 @@ def brute_bootstrap_ci(
     alpha = 1 - level
     lo, hi = np.quantile(means, [alpha / 2, 1 - alpha / 2])
     return float(lo), float(hi)
+
+
+def brute_decide(
+    oracle: OracleSpec,
+    delta: float,
+    ctx: tuple,
+    rep: int = 0,
+    *,
+    prefix: bytes | None = None,
+) -> Verdict:
+    """One draw of an internal oracle, every model written out in one
+    function: the reference for `decide` and the episode deciders.  The draw
+    is keyed by ("pref", oracle.seed, *ctx, rep), or by the episode prefix
+    plus (round, ordinal, rep) = (*ctx, rep)."""
+    kind = oracle.kind
+    if kind is OracleKind.PERFECT:
+        if delta > TIE_EPS:
+            return Verdict.PREFER_CANDIDATE
+        if delta < -TIE_EPS:
+            return Verdict.PREFER_CURRENT
+        return Verdict.INDIFFERENT
+    if kind is OracleKind.LOGIT:
+        p = logit_accept_probability(delta, oracle.epsilon)
+        hit, miss = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
+    elif kind is OracleKind.CONSISTENCY_NOISE:
+        if abs(delta) <= TIE_EPS:
+            return Verdict.INDIFFERENT
+        if delta > 0:
+            hit, miss = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
+        else:
+            hit, miss = Verdict.PREFER_CURRENT, Verdict.PREFER_CANDIDATE
+        p = oracle.p_critical if abs(delta) < oracle.gap_threshold else oracle.p_easy
+    else:
+        raise ValueError(f"no reference model for oracle kind {kind}")
+    if prefix is None:
+        u = unit_uniform("pref", oracle.seed, *ctx, rep)
+    else:
+        u = _uniform(prefix + _COUNTERS.pack(b"i", ctx[0], b"i", ctx[1], b"i", rep))
+    return hit if u < p else miss
+
+
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def brute_round_dict(r, record_queries: bool) -> dict:
+    """The dict a round line is the canonical JSON of (sorted keys, no
+    spaces): float fields rounded to 12 places, blocks and targets as member
+    lists, query flags as 0/1 and an exact tie's `matched` as null."""
+    out = {
+        "type": "round",
+        "index": r.index,
+        "partition": [_members(m) for m in r.masks_before],
+        "n_queries": r.n_queries,
+        "deviation": None,
+        "phi_before": round(r.phi_before, 12),
+        "phi_after": round(r.phi_after, 12),
+    }
+    if r.deviation is not None:
+        out["deviation"] = {
+            "agent": r.deviation.agent,
+            "from": _members(r.deviation.from_mask),
+            "to": _members(r.deviation.to_mask),
+        }
+    if record_queries:
+        out["queries"] = [
+            [
+                q.agent,
+                _members(q.target_mask),
+                round(q.delta_v, 12),
+                q.verdict.value,
+                int(q.critical),
+                None if q.matched is None else int(q.matched),
+            ]
+            for q in r.queries
+        ]
+    return out

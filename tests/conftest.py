@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from coalitions.game import GameSpec, builtin_game
@@ -34,3 +37,24 @@ def parasite_game() -> GameSpec:
         beta=1.3,
         labels=["strong-specialist", "welcoming-specialist", "dead-weight"],
     )
+
+
+@pytest.fixture
+def deadline():
+    """`with deadline(seconds):` fails the test with TimeoutError when the
+    block runs longer, so a hang fails fast instead of stalling the suite."""
+
+    @contextmanager
+    def within(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"call did not return within {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

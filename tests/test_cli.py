@@ -315,6 +315,32 @@ def test_run_manifest(tmp_path, game_file, capsys):
     assert "results" in written
 
 
+def test_run_and_sweep_on_one_agent_game(tmp_path, solo_game, deadline, capsys):
+    game_path = tmp_path / "solo.json"
+    save_game(solo_game, game_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            {
+                "game": str(game_path),
+                "output_dir": str(tmp_path / "out"),
+                "conditions": [{"name": "staged", "episodes": 5}, {"name": "greedy", "episodes": 5}],
+                "sweeps": [{"axis": "alpha", "values": [0.1, 0.2], "episodes": 5}],
+            }
+        )
+    )
+    with deadline(20):
+        assert run_cli("run", manifest) == 0
+    rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["staged", "greedy"]
+    with deadline(20):
+        assert run_cli(
+            "sweep", game_path, "--axis", "alpha", "--values", "0.1,0.2",
+            "--episodes", "5", "--out", tmp_path / "sweep.csv",
+        ) == 0
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
+
+
 def test_run_missing_game(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"game": "missing.json", "conditions": []}))

@@ -1,19 +1,28 @@
 """Episode runner, convergence bounds, logs, and replay."""
 
 import hashlib
+import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
+
+from brute_force import brute_round_dict
 
 from coalitions.game import Coalition, GameSpec, Partition, check_potential_alignment
-from coalitions.preferences import OracleKind, OracleSpec
+from coalitions.preferences import OracleKind, OracleSpec, Verdict
 from coalitions.stability import verify_nash
 from coalitions.dynamics import (
     ConvergenceBound,
+    DeviationEvent,
     DeviationRule,
     EpisodeConfig,
+    EpisodeLog,
     EpisodeOutcome,
+    EpisodeSummary,
     InitialPartition,
+    QueryRecord,
+    RoundRecord,
     config_from_dict,
     config_to_dict,
     convergence_bound,
@@ -148,6 +157,52 @@ def test_episode_log_bytes_are_pinned(six_mixed, case):
     assert (log.outcome.value, log.round_count, log.summary.n_queries) == (outcome, rounds, queries)
     text = "\n".join(episode_log_lines(log)) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# round lines against json.dumps of the reference dict form
+
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 1e-13, -1e-13, 5e-13, 1e300, -1e300, -0.5, 0.1 + 0.2, 1 / 3]
+)
+MASKS = st.integers(min_value=0, max_value=2**20 - 1)
+QUERIES = st.builds(
+    QueryRecord,
+    agent=st.integers(min_value=0, max_value=19),
+    target_mask=MASKS,
+    delta_v=FLOATS,
+    verdict=st.sampled_from(Verdict),
+    critical=st.booleans(),
+    matched=st.none() | st.booleans(),
+)
+ROUNDS = st.builds(
+    RoundRecord,
+    index=st.integers(min_value=0, max_value=2**40),
+    masks_before=st.lists(MASKS, max_size=6).map(tuple),
+    n_queries=st.integers(min_value=0, max_value=10**6),
+    deviation=st.none() | st.builds(
+        DeviationEvent, agent=st.integers(min_value=0, max_value=19), from_mask=MASKS, to_mask=MASKS
+    ),
+    phi_before=FLOATS,
+    phi_after=FLOATS,
+    queries=st.lists(QUERIES, max_size=5).map(tuple),
+)
+
+
+@given(rounds=st.lists(ROUNDS, max_size=4), record_queries=st.booleans())
+def test_round_lines_match_reference_json(trio, rounds, record_queries):
+    config = EpisodeConfig(game=trio, oracles=(PERFECT,), record_queries=record_queries)
+    summary = EpisodeSummary(0, 0, 0, 0, 0, True, True, 0.0, 0.0)
+    log = EpisodeLog(
+        config, tuple(rounds), EpisodeOutcome.TIMEOUT, Partition.singletons(3),
+        len(rounds), 0, summary,
+    )
+    lines = episode_log_lines(log)
+    assert len(lines) == len(rounds) + 2
+    for line, r in zip(lines[1:-1], rounds):
+        ref = json.dumps(
+            brute_round_dict(r, record_queries), sort_keys=True, separators=(",", ":")
+        )
+        assert line == ref
 
 
 def test_explicit_initial_partition(six_mixed):

@@ -334,6 +334,65 @@ def test_manifest_run_is_deterministic(tmp_path, six_mixed):
         assert list(csv.DictReader(fh))[0].keys() == set(SWEEP_COLUMNS)
 
 
+def test_one_agent_game_has_no_consistency_queries(solo_game, deadline):
+    # the only deviation check of a lone agent is the self-comparison
+    with deadline(5):
+        assert sample_queries(solo_game, 30, 0) == []
+
+
+def test_run_condition_on_one_agent_game(solo_game, deadline):
+    condition = Condition(name="solo", oracle=noisy(0.8), episodes=5, seed_base=1)
+    with deadline(10):
+        result = run_condition(condition, solo_game, bootstrap_iterations=100)
+    assert result.consistency is None
+    assert result.nash_rate == 1.0 and result.n_errors == 0
+    assert result.row()[RESULT_COLUMNS.index("consistency")] == ""
+
+
+# sha256 of every digested output of a paper-shaped manifest (the six
+# builtin conditions and both paper sweeps, 20 episodes each, seed 0), so a
+# change to any output byte fails here and not only in the 60-s benchmark.
+# The sample-only condition writes an empty episodes_random.jsonl.
+PAPER_SHAPED_DIGESTS = {
+    "results.csv": "9430c9a1252780d14e1e7389a68f8e3eef1eebbdbfd2c1fb8845c524b6b9c39b",
+    "sweep_agents.csv": "cba5386f3393686a7427a78318b488b330fed380bcfb263a15e9a79f581874c6",
+    "sweep_alpha.csv": "7517f5091923b66fafb4ac1b95ce5c40ff1c4d26e97d3ef0782437498109a8b0",
+    "episodes_random.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "episodes_greedy.jsonl": "8eebd6d675c4e6c85197b98ccd65370840063355900042d8b35b1d31ac0d347c",
+    "episodes_standard.jsonl": "31f5c91d05806fb5aa81caa191a224c0ae5925026275782f2068c532af959df1",
+    "episodes_cot.jsonl": "8c5c07ae7ae0579d0c40fe69638f1bdfdb110cf76ebde2402757ce76f74db07a",
+    "episodes_self_consistency.jsonl": "feb3b184e86e1bc47a1a8f226b95e0c57b0d9ce7ffbd51346e85401ffd1cb56d",
+    "episodes_staged.jsonl": "9b10ee6edcaab03006fb242b24b785c1ee5bd7064f8c52f0404c8c47e7bcee63",
+}
+
+
+def test_paper_shaped_manifest_bytes_are_pinned(tmp_path):
+    from importlib import resources
+    from pathlib import Path
+
+    from coalitions.experiments import Manifest
+
+    conditions = ("random", "greedy", "standard", "cot", "self_consistency", "staged")
+    manifest = Manifest(
+        game_path=Path(str(resources.files("coalitions.data").joinpath("six_mixed.json"))),
+        output_dir=tmp_path,
+        seed=0,
+        jobs=1,
+        conditions=tuple({"name": c, "episodes": 20} for c in conditions),
+        sweeps=(
+            {"axis": "agents", "values": [4, 6], "episodes": 20},
+            {"axis": "alpha", "values": [0.10, 0.20], "episodes": 20},
+        ),
+    )
+    written = run_manifest(manifest)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for key, p in written.items()
+        if key != "metadata"
+    }
+    assert digests == PAPER_SHAPED_DIGESTS
+
+
 def test_builtin_condition_table_round_trip():
     table = builtin_condition_table()
     assert set(table["conditions"]) == {

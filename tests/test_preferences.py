@@ -1,13 +1,14 @@
 """Oracle decision models, consistency measurement, epsilon estimation."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from brute_force import brute_epsilon_bins
+from brute_force import brute_decide, brute_epsilon_bins
 
-from coalitions.game import Coalition, EMPTY_COALITION
+from coalitions.game import Coalition, EMPTY_COALITION, TIE_EPS
 from coalitions.preferences import (
     ChoiceRecord,
     InsufficientDataError,
@@ -22,6 +23,7 @@ from coalitions.preferences import (
     decide,
     derived_rng,
     draw_prefix,
+    episode_decider,
     estimate_epsilon,
     logit_accept_probability,
     measure_consistency,
@@ -222,6 +224,8 @@ def test_sharp_logit_is_consistent_on_clear_gaps(six_mixed):
 def test_measure_consistency_needs_repeats(six_mixed):
     with pytest.raises(ValueError):
         measure_consistency(PERFECT, six_mixed, queries_with_gap(six_mixed), repeats=1)
+    with pytest.raises(ValueError, match="at least one query"):
+        measure_consistency(PERFECT, six_mixed, [])
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +375,67 @@ def test_oracle_spec_validation():
     with pytest.raises(ValueError, match="endpoint"):
         OracleSpec(kind=OracleKind.EXTERNAL)
     assert OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, epsilon=0.2).gap_threshold == pytest.approx(0.4)
+
+
+# ---------------------------------------------------------------------------
+# decision closures against the reference models
+
+def test_exact_ties_per_model():
+    # perfect and consistency-noise answer a tie Indifferent without a draw;
+    # logit has no tie rule and draws a fair coin
+    for delta in (0.0, -0.0, TIE_EPS, -TIE_EPS, TIE_EPS / 2):
+        for oracle in (PERFECT, noisy(0.6), noisy(0.6, k=3)):
+            decider = episode_decider(oracle, draw_prefix(oracle.seed, 0))
+            assert {decider(delta, 1, o) for o in range(1, 50)} == {Verdict.INDIFFERENT}
+            assert decide(oracle, delta, ("tie", 0)) is Verdict.INDIFFERENT
+    for oracle in (logit(0.1), logit(0.1, seed=3)):
+        decider = episode_decider(oracle, draw_prefix(oracle.seed, 0))
+        verdicts = {decider(0.0, 1, o) for o in range(1, 50)}
+        assert verdicts == {Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT}
+        assert {decide(oracle, 0.0, ("tie", i)) for i in range(50)} == verdicts
+
+
+PROBABILITY = st.floats(min_value=0.01, max_value=1.0)
+
+
+@st.composite
+def internal_oracles(draw):
+    kind = draw(st.sampled_from([OracleKind.PERFECT, OracleKind.LOGIT, OracleKind.CONSISTENCY_NOISE]))
+    p_critical, p_easy = sorted((draw(PROBABILITY), draw(PROBABILITY)))
+    return OracleSpec(
+        kind=kind,
+        epsilon=draw(st.floats(min_value=0.01, max_value=1.0)),
+        p_critical=p_critical,
+        p_easy=p_easy,
+        critical_gap=draw(st.none() | st.floats(min_value=0.0, max_value=1.0)),
+        seed=draw(INT64),
+        majority_k=draw(st.sampled_from([1, 3, 5])),
+    )
+
+
+@given(
+    oracle=internal_oracles(),
+    episode=INT64,
+    round_index=INT64,
+    ordinal=INT64,
+    arbitrary=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_decision_closures_match_reference(oracle, episode, round_index, ordinal, arbitrary):
+    gap = oracle.gap_threshold
+    deltas = [0.0, TIE_EPS, -TIE_EPS, arbitrary]
+    for edge in (gap, -gap):
+        deltas += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    prefix = draw_prefix(oracle.seed, episode)
+    decider = episode_decider(oracle, prefix)
+    ctx = (episode, round_index, ordinal)
+    for delta in deltas:
+        reps = [brute_decide(oracle, delta, ctx, rep) for rep in range(oracle.majority_k)]
+        (modal, count), = Counter(reps).most_common(1)
+        assert count > oracle.majority_k // 2  # k is odd: never a tie
+        assert decider(delta, round_index, ordinal) is modal
+        for rep, expected in enumerate(reps):
+            assert decide(oracle, delta, ctx, rep) is expected
+            assert decide(oracle, delta, (round_index, ordinal), rep, prefix=prefix) is expected
+            assert brute_decide(
+                oracle, delta, (round_index, ordinal), rep, prefix=prefix
+            ) is expected
