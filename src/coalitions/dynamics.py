@@ -2,7 +2,7 @@
 
 One episode runs round-based deviation search: agents are scanned in a fixed
 order, each is asked about every deviation target (other coalitions plus
-going solo, in `iter_deviation_checks` order), and the first declared
+going solo, in `deviation_plan` order), and the first declared
 improvement is applied, one deviation per round.  An episode ends when a
 full scan finds no willing deviator (stable) or when the round budget runs
 out (timeout, counted as unstable).
@@ -32,7 +32,7 @@ from .game import (
     coalition_value_bounds,
     game_from_dict,
     game_to_dict,
-    iter_deviation_checks,
+    deviation_plan,
     mask_members,
     per_capita_table,
     value_gap_delta,
@@ -76,13 +76,27 @@ class InitialPartition:
         if self.kind == "explicit" and self.partition is None:
             raise ValueError("explicit initial partition requires a partition")
 
-    def realize(self, n: int, seed: int, episode_id: int) -> Partition:
+    def block_masks(self, n: int, seed: int, episode_id: int) -> tuple[int, ...]:
+        """Block masks of the starting partition, ordered by smallest member."""
         if self.kind == "singletons":
-            return Partition.singletons(n)
+            return tuple(1 << i for i in range(n))
+        if self.kind == "explicit":
+            assert self.partition is not None
+            return self.partition.masks
+        return _random_masks(n, seed, episode_id)
+
+    def realize(self, n: int, seed: int, episode_id: int) -> Partition:
         if self.kind == "explicit":
             assert self.partition is not None
             return self.partition
-        return random_partition(n, derived_rng("init", seed, episode_id))
+        return Partition.from_masks(n, self.block_masks(n, seed, episode_id))
+
+
+@lru_cache(maxsize=1 << 12)
+def _random_masks(n: int, seed: int, episode_id: int) -> tuple[int, ...]:
+    # Cached: conditions and sweep cells with matched seeds start episode i
+    # from the same partition.
+    return random_partition(n, derived_rng("init", seed, episode_id)).masks
 
 
 @dataclass(frozen=True)
@@ -106,6 +120,11 @@ class EpisodeConfig:
             oracles = oracles * self.game.n
         if len(oracles) != self.game.n:
             raise ValueError("need one oracle per agent (or a single shared one)")
+        if self.initial.kind == "explicit" and self.initial.partition.n != self.game.n:
+            raise ValueError(
+                f"explicit initial partition covers {self.initial.partition.n} agents, "
+                f"but the game has {self.game.n}"
+            )
         object.__setattr__(self, "oracles", tuple(oracles))
 
 
@@ -206,8 +225,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     first_wins = config.rule is not DeviationRule.BEST_IMPROVING
     candidate, current = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
 
-    partition = config.initial.realize(n, config.seed, config.episode_id)
-    blocks = tuple(sorted(partition.masks, key=lambda m: m & -m))
+    blocks = config.initial.block_masks(n, config.seed, config.episode_id)
     phi = sum(vals[b] for b in blocks)
 
     rounds: list[RoundRecord] = []
@@ -224,10 +242,11 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     round_index = ordinal = 0
     try:
         for round_index in range(1, config.max_rounds + 1):
-            order = None
+            plan = deviation_plan(blocks)
             if config.rule is DeviationRule.RANDOM_IMPROVING:
                 order = list(range(n))
                 derived_rng("scan", config.seed, config.episode_id, round_index).shuffle(order)
+                plan = [plan[agent] for agent in order]
 
             masks_before = blocks
             queries: list[QueryRecord] = []
@@ -235,40 +254,49 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
             chosen: tuple[int, int, int, int] | None = None  # agent, own, target, joined
             best_delta = -math.inf
 
-            for agent, own, target, joined in iter_deviation_checks(blocks, order):
-                ordinal += 1
-                if joined == own:
-                    # going solo while already alone: structural tie
-                    if record:
-                        queries.append(QueryRecord(agent, 0, 0.0, Verdict.INDIFFERENT, False, None))
-                    continue
-                delta = pc[joined] - pc[own]
-                verdict = deciders[agent](delta, round_index, ordinal, own, target)
-                critical = abs(delta) < gaps[agent]
-                if delta > TIE_EPS:
-                    matched = verdict is candidate
-                elif delta < -TIE_EPS:
-                    matched = verdict is current
-                else:
-                    matched = None
-                if matched is not None:
-                    if critical:
-                        crit_total += 1
-                        crit_match += matched
+            for agent, own, targets in plan:
+                bit = 1 << agent
+                decider = deciders[agent]
+                gap = gaps[agent]
+                pc_own = pc[own]
+                for target in targets:
+                    ordinal += 1
+                    joined = target | bit
+                    if joined == own:
+                        # going solo while already alone: structural tie
+                        if record:
+                            queries.append(QueryRecord(agent, 0, 0.0, Verdict.INDIFFERENT, False, None))
+                        continue
+                    delta = pc[joined] - pc_own
+                    verdict = decider(delta, round_index, ordinal, own, target)
+                    critical = abs(delta) < gap
+                    if delta > TIE_EPS:
+                        matched = verdict is candidate
+                    elif delta < -TIE_EPS:
+                        matched = verdict is current
                     else:
-                        easy_total += 1
-                        easy_match += matched
-                    if not matched:
-                        consistent = False
-                if record:
-                    queries.append(QueryRecord(agent, target, delta, verdict, critical, matched))
-                if verdict is candidate:
-                    if first_wins:
-                        chosen = (agent, own, target, joined)
-                        break
-                    if delta > best_delta:
-                        best_delta = delta
-                        chosen = (agent, own, target, joined)
+                        matched = None
+                    if matched is not None:
+                        if critical:
+                            crit_total += 1
+                            crit_match += matched
+                        else:
+                            easy_total += 1
+                            easy_match += matched
+                        if not matched:
+                            consistent = False
+                    if record:
+                        queries.append(QueryRecord(agent, target, delta, verdict, critical, matched))
+                    if verdict is candidate:
+                        if first_wins:
+                            chosen = (agent, own, target, joined)
+                            break
+                        if delta > best_delta:
+                            best_delta = delta
+                            chosen = (agent, own, target, joined)
+                else:
+                    continue
+                break  # the first improving move ends the scan
             n_queries += ordinal
 
             if chosen is None:
@@ -543,6 +571,66 @@ def _round_line(r: RoundRecord, record_queries: bool) -> str:
     return line + ',"type":"round"}'
 
 
+class _Same:
+    """A cache key that matches only the very object it wraps.
+
+    Values that compare equal can still encode differently (`1` and `1.0`,
+    `0.0` and `-0.0`), so a cache of encodings keyed by `==` could hand one
+    config the bytes of another.  The key holds its object, so the object's
+    id is not reused while the entry lives.
+    """
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj) -> None:
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return self.obj is other.obj
+
+
+@lru_cache(maxsize=64)
+def _header_config(members: tuple[_Same, ...]) -> str:
+    """The header's config members that the episodes of a condition share,
+    as canonical JSON without braces: every key but `episode_id` (sorted
+    first) and `seed` (sorted last).  `members` wraps the config's game,
+    initial partition, max_rounds, rule, record_queries, then its oracles."""
+    game, initial, max_rounds, rule, record_queries, *oracles = (m.obj for m in members)
+    config = EpisodeConfig(game, tuple(oracles), initial, max_rounds, rule, 0, 0, record_queries)
+    shared = config_to_dict(config)
+    del shared["episode_id"], shared["seed"]
+    return _canonical(shared)[1:-1]
+
+
+def _header_line(config: EpisodeConfig, engine: str) -> str:
+    """The header as canonical JSON: the cached shared members with the
+    episode's id and seed formatted in."""
+    shared = _header_config(
+        tuple(
+            map(
+                _Same,
+                (
+                    config.game,
+                    config.initial,
+                    config.max_rounds,
+                    config.rule,
+                    config.record_queries,
+                    *config.oracles,
+                ),
+            )
+        )
+    )
+    return '{"config":{"episode_id":%d,%s,"seed":%d},"engine":%s,"type":"header"}' % (
+        config.episode_id,
+        shared,
+        config.seed,
+        json.dumps(engine),
+    )
+
+
 def episode_log_lines(log: EpisodeLog) -> list[str]:
     """Serialize a log as JSONL: header, one line per round, terminal line.
 
@@ -550,11 +638,7 @@ def episode_log_lines(log: EpisodeLog) -> list[str]:
     embeds an exhaustive ground-truth verification of the final partition so
     a log is auditable without re-running anything.
     """
-    lines = [
-        _canonical(
-            {"type": "header", "engine": log.engine, "config": config_to_dict(log.config)}
-        )
-    ]
+    lines = [_header_line(log.config, log.engine)]
     record_queries = log.config.record_queries
     lines += [_round_line(r, record_queries) for r in log.rounds]
     verification = verify_nash(log.config.game, log.terminal_partition).to_dict()

@@ -722,11 +722,12 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
     for spec in manifest.conditions:
         condition = condition_from_spec(spec, episodes=400, seed_base=manifest.seed)
         result = run_condition(condition, game, jobs=jobs, keep_logs=True)
-        results.append(result)
         log_path = out / f"episodes_{condition.name}.jsonl"
         with atomic_write(log_path) as fh:
             for log in result.logs:
                 fh.write("\n".join(episode_log_lines(log)) + "\n")
+        # only the rows are read from here on; the logs are on disk
+        results.append(replace(result, logs=()))
         written[f"episodes_{condition.name}"] = log_path
     if results:
         results_path = out / "results.csv"

@@ -101,6 +101,19 @@ class OracleSpec:
         """Value gap below which a decision counts as critical."""
         return 2.0 * self.epsilon if self.critical_gap is None else self.critical_gap
 
+    @cached_property
+    def _keyed_decision(self):
+        """This oracle's model over one draw whose key the caller passes:
+        `_keyed_decision(delta, head, tail)`, with the coin `_keyed_coin`.
+        Built once per spec, so `decide` builds no closure per call."""
+        return _model(self)(self, _keyed_coin)
+
+    def __getstate__(self) -> dict:
+        # the cached closure cannot be pickled; a copy rebuilds it on use
+        state = dict(self.__dict__)
+        state.pop("_keyed_decision", None)
+        return state
+
 
 @dataclass(frozen=True)
 class PreferenceQuery:
@@ -197,8 +210,10 @@ def logit_accept_probability(delta: float, epsilon: float) -> float:
 # the decision `(delta, round_index, ordinal, own, target) -> Verdict` on a
 # raw per-capita gap.  `coin(p, round_index, ordinal)` is True when the
 # oracle's draw for that query falls below p; the built-in models read only
-# delta and pass the counters on to the coin.  `own` and `target` (masks) name
-# the comparison for oracles that ask about it, as an external one does.
+# delta and pass the two draw coordinates on to the coin unread, so `decide`
+# can hand its coin a key head and tail in their place.  `own` and `target`
+# (masks) name the comparison for oracles that ask about it, as an external
+# one does.
 
 def _perfect(oracle: OracleSpec, coin):
     def decide_perfect(delta, round_index=0, ordinal=0, own=0, target=0):
@@ -257,13 +272,19 @@ def _majority_coin(prefix: bytes, k: int):
     """`coin(p, round_index, ordinal)`: do most of the draws keyed
     `prefix + (round_index, ordinal, rep)`, rep = 0..k-1, fall below p?
 
+    The hash state after `prefix` is built once; each draw copies it and
+    feeds only the packed counters, which gives the digest of the whole key.
     k is odd, so one side reaches k // 2 + 1 draws; the remaining draws
     cannot change the count's verdict and are not made.
     """
+    copy = hashlib.blake2b(prefix, digest_size=8).copy
     pack = _COUNTERS.pack
+    from_bytes = int.from_bytes
     if k == 1:
         def coin(p, round_index, ordinal):
-            return _uniform(prefix + pack(b"i", round_index, b"i", ordinal, b"i", 0)) < p
+            h = copy()
+            h.update(pack(b"i", round_index, b"i", ordinal, b"i", 0))
+            return from_bytes(h.digest(), "big") / 2.0**64 < p
 
         return coin
     need = k // 2 + 1
@@ -271,13 +292,21 @@ def _majority_coin(prefix: bytes, k: int):
     def coin(p, round_index, ordinal):
         hits = 0
         for rep in range(k):
-            hits += _uniform(prefix + pack(b"i", round_index, b"i", ordinal, b"i", rep)) < p
+            h = copy()
+            h.update(pack(b"i", round_index, b"i", ordinal, b"i", rep))
+            hits += from_bytes(h.digest(), "big") / 2.0**64 < p
             if hits == need:
                 return True
             if rep + 1 - hits == need:
                 return False
 
     return coin
+
+
+def _keyed_coin(p, head, tail):
+    """The coin of `decide`: is the one draw keyed `_key_bytes(head)`, or
+    `head + tail` when `tail` holds packed counters, below p?"""
+    return _uniform(_key_bytes(head) if tail is None else head + tail) < p
 
 
 def episode_decider(oracle: OracleSpec, prefix: bytes):
@@ -313,15 +342,9 @@ def decide(
     runner uses `episode_decider`, which folds majority_k such draws.
     """
     if prefix is None:
-        key = ("pref", oracle.seed, *ctx, rep)
-
-        def coin(p, round_index, ordinal):
-            return unit_uniform(*key) < p
-    else:
-        def coin(p, round_index, ordinal):
-            return _uniform(prefix + _COUNTERS.pack(b"i", ctx[0], b"i", ctx[1], b"i", rep)) < p
-
-    return _model(oracle)(oracle, coin)(delta)
+        return oracle._keyed_decision(delta, ("pref", oracle.seed, *ctx, rep), None)
+    tail = _COUNTERS.pack(b"i", ctx[0], b"i", ctx[1], b"i", rep)
+    return oracle._keyed_decision(delta, prefix, tail)
 
 
 def answer(

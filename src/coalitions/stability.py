@@ -3,12 +3,16 @@
 Ground-truth verification compares per-capita values directly; behavioral
 verification routes every deviation comparison through a preference oracle.
 Each agent is checked against every other coalition of the partition plus
-the solo move, which makes exactly n * |partition| checks.  One scan,
-`iter_deviation_checks` (defined in `game` and re-exported here), yields
-those checks for every user: `verify_nash` (both modes), `verify_individual`,
-`bounds.count_critical_decisions`, `dynamics.run_episode`,
+the solo move, which makes exactly n * |partition| checks.  One scan kernel
+serves every user: `game.deviation_plan`, a per-agent list of those checks,
+which `dynamics.run_episode` walks directly through its cache, and its flat
+view `iter_deviation_checks` (re-exported here), which builds the plan
+uncached and yields one check at a time to `verify_nash` (both modes),
+`verify_individual`, `bounds.count_critical_decisions`,
 `experiments.sample_queries` and `game.check_potential_alignment`.  The
-early-exit `_nash_stable` predicate keeps its own loop for speed (see there).
+early-exit `_nash_stable` predicate keeps its own loop: `find_nash_stable`
+visits 115,975 distinct partitions at n = 10 and mostly exits after a few
+checks, so building a whole plan per partition would cost more (see there).
 """
 
 from __future__ import annotations
@@ -299,10 +303,11 @@ def is_nash_stable_masks(game: GameSpec, masks: Sequence[int]) -> bool:
 
 
 def _nash_stable(pc: Sequence[float], masks: Sequence[int]) -> bool:
-    # Its own loop, not iter_deviation_checks: it exits at the first
-    # improving move and builds no agent -> block map.  Routed through the
-    # generator, find_nash_stable over the 115,975 partitions of n=10 ran
-    # about 6x slower (about 4x with a lazy owner lookup).
+    # Its own loop, not the deviation plan: it exits at the first improving
+    # move and builds no agent -> block map.  Routed through the generator,
+    # find_nash_stable over the 115,975 partitions of n=10 ran about 6x
+    # slower (about 4x with a lazy owner lookup); each of those partitions
+    # is visited once, so a cached plan would only be built and evicted.
     for own in masks:
         bits = own
         while bits:

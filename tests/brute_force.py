@@ -1,7 +1,7 @@
 """Independent brute-force references for the value function, the δ gap,
 the deviation scan, the potential-alignment check, the binning of choice
-logs, the bootstrap CI of a mean, the oracle decision models and the dict
-form of an episode's round lines.
+logs, the bootstrap CI of a mean, the oracle decision models, the episode
+coin's draws, and the dict form of an episode's round and header lines.
 
 These recompute from explicit member lists, the game's profiles and the
 choice rows with plain Python loops, without calling the engine's value,
@@ -9,11 +9,13 @@ gap, scan or binning code, so tests can check the engine against them.
 """
 
 import hashlib
+import json
 import math
 from itertools import combinations
 
 import numpy as np
 
+from coalitions.dynamics import config_to_dict
 from coalitions.game import TIE_EPS, Aggregation, GameSpec
 from coalitions.preferences import (
     _COUNTERS,
@@ -23,6 +25,7 @@ from coalitions.preferences import (
     OracleSpec,
     Verdict,
     _crossing,
+    _key_bytes,
     _uniform,
     logit_accept_probability,
     unit_uniform,
@@ -76,7 +79,7 @@ def brute_deviation_checks(
     return checks
 
 
-def _partitions(n: int) -> list[list[int]]:
+def brute_partitions(n: int) -> list[list[int]]:
     """Block masks of every partition of 0..n-1 in lexicographic
     restricted-growth order, blocks ordered by smallest member."""
     out = []
@@ -118,7 +121,7 @@ def brute_alignment(game: GameSpec) -> tuple[bool, int, int, tuple | None]:
         return v(mask) / bin(mask).count("1")
 
     partitions = deviations = 0
-    for blocks in _partitions(game.n):
+    for blocks in brute_partitions(game.n):
         partitions += 1
         phi = 0
         for b in blocks:
@@ -222,6 +225,27 @@ def brute_decide(
     else:
         u = _uniform(prefix + _COUNTERS.pack(b"i", ctx[0], b"i", ctx[1], b"i", rep))
     return hit if u < p else miss
+
+
+def brute_coin(seed: int, episode: int, k: int, p: float, round_index: int, ordinal: int) -> bool:
+    """The episode coin drawn in full: all k draws, each keyed from scratch
+    by ("pref", seed, episode, round, ordinal, rep), and a strict majority
+    of them below p."""
+    draws = [
+        _uniform(_key_bytes(("pref", seed, episode, round_index, ordinal, rep)))
+        for rep in range(k)
+    ]
+    return sum(u < p for u in draws) > k // 2
+
+
+def brute_header_line(config, engine: str) -> str:
+    """A log's header line as the canonical JSON (sorted keys, no spaces)
+    of its whole dict, the config re-encoded for every episode."""
+    return json.dumps(
+        {"type": "header", "engine": engine, "config": config_to_dict(config)},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
 
 
 def _members(mask: int) -> list[int]:

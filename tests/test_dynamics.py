@@ -7,10 +7,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from brute_force import brute_round_dict
+from brute_force import brute_header_line, brute_partitions, brute_round_dict
 
 from coalitions.game import Coalition, GameSpec, Partition, check_potential_alignment
-from coalitions.preferences import OracleKind, OracleSpec, Verdict
+from coalitions.preferences import ExternalEndpointSpec, OracleKind, OracleSpec, Verdict
 from coalitions.stability import verify_nash
 from coalitions.dynamics import (
     ConvergenceBound,
@@ -25,6 +25,7 @@ from coalitions.dynamics import (
     RoundRecord,
     config_from_dict,
     config_to_dict,
+    _header_line,
     convergence_bound,
     episode_log_lines,
     replay_lines,
@@ -203,6 +204,111 @@ def test_round_lines_match_reference_json(trio, rounds, record_queries):
             brute_round_dict(r, record_queries), sort_keys=True, separators=(",", ":")
         )
         assert line == ref
+
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+# -0.0 and integer parameters compare equal to 0.0 and floats but encode
+# differently, so a header cache keyed by equality would mix them up.
+UNIT = st.floats(min_value=0.0, max_value=1.0) | st.just(-0.0)
+ENDPOINTS = st.builds(
+    ExternalEndpointSpec,
+    command=st.lists(st.text(max_size=6), min_size=1, max_size=3).map(tuple),
+    timeout_s=st.floats(min_value=0.1, max_value=60.0),
+    protocol=st.sampled_from(["standard", "cot", "staged"]),
+) | st.builds(ExternalEndpointSpec, url=st.text(min_size=1, max_size=12))
+ORACLES = st.builds(
+    OracleSpec,
+    kind=st.sampled_from([OracleKind.PERFECT, OracleKind.LOGIT, OracleKind.CONSISTENCY_NOISE]),
+    epsilon=st.floats(min_value=0.01, max_value=1.0) | st.just(1),
+    critical_gap=st.none() | UNIT,
+    seed=INT64,
+    majority_k=st.sampled_from([1, 3, 5]),
+) | st.builds(OracleSpec, kind=st.just(OracleKind.EXTERNAL), external=ENDPOINTS, seed=INT64)
+
+
+@st.composite
+def episode_configs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    d = draw(st.integers(min_value=1, max_value=3))
+    game = GameSpec.from_profiles(
+        draw(st.lists(st.lists(UNIT, min_size=d, max_size=d), min_size=n, max_size=n)),
+        alpha=draw(st.floats(min_value=0.01, max_value=1.0) | st.just(1)),
+        beta=draw(st.floats(min_value=1.0, max_value=3.0) | st.integers(min_value=1, max_value=3)),
+    )
+    kind = draw(st.sampled_from(["singletons", "random", "explicit"]))
+    partition = None
+    if kind == "explicit":
+        partition = Partition.from_masks(n, draw(st.sampled_from(brute_partitions(n))))
+    return EpisodeConfig(
+        game=game,
+        oracles=tuple(draw(st.lists(ORACLES, min_size=1, max_size=1) | st.lists(
+            ORACLES, min_size=n, max_size=n
+        ))),
+        initial=InitialPartition(kind=kind, partition=partition),
+        max_rounds=draw(st.integers(min_value=1, max_value=10**6)),
+        rule=draw(st.sampled_from(list(DeviationRule))),
+        seed=draw(INT64),
+        episode_id=draw(INT64),
+        record_queries=draw(st.booleans()),
+    )
+
+
+@given(config=episode_configs(), engine=st.text(max_size=8))
+def test_header_line_matches_reference_json(config, engine):
+    assert _header_line(config, engine) == brute_header_line(config, engine)
+    # episodes of one condition share the cached members
+    again = EpisodeConfig(
+        config.game, config.oracles, config.initial, config.max_rounds, config.rule,
+        config.seed ^ 1, config.episode_id ^ 1, config.record_queries,
+    )
+    assert _header_line(again, engine) == brute_header_line(again, engine)
+
+
+def test_equal_configs_that_encode_differently_get_their_own_headers():
+    def config(alpha, zero, epsilon, record_queries):
+        game = GameSpec.from_profiles([[zero, 0.5], [1.0, zero]], alpha=alpha)
+        oracle = OracleSpec(kind=OracleKind.LOGIT, epsilon=epsilon)
+        return EpisodeConfig(game=game, oracles=(oracle,), record_queries=record_queries)
+
+    forms = [config(1, 0.0, 1, True), config(1.0, -0.0, 1.0, 1)]
+    assert forms[0] == forms[1] and hash(forms[0].game) == hash(forms[1].game)
+    both_orders = forms + forms[::-1]
+    lines = [_header_line(c, "e") for c in both_orders]
+    assert lines == [brute_header_line(c, "e") for c in both_orders]
+    assert lines[0] != lines[1]
+
+
+def test_wrong_size_explicit_initial_partition_is_rejected(six_mixed):
+    for n in (4, 8):
+        start = InitialPartition(kind="explicit", partition=Partition.singletons(n))
+        with pytest.raises(ValueError, match=f"covers {n} agents, but the game has 6"):
+            perfect_config(six_mixed, initial=start)
+
+
+def test_engine_caches_are_bounded():
+    from coalitions import dynamics, game
+
+    for cached in (
+        game.deviation_plan,
+        game.mask_members,
+        game.value_table,
+        game.per_capita_table,
+        dynamics._random_masks,
+        dynamics._header_config,
+        dynamics._members_json,
+    ):
+        assert cached.cache_info().maxsize is not None, cached.__name__
+
+
+def test_random_initial_partitions_are_the_seeded_draws(six_mixed):
+    from coalitions.preferences import derived_rng
+    from coalitions.stability import random_partition
+
+    initial = InitialPartition(kind="random")
+    for episode in range(20):
+        expected = random_partition(6, derived_rng("init", 7, episode))
+        assert initial.realize(6, 7, episode) == expected
+        assert initial.block_masks(6, 7, episode) == expected.masks
 
 
 def test_explicit_initial_partition(six_mixed):

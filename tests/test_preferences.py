@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from brute_force import brute_decide, brute_epsilon_bins
+from brute_force import brute_coin, brute_decide, brute_epsilon_bins
 
 from coalitions.game import Coalition, EMPTY_COALITION, TIE_EPS
 from coalitions.preferences import (
@@ -20,6 +20,8 @@ from coalitions.preferences import (
     answer_majority,
     _COUNTERS,
     _key_bytes,
+    _majority_coin,
+    _uniform,
     decide,
     derived_rng,
     draw_prefix,
@@ -356,6 +358,37 @@ def test_draw_prefix_plus_counters_is_the_episode_key(seed, episode, round_index
             assert decide(
                 oracle, delta, (round_index, ordinal), rep, prefix=draw_prefix(seed, episode)
             ) is decide(oracle, delta, (episode, round_index, ordinal), rep)
+
+
+@given(
+    seed=INT64,
+    episode=INT64,
+    round_index=INT64,
+    ordinal=INT64,
+    k=st.sampled_from([1, 3, 5]),
+)
+def test_episode_coin_draws_are_the_full_key_draws(seed, episode, round_index, ordinal, k):
+    coin = _majority_coin(draw_prefix(seed, episode), k)
+    draws = [
+        _uniform(_key_bytes(("pref", seed, episode, round_index, ordinal, rep)))
+        for rep in range(k)
+    ]
+    # a threshold at each draw and just above it puts the order statistic
+    # the majority turns on exactly at that draw
+    thresholds = [0.0, 1.0] + draws + [math.nextafter(u, math.inf) for u in draws]
+    for p in thresholds:
+        expected = brute_coin(seed, episode, k, p, round_index, ordinal)
+        assert coin(p, round_index, ordinal) is expected
+
+
+def test_decide_survives_pickling():
+    import pickle
+
+    oracle = noisy(0.6, seed=4)
+    before = decide(oracle, 0.1, ("pickle", 0))  # builds the cached model
+    copy = pickle.loads(pickle.dumps(oracle))
+    assert copy == oracle
+    assert decide(copy, 0.1, ("pickle", 0)) is before
 
 
 def test_draw_stream_is_pinned():

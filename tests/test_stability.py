@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import brute_deviation_checks
+from brute_force import brute_deviation_checks, brute_partitions
 
-from coalitions.game import Coalition, GameSpec, Partition, per_capita_table
+from coalitions.game import Coalition, GameSpec, Partition, deviation_plan, per_capita_table
 from coalitions.preferences import derived_rng
 from coalitions.stability import (
     BlockingSetWitness,
@@ -132,6 +132,43 @@ def test_query_count_property_and_order_independence(seed):
     assert list(iter_deviation_checks(masks, shuffled)) == brute_deviation_checks(
         masks, shuffled
     )
+
+
+def test_deviation_checks_match_reference_on_every_small_partition():
+    for n in range(1, 7):
+        for masks in brute_partitions(n):
+            assert list(iter_deviation_checks(masks)) == brute_deviation_checks(masks)
+            # blocks in a non-canonical order keep that order as targets
+            backwards = masks[::-1]
+            assert list(iter_deviation_checks(backwards)) == brute_deviation_checks(backwards)
+
+
+@given(st.data())
+def test_deviation_checks_match_reference_in_drawn_orders(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    masks = data.draw(st.sampled_from(brute_partitions(n)))
+    order = data.draw(
+        st.permutations(range(n)) | st.lists(st.integers(min_value=0, max_value=n - 1))
+    )
+    assert list(iter_deviation_checks(masks, order)) == brute_deviation_checks(masks, order)
+
+
+def test_plan_entries_share_one_targets_tuple_per_block():
+    for masks in brute_partitions(6):
+        plan = deviation_plan(tuple(masks))
+        assert [agent for agent, _, _ in plan] == list(range(6))
+        for own in masks:
+            entries = [e for e in plan if e[1] == own]
+            assert [agent for agent, _, _ in entries] == [i for i in range(6) if own >> i & 1]
+            shared = entries[0][2]
+            assert shared == tuple(m for m in masks if m != own) + (0,)
+            assert all(targets is shared for _, _, targets in entries)
+
+
+def test_deviation_plan_rejects_masks_that_are_not_a_partition():
+    for masks in [(0b11, 0b01), (0b100,), (0b101,), (0b1, 0b1)]:
+        with pytest.raises(ValueError, match="do not partition"):
+            deviation_plan(masks)
 
 
 def test_behavioral_verification_with_perfect_oracle(six_mixed):
