@@ -206,12 +206,16 @@ def cmd_verify(args) -> int:
         if args.oracle != "perfect" or args.oracle_cmd or args.oracle_url:
             oracle = _oracle_from_args(args)
             if oracle.kind is OracleKind.EXTERNAL:
-                from .plugin import open_sessions
+                from .plugin import OracleTransportError, open_sessions
 
-                with open_sessions([oracle]) as sessions:
-                    report = verify_nash(
-                        game, partition, oracle, external=sessions[oracle.external]
-                    )
+                try:
+                    with open_sessions([oracle]) as sessions:
+                        report = verify_nash(
+                            game, partition, oracle, external=sessions[oracle.external]
+                        )
+                except OracleTransportError as exc:
+                    print(f"error: oracle plugin failed: {exc}", file=sys.stderr)
+                    return EXIT_USAGE
             else:
                 report = verify_nash(game, partition, oracle)
         else:

@@ -685,6 +685,12 @@ def replay_lines(recorded: Sequence[str]) -> ReplayReport:
     header = json.loads(recorded[0])
     if header.get("type") != "header":
         raise ValueError("episode log must start with a header record")
+    return _replay_episode(header, recorded)
+
+
+def _replay_episode(header: dict, recorded: list[str]) -> ReplayReport:
+    """Replay one episode: `recorded` holds its stripped, non-blank lines,
+    and `header` is its first line, already parsed."""
     warning = None
     if header.get("engine") != ENGINE_VERSION:
         warning = (
@@ -720,15 +726,23 @@ def replay_lines(recorded: Sequence[str]) -> ReplayReport:
 
 def replay_file(path: str | Path) -> ReplayReport:
     """Replay a log file; condition files with several episodes are split
-    at header records and each episode is replayed in turn."""
-    lines = [
-        ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()
-    ]
+    at header records and each episode is replayed in turn.
+
+    Only lines that can be headers are parsed: a header holds the JSON
+    string "header", written as such or with a \\u escape in it.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [s for s in (ln.strip() for ln in text.splitlines()) if s]
     if not lines:
         raise ValueError("empty episode log")
-    starts = [
-        i for i, ln in enumerate(lines) if json.loads(ln).get("type") == "header"
-    ]
+    starts = []
+    headers = []
+    for i, ln in enumerate(lines):
+        if '"header"' in ln or "\\u" in ln:
+            record = json.loads(ln)
+            if isinstance(record, dict) and record.get("type") == "header":
+                starts.append(i)
+                headers.append(record)
     if not starts:
         raise ValueError("episode log contains no header record")
     if starts[0] != 0:
@@ -736,8 +750,8 @@ def replay_file(path: str | Path) -> ReplayReport:
     starts.append(len(lines))
     checked = 0
     warning = None
-    for a, b in zip(starts, starts[1:]):
-        report = replay_lines(lines[a:b])
+    for header, a, b in zip(headers, starts, starts[1:]):
+        report = _replay_episode(header, lines[a:b])
         warning = warning or report.version_warning
         if not report.identical:
             return ReplayReport(

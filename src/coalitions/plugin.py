@@ -14,20 +14,33 @@ Wire format, one JSON object per line, UTF-8:
              "confidence": "low"|"medium"|"high", "raw": str}
 
 `verdict` may be omitted if `raw` carries a parseable declaration.
+
+A stdio plugin has one query in flight at a time.  The endpoint reads the
+child's stdout itself, with no reader thread: after writing a query it polls
+the pipe until an answer line arrives or the query's deadline passes, so it
+needs POSIX pipes that `select.poll` can wait on.  A query that timed out is
+not answered twice: its late answer, if one comes, is dropped, and the next
+query is matched with its own answer.  A session caches the JSON-escaped
+prompt fragments of the game it is asked about, a bounded number per kind,
+and assembles each query line from them; the bytes are those of
+`OracleWireQuery.to_json_line()` on both transports.
 """
 
 from __future__ import annotations
 
 import json
-import queue
+import math
+import os
 import re
+import select
 import subprocess
-import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Iterable, NamedTuple, Sequence
 
 from .game import GameSpec
 from .preferences import (
@@ -278,52 +291,109 @@ class OracleWireAnswer:
 # ---------------------------------------------------------------------------
 # transports
 
+class WireLine(NamedTuple):
+    """A query ready to send: its id and its line, which is the
+    `OracleWireQuery.to_json_line()` of the same query.  The endpoints take
+    either type; they read only `query_id` and `to_json_line()`."""
+
+    query_id: str
+    line: str
+
+    def to_json_line(self) -> str:
+        return self.line
+
+
 class StdioEndpoint:
-    """One child process speaking the line protocol, one query in flight."""
+    """One child process speaking the line protocol, one query in flight.
+
+    Each exchange writes the query line, then polls the plugin's stdout
+    until an answer line arrives or the deadline, which starts after the
+    write, passes.  The ids of timed-out queries are remembered, and a late
+    answer carrying one is dropped when it turns up during a later exchange.
+    """
 
     def __init__(self, command: Sequence[str]):
+        if not hasattr(select, "poll"):
+            raise OracleWireError(
+                "stdio plugins need pipes that select.poll can wait on, which "
+                "this platform lacks; serve the plugin over HTTP instead"
+            )
         try:
             self._proc = subprocess.Popen(
                 list(command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
+                bufsize=0,
             )
         except OSError as exc:
             raise OracleWireError(f"cannot start plugin {command!r}: {exc}") from exc
-        self._lines: queue.Queue[str | None] = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        assert self._proc.stdin is not None and self._proc.stdout is not None
+        self._stdin = self._proc.stdin.fileno()
+        self._stdout = self._proc.stdout.fileno()
+        self._poll = select.poll()
+        self._poll.register(self._stdout, select.POLLIN)
+        self._buffer = bytearray()
+        self._eof = False
+        self._abandoned: set[str] = set()
 
-    def _pump(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
-
-    def exchange(self, query: OracleWireQuery, timeout_s: float) -> OracleWireAnswer:
-        assert self._proc.stdin is not None
+    def exchange(
+        self, query: OracleWireQuery | WireLine, timeout_s: float
+    ) -> OracleWireAnswer:
+        data = (query.to_json_line() + "\n").encode("utf-8")
         try:
-            self._proc.stdin.write(query.to_json_line() + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, ValueError, OSError) as exc:
+            sent = os.write(self._stdin, data)
+            while sent < len(data):
+                sent += os.write(self._stdin, data[sent:])
+        except OSError as exc:
             raise OracleWireError(f"plugin pipe closed: {exc}") from exc
-        try:
-            line = self._lines.get(timeout=timeout_s)
-        except queue.Empty:
-            raise OracleTimeoutError(
-                f"no answer within {timeout_s:.3f}s for query {query.query_id}"
-            ) from None
-        if line is None:
-            raise OracleWireError("plugin closed its output stream")
-        answer = OracleWireAnswer.from_json(line)
-        if answer.query_id != query.query_id:
-            raise OracleIdMismatchError(
-                f"expected answer to {query.query_id}, got {answer.query_id}"
-            )
-        return answer
+        deadline = time.monotonic() + timeout_s
+        while True:
+            line = self._read_line(deadline)
+            if line is None:
+                self._abandoned.add(query.query_id)
+                raise OracleTimeoutError(
+                    f"no answer within {timeout_s:.3f}s for query {query.query_id}"
+                )
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise OracleWireError(f"malformed answer line: {exc}") from exc
+            answer = OracleWireAnswer.from_json(text)
+            if answer.query_id == query.query_id:
+                return answer
+            if answer.query_id not in self._abandoned:
+                raise OracleIdMismatchError(
+                    f"expected answer to {query.query_id}, got {answer.query_id}"
+                )
+            self._abandoned.discard(answer.query_id)  # a late answer
+
+    def _read_line(self, deadline: float) -> bytes | None:
+        """The next line from the plugin without its newline, or None when
+        the deadline passes first.  End of stream also ends a last line that
+        has no newline."""
+        buffer = self._buffer
+        while True:
+            end = buffer.find(b"\n")
+            if end >= 0:
+                line = bytes(buffer[:end])
+                del buffer[: end + 1]
+                return line
+            if self._eof:
+                if buffer:
+                    line = bytes(buffer)
+                    buffer.clear()
+                    return line
+                raise OracleWireError("plugin closed its output stream")
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            if self._poll.poll(math.ceil(remaining * 1000)):
+                chunk = os.read(self._stdout, 1 << 16)
+                if chunk:
+                    buffer += chunk
+                else:
+                    self._eof = True
 
     def close(self) -> None:
         if self._proc.poll() is None:
@@ -333,6 +403,8 @@ class StdioEndpoint:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait(timeout=2)
+        self._proc.stdin.close()
+        self._proc.stdout.close()
 
 
 class HttpEndpoint:
@@ -341,7 +413,9 @@ class HttpEndpoint:
     def __init__(self, url: str):
         self.url = url
 
-    def exchange(self, query: OracleWireQuery, timeout_s: float) -> OracleWireAnswer:
+    def exchange(
+        self, query: OracleWireQuery | WireLine, timeout_s: float
+    ) -> OracleWireAnswer:
         req = urllib.request.Request(
             self.url,
             data=query.to_json_line().encode("utf-8"),
@@ -368,8 +442,41 @@ class HttpEndpoint:
         pass
 
 
+# A query line, as `OracleWireQuery.to_json_line()` writes it.  Its prompt is
+# cut where the current block, the candidate block and the closing block
+# (task and protocol) begin.  The part before the cuts depends only on the
+# agent, the current block on the current mask, the candidate block on the
+# agent and the candidate mask, and the closing block on neither.
+# render_prompt writes each block heading once, in this order.
+_LINE = (
+    '{"v":' + str(WIRE_VERSION) + ',"query_id":%s,"prompt":"%s%s%s%s",'
+    '"agent":%d,"current":[%s],"candidate":[%s]}'
+)
+_BLOCK_STARTS = ("CURRENT COALITION: ", "CANDIDATE COALITION (if you join): ", "TASK: ")
+_FRAGMENT_CACHE_SIZE = 4096
+
+
+def _escaped(text: str) -> str:
+    """`text` as the inside of a JSON string, escaped as json.dumps does."""
+    return _json_string(text)[1:-1]
+
+
+def _cache(fragments: dict, key, value) -> None:
+    if len(fragments) >= _FRAGMENT_CACHE_SIZE and key not in fragments:
+        del fragments[next(iter(fragments))]  # the oldest entry
+    fragments[key] = value
+
+
 class ExternalSession:
-    """A live connection to one plugin endpoint, usable as an oracle backend."""
+    """A live connection to one plugin endpoint, usable as an oracle backend.
+
+    The session keeps the JSON-escaped prompt fragments of the game it was
+    last asked about, so a query whose fragments were rendered before is
+    sent without rendering or escaping its prompt again.  The game is
+    matched by identity: equal games can still render differently (`-0.0`
+    prints as "-0.00").  Each fragment cache holds at most
+    `_FRAGMENT_CACHE_SIZE` entries; the oldest goes first.
+    """
 
     def __init__(self, endpoint: ExternalEndpointSpec):
         self.spec = endpoint
@@ -379,6 +486,50 @@ class ExternalSession:
             assert endpoint.url is not None
             self._endpoint = HttpEndpoint(endpoint.url)
         self.queries_sent = 0
+        self._game: GameSpec | None = None
+        self._closing = ""
+        self._heads: dict[int, str] = {}
+        # current block and member ids by the current mask; candidate block
+        # and member ids by (agent, candidate mask)
+        self._currents: dict[int, tuple[str, str]] = {}
+        self._candidates: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def _render(self, game: GameSpec, q: PreferenceQuery) -> None:
+        """Render the query's prompt and cache its fragments."""
+        prompt = render_prompt(self.spec.protocol, game, q)
+        a, b, c = (prompt.index(start) for start in _BLOCK_STARTS)
+        self._closing = _escaped(prompt[c:])
+        _cache(self._heads, q.agent, _escaped(prompt[:a]))
+        _cache(
+            self._currents, q.current.mask,
+            (_escaped(prompt[a:b]), ",".join(map(str, q.current.members))),
+        )
+        _cache(
+            self._candidates, (q.agent, q.candidate.mask),
+            (_escaped(prompt[b:c]), ",".join(map(str, q.candidate.members))),
+        )
+
+    def _wire_line(self, game: GameSpec, q: PreferenceQuery, query_id: str) -> str:
+        """The line `ask` sends: `OracleWireQuery(query_id, render_prompt(...),
+        ...).to_json_line()`, assembled from cached fragments."""
+        if game is not self._game:
+            self._game = game
+            self._heads.clear()
+            self._currents.clear()
+            self._candidates.clear()
+        agent = q.agent
+        head = self._heads.get(agent)
+        current = self._currents.get(q.current.mask)
+        candidate = self._candidates.get((agent, q.candidate.mask))
+        if head is None or current is None or candidate is None:
+            self._render(game, q)
+            head = self._heads[agent]
+            current = self._currents[q.current.mask]
+            candidate = self._candidates[(agent, q.candidate.mask)]
+        return _LINE % (
+            _json_string(query_id), head, current[0], candidate[0], self._closing,
+            agent, current[1], candidate[1],
+        )
 
     def ask(
         self,
@@ -387,16 +538,10 @@ class ExternalSession:
         ctx: Sequence[int | str] = (),
         rep: int = 0,
     ) -> PreferenceAnswer:
-        query_id = "q-" + "-".join(str(c) for c in ctx) + f"-{rep}-{self.queries_sent}"
-        wire = OracleWireQuery(
-            query_id=query_id,
-            prompt=render_prompt(self.spec.protocol, game, q),
-            agent=q.agent,
-            current=q.current.members,
-            candidate=q.candidate.members,
-        )
+        query_id = "q-" + "-".join(map(str, ctx)) + f"-{rep}-{self.queries_sent}"
+        line = self._wire_line(game, q, query_id)
         self.queries_sent += 1
-        answer = self._endpoint.exchange(wire, self.spec.timeout_s)
+        answer = self._endpoint.exchange(WireLine(query_id, line), self.spec.timeout_s)
         if answer.verdict:
             key = answer.verdict.strip().lower()
             if key in _VERDICTS:

@@ -392,6 +392,16 @@ def test_verify_with_behavioral_oracle(game_file, tmp_path, capsys):
     assert code in (0, 1)  # noisy verification may flip, but must report mode
 
 
+def test_verify_with_dead_oracle_plugin_exits_2(game_file, tmp_path, capsys):
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    code = run_cli(
+        "verify", game_file, "--partition", part, "--oracle", "external",
+        "--oracle-cmd", tmp_path / "no-such-plugin",
+    )
+    assert code == 2
+    assert "cannot start plugin" in capsys.readouterr().err
+
+
 def test_replay_multi_episode_condition_file(tmp_path, game_file):
     manifest = tmp_path / "m.json"
     manifest.write_text(

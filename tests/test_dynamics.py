@@ -28,6 +28,7 @@ from coalitions.dynamics import (
     _header_line,
     convergence_bound,
     episode_log_lines,
+    replay_file,
     replay_lines,
     run_episode,
 )
@@ -469,6 +470,53 @@ def test_replay_warns_on_version_mismatch(six_mixed):
     report = replay_lines(lines)
     assert report.identical  # content still matches
     assert report.version_warning is not None
+
+
+def condition_log_lines(game, episodes: int) -> list[str]:
+    oracle = OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, p_critical=0.8, seed=11)
+    lines = []
+    for i in range(episodes):
+        cfg = EpisodeConfig(
+            game=game, oracles=(oracle,), seed=11, episode_id=i,
+            initial=InitialPartition(kind="random"),
+        )
+        lines += episode_log_lines(run_episode(cfg))
+    return lines
+
+
+def test_replay_file_splits_episodes_at_headers(six_mixed, tmp_path):
+    lines = condition_log_lines(six_mixed, 3)
+    headers = [i for i, ln in enumerate(lines) if '"type":"header"' in ln]
+    assert len(headers) == 3
+    path = tmp_path / "condition.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    report = replay_file(path)
+    assert report.identical and report.lines_checked == len(lines)
+
+    # a spaced header and one with an escaped "header" still start episodes
+    spaced = json.dumps(json.loads(lines[headers[1]]), indent=1).replace("\n", "")
+    assert '"type": "header"' in spaced
+    lines[headers[1]] = spaced
+    lines[headers[2]] = lines[headers[2]].replace('"type":"header"', '"type":"\\u0068eader"')
+    tampered = headers[2] + 1
+    lines[tampered] = lines[tampered].replace('"type":"round"', '"type":"round","x":1')
+    path.write_text("\n".join(lines) + "\n")
+    report = replay_file(path)
+    assert not report.identical
+    assert report.first_divergence == tampered
+    assert report.lines_checked == tampered + 1
+
+
+def test_replay_file_needs_a_leading_header(six_mixed, tmp_path):
+    lines = condition_log_lines(six_mixed, 2)
+    path = tmp_path / "log.jsonl"
+    path.write_text("\n".join(lines[1:]) + "\n")
+    with pytest.raises(ValueError, match="must start with a header record"):
+        replay_file(path)
+    rounds_only = [ln for ln in lines if '"type":"header"' not in ln]
+    path.write_text("\n".join(rounds_only) + "\n")
+    with pytest.raises(ValueError, match="contains no header record"):
+        replay_file(path)
 
 
 def test_summary_mode_still_replays(six_mixed):

@@ -1,14 +1,18 @@
 """Prompt rendering, declaration parsing, and the wire protocol."""
 
 import json
+import random
 import sys
+import textwrap
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from coalitions import plugin
 from coalitions.game import Coalition, GameSpec
+from coalitions.stability import enumerate_partitions
 from coalitions.preferences import (
     Confidence,
     ExternalEndpointSpec,
@@ -28,6 +32,7 @@ from coalitions.plugin import (
     OracleWireAnswer,
     OracleWireError,
     OracleWireQuery,
+    PROTOCOLS,
     STAGED_HEADERS,
     StdioEndpoint,
     open_sessions,
@@ -183,6 +188,98 @@ def test_dead_command_raises_wire_error():
         StdioEndpoint(("/no/such/binary",))
 
 
+def test_unpollable_pipes_are_rejected_up_front(monkeypatch):
+    monkeypatch.delattr(plugin.select, "poll")
+    with pytest.raises(OracleWireError, match="select.poll"):
+        StdioEndpoint(STUB)
+
+
+def script_endpoint(tmp_path, source: str) -> StdioEndpoint:
+    """A stdio endpoint running `source` as a plugin script."""
+    script = tmp_path / "plugin_script.py"
+    script.write_text(textwrap.dedent(source))
+    return StdioEndpoint((sys.executable, str(script)))
+
+
+def wire_query(query_id: str) -> OracleWireQuery:
+    return OracleWireQuery(query_id=query_id, prompt="p", agent=0, current=(0,), candidate=())
+
+
+def test_late_answer_is_dropped_after_a_timeout(tmp_path):
+    endpoint = script_endpoint(tmp_path, """
+        import json, sys, time
+        first = True
+        for line in sys.stdin:
+            if first:
+                time.sleep(0.5)
+                first = False
+            answer = {"query_id": json.loads(line)["query_id"], "verdict": "CURRENT"}
+            sys.stdout.write(json.dumps(answer) + "\\n")
+            sys.stdout.flush()
+    """)
+    try:
+        for query_id in ("q0", "q1"):  # the plugin is still asleep on q0
+            with pytest.raises(OracleTimeoutError):
+                endpoint.exchange(wire_query(query_id), timeout_s=0.2)
+        for query_id in ("q2", "q3", "q4"):
+            assert endpoint.exchange(wire_query(query_id), timeout_s=5.0).query_id == query_id
+    finally:
+        endpoint.close()
+
+
+def test_answer_split_across_writes_is_joined(tmp_path):
+    endpoint = script_endpoint(tmp_path, """
+        import json, sys, time
+        for line in sys.stdin:
+            answer = {"query_id": json.loads(line)["query_id"], "verdict": "CANDIDATE"}
+            text = json.dumps(answer) + "\\n"
+            sys.stdout.write(text[:9])
+            sys.stdout.flush()
+            time.sleep(0.05)
+            sys.stdout.write(text[9:])
+            sys.stdout.flush()
+    """)
+    try:
+        for query_id in ("s0", "s1"):
+            answer = endpoint.exchange(wire_query(query_id), timeout_s=5.0)
+            assert (answer.query_id, answer.verdict) == (query_id, "CANDIDATE")
+    finally:
+        endpoint.close()
+
+
+def test_last_line_without_newline_is_read_at_end_of_stream(tmp_path):
+    endpoint = script_endpoint(tmp_path, """
+        import json, sys
+        query = json.loads(sys.stdin.readline())
+        sys.stdout.write(json.dumps({"query_id": query["query_id"], "verdict": "CURRENT"}))
+    """)
+    try:
+        assert endpoint.exchange(wire_query("last"), timeout_s=5.0).verdict == "CURRENT"
+    finally:
+        endpoint.close()
+
+
+def test_end_of_stream_while_waiting_is_wire_error(tmp_path):
+    endpoint = script_endpoint(tmp_path, """
+        import sys
+        sys.stdin.readline()
+    """)
+    try:
+        with pytest.raises(OracleWireError, match="plugin closed its output stream"):
+            endpoint.exchange(wire_query("gone"), timeout_s=5.0)
+    finally:
+        endpoint.close()
+
+
+def test_sessions_start_no_threads(trio):
+    before = threading.active_count()
+    spec = stub_endpoint("--mode", "current")
+    with open_sessions([OracleSpec(kind=OracleKind.EXTERNAL, external=spec)]) as sessions:
+        sessions[spec].ask(trio, worked_query())
+        assert threading.active_count() == before
+    assert threading.active_count() == before
+
+
 # ---------------------------------------------------------------------------
 # sessions and majority integration
 
@@ -221,12 +318,127 @@ def test_wire_answer_validation():
 
 
 # ---------------------------------------------------------------------------
+# the bytes a session sends
+
+def all_queries(game: GameSpec):
+    """Every deviation query of every partition of the game's agents."""
+    for partition in enumerate_partitions(game.n):
+        blocks = partition.coalitions
+        for own in blocks:
+            for agent in own.members:
+                for target in [b for b in blocks if b != own] + [Coalition(0)]:
+                    yield PreferenceQuery(agent=agent, current=own, candidate=target)
+
+
+def reference_line(protocol: str, game: GameSpec, q: PreferenceQuery, query_id: str) -> str:
+    return OracleWireQuery(
+        query_id=query_id,
+        prompt=render_prompt(protocol, game, q),
+        agent=q.agent,
+        current=q.current.members,
+        candidate=q.candidate.members,
+    ).to_json_line()
+
+
+class RecordingEndpoint:
+    """Records each line a session sends; answers through `inner` when
+    given, else with CURRENT."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.sent: list[str] = []
+        self.answers: list[OracleWireAnswer] = []
+
+    def exchange(self, query, timeout_s):
+        self.sent.append(query.to_json_line())
+        if self.inner is None:
+            answer = OracleWireAnswer(query.query_id, "CURRENT", None, "")
+        else:
+            answer = self.inner.exchange(query, timeout_s)
+        self.answers.append(answer)
+        return answer
+
+    def close(self):
+        if self.inner is not None:
+            self.inner.close()
+
+
+def recording_session(protocol: str = "standard", inner=None) -> ExternalSession:
+    # an HTTP spec opens no connection until the first exchange
+    session = ExternalSession(ExternalEndpointSpec(url="http://127.0.0.1:9/", protocol=protocol))
+    session._endpoint = RecordingEndpoint(inner)
+    return session
+
+
+def random_game(n: int, d: int, seed: int) -> GameSpec:
+    rng = random.Random(seed)
+    return GameSpec.from_profiles([[round(rng.random(), 3) for _ in range(d)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_session_lines_are_the_reference_lines(protocol):
+    games = [random_game(n, 3, n) for n in range(1, 6)] + [random_game(5, 2, 7)]
+    session = recording_session(protocol)
+    expected = []
+    for game in games:
+        for q in all_queries(game):
+            for rep in range(2):  # the second ask is served from the cache
+                query_id = f"q-3-x-{rep}-{session.queries_sent}"
+                session.ask(game, q, ctx=(3, "x"), rep=rep)
+                expected.append(reference_line(protocol, game, q, query_id))
+    assert session._endpoint.sent == expected
+    assert "Skill_2" in expected[-1]
+
+
+def test_equal_games_keep_their_own_prompts():
+    plus = GameSpec.from_profiles([[0.0, 0.5, 0.9], [0.3, 0.2, 0.1]])
+    minus = GameSpec.from_profiles([[-0.0, 0.5, 0.9], [0.3, 0.2, 0.1]])
+    assert plus == minus
+    q = PreferenceQuery(agent=0, current=Coalition.of([0]), candidate=Coalition.of([1]))
+    session = recording_session()
+    for game in (plus, minus, plus):
+        session.ask(game, q)
+    first, second, third = session._endpoint.sent
+    assert "Math: -0.00" in second and "Math: -0.00" not in first + third
+    assert second == reference_line("standard", minus, q, "q--0-1")
+
+
+def test_stdio_plugin_receives_the_reference_bytes(tmp_path, trio):
+    echo = script_endpoint(tmp_path, """
+        import json, sys
+        for line in sys.stdin.buffer:
+            query = json.loads(line)
+            answer = {"query_id": query["query_id"], "verdict": "CURRENT",
+                      "raw": line.decode("ascii")}
+            sys.stdout.write(json.dumps(answer) + "\\n")
+            sys.stdout.flush()
+    """)
+    session = recording_session("staged", inner=echo)
+    try:
+        for q in all_queries(trio):
+            session.ask(trio, q, ctx=(1, 2))
+            session.ask(trio, q, ctx=(1, 2))
+    finally:
+        session.close()
+    recorder = session._endpoint
+    received = [a.raw for a in recorder.answers]
+    assert received == [line + "\n" for line in recorder.sent]
+    assert recorder.sent[-1] == reference_line(
+        "staged", trio, q, f"q-1-2-0-{session.queries_sent - 1}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # HTTP transport
 
 class _Handler(BaseHTTPRequestHandler):
+    bodies: list[bytes] = []
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        query = json.loads(self.rfile.read(length))
+        body = self.rfile.read(length)
+        self.bodies.append(body)
+        query = json.loads(body)
         body = json.dumps(
             {"query_id": query["query_id"], "verdict": "CANDIDATE", "raw": ""}
         ).encode()
@@ -247,13 +459,22 @@ def test_http_endpoint_round_trip(trio):
     try:
         url = f"http://127.0.0.1:{server.server_port}/"
         spec = ExternalEndpointSpec(url=url, timeout_s=5.0)
+        _Handler.bodies.clear()
         with open_sessions(
             [OracleSpec(kind=OracleKind.EXTERNAL, external=spec)]
         ) as sessions:
             ans = sessions[spec].ask(trio, worked_query(), ctx=(9,))
             assert ans.verdict is Verdict.PREFER_CANDIDATE
+            queries = list(all_queries(trio))[:8]
+            for q in queries:
+                sessions[spec].ask(trio, q, ctx=(9,))
+        expected = [reference_line(spec.protocol, trio, worked_query(), "q-9-0-0")] + [
+            reference_line(spec.protocol, trio, q, f"q-9-0-{i + 1}") for i, q in enumerate(queries)
+        ]
+        assert _Handler.bodies == [line.encode("utf-8") for line in expected]
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=2)
 
 
