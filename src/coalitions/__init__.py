@@ -9,7 +9,6 @@ the stability, bound, and experiment layers certify and aggregate outcomes.
 from ._version import ENGINE_VERSION as __version__
 from .game import (
     AgentSpec,
-    Aggregation,
     CapabilityProfile,
     Coalition,
     EMPTY_COALITION,
@@ -17,7 +16,6 @@ from .game import (
     Partition,
     builtin_game,
     coalition_value,
-    check_capability_monotonicity,
     check_potential_alignment,
     load_game,
     per_capita_value,

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from .game import (
     EnumerationBudgetError,
     GameSpec,
     Partition,
-    check_capability_monotonicity,
     check_potential_alignment,
     coalition_value_range,
     load_game,
@@ -69,7 +69,7 @@ def _load_game_or_exit(path: str) -> GameSpec:
     except FileNotFoundError:
         print(f"error: game file not found: {path}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot parse game file: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -80,7 +80,7 @@ def _load_partition_or_exit(path: str, n: int) -> Partition:
     except FileNotFoundError:
         print(f"error: partition file not found: {path}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot parse partition: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -120,7 +120,13 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p-easy", type=float, default=0.98)
     parser.add_argument("--critical-gap", type=float, default=None)
     parser.add_argument("--majority-k", type=int, default=1)
-    parser.add_argument("--oracle-cmd", nargs="+", default=None, metavar="ARGV")
+    parser.add_argument(
+        "--oracle-cmd",
+        type=shlex.split,
+        default=None,
+        metavar="COMMAND",
+        help="plugin command line as one shell-quoted string",
+    )
     parser.add_argument("--oracle-url", default=None)
     parser.add_argument("--oracle-timeout-ms", type=float, default=10_000.0)
     parser.add_argument(
@@ -141,12 +147,10 @@ def cmd_inspect(args) -> int:
         "value_range": coalition_value_range(game),
     }
     try:
-        mono = check_capability_monotonicity(game, max_size=args.max_size)
         aligned = check_potential_alignment(game)
         gate = deterministic_preconditions_met(game, args.epsilon, max_size=args.max_size)
         report.update(
             {
-                "monotonicity": "pass" if mono.passed else "FAIL",
                 "alignment": "pass" if aligned.passed else "FAIL",
                 "alignment_witness": None
                 if aligned.passed
@@ -169,7 +173,7 @@ def cmd_inspect(args) -> int:
             }
         )
     except EnumerationBudgetError as exc:
-        report.update({"monotonicity": None, "alignment": None, "gate": None,
+        report.update({"alignment": None, "gate": None,
                        "note": f"structural checks skipped: {exc}"})
     _emit(report, args.json)
     return EXIT_OK

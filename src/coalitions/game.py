@@ -4,7 +4,10 @@ A game is a roster of agents with capability profiles in [0, 1]^d plus the
 coordination-cost parameters of the value function.  A coalition's value is
 the mean of the componentwise maximum of its members' profiles minus a
 superlinear size cost alpha * k**beta; agents compare coalitions by the
-per-capita share of that value.
+per-capita share of that value.  This is the engine's only value function.
+Since the cost depends on size alone, an agent whose profile dominates
+another's never adds less value to any coalition (capability monotonicity
+holds by construction; see bounds.deterministic_preconditions_met).
 
 Coalitions are bitmasks over agent ids, so set operations are O(1) and every
 structural check below reduces to integer arithmetic over a precomputed
@@ -17,10 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache, reduce
 from importlib import resources
-from itertools import chain, combinations
+from itertools import chain
 from operator import or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -37,16 +39,6 @@ DEFAULT_BETA = 1.3
 
 class EnumerationBudgetError(ValueError):
     """Raised when an exhaustive check would exceed its configured cap."""
-
-
-class Aggregation(Enum):
-    """How member capabilities combine into a coalition capability vector."""
-
-    COMPONENTWISE_MAX = "componentwise_max"
-    # Per-dimension spread (max - min).  Deliberately not monotone in member
-    # capabilities; exists only so tests can exercise failure paths of the
-    # structural checks.
-    COMPONENTWISE_SPREAD = "componentwise_spread"
 
 
 @dataclass(frozen=True)
@@ -70,10 +62,6 @@ class CapabilityProfile:
     def __getitem__(self, i: int) -> float:
         return self.values[i]
 
-    def dominates(self, other: "CapabilityProfile") -> bool:
-        """True if this profile is componentwise >= `other`."""
-        return all(a >= b for a, b in zip(self.values, other.values))
-
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -96,7 +84,6 @@ class GameSpec:
     d: int
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
-    aggregation: Aggregation = Aggregation.COMPONENTWISE_MAX
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -131,7 +118,6 @@ class GameSpec:
         alpha: float = DEFAULT_ALPHA,
         beta: float = DEFAULT_BETA,
         labels: Sequence[str] | None = None,
-        aggregation: Aggregation = Aggregation.COMPONENTWISE_MAX,
     ) -> "GameSpec":
         if not profiles:
             raise ValueError("a game needs at least one agent")
@@ -144,7 +130,7 @@ class GameSpec:
             )
             for i, p in enumerate(profiles)
         )
-        return cls(agents=agents, d=d, alpha=alpha, beta=beta, aggregation=aggregation)
+        return cls(agents=agents, d=d, alpha=alpha, beta=beta)
 
     def with_params(self, **kwargs) -> "GameSpec":
         return replace(self, **kwargs)
@@ -201,12 +187,6 @@ class Coalition:
     def is_empty(self) -> bool:
         return self.mask == 0
 
-    def with_agent(self, agent: int) -> "Coalition":
-        return Coalition(self.mask | 1 << agent)
-
-    def without_agent(self, agent: int) -> "Coalition":
-        return Coalition(self.mask & ~(1 << agent))
-
     def __repr__(self) -> str:
         return f"Coalition({set(self.members) if self.mask else '{}'})"
 
@@ -255,37 +235,6 @@ class Partition:
     def masks(self) -> tuple[int, ...]:
         return tuple(c.mask for c in self.coalitions)
 
-    def coalition_of(self, agent: int) -> Coalition:
-        for c in self.coalitions:
-            if agent in c:
-                return c
-        raise ValueError(f"agent {agent} not in partition")
-
-    def move(self, agent: int, target: Coalition) -> "Partition":
-        """Partition after `agent` leaves its coalition and joins `target`.
-
-        `target` must be a coalition of this partition or the empty sentinel
-        (the agent becomes a singleton).
-        """
-        own = self.coalition_of(agent)
-        if target.mask == own.mask:
-            return self
-        if not target.is_empty and target.mask not in self.masks:
-            raise ValueError("target must be a coalition of the partition or empty")
-        if agent in target:
-            raise ValueError("agent already in target coalition")
-        new_masks = []
-        for m in self.masks:
-            if m == own.mask:
-                m &= ~(1 << agent)
-            elif m == target.mask:
-                m |= 1 << agent
-            if m:
-                new_masks.append(m)
-        if target.is_empty:
-            new_masks.append(1 << agent)
-        return Partition.from_masks(self.n, new_masks)
-
     def blocks(self) -> list[list[int]]:
         return [list(c.members) for c in self.coalitions]
 
@@ -309,10 +258,7 @@ def _aggregate_mean(game: GameSpec, mask: int) -> float:
     # Python >= 3.12 and would differ from it in the last bit
     total = 0.0
     for column in zip(*profiles):
-        if game.aggregation is Aggregation.COMPONENTWISE_MAX:
-            total += max(column)
-        else:
-            total += max(column) - min(column)
+        total += max(column)
     return total / game.d
 
 
@@ -357,50 +303,38 @@ def _mask_sizes(n: int) -> np.ndarray:
     return sizes
 
 
-def _subset_fold(column: np.ndarray, fold: np.ufunc, empty: float) -> np.ndarray:
-    """out[m] = fold of column[i] over the bits i of m, `empty` at m = 0."""
+def _subset_max(column: np.ndarray) -> np.ndarray:
+    """out[m] = max of column[i] over the bits i of m, -inf at m = 0."""
     out = np.empty(1 << len(column))
-    out[0] = empty
+    out[0] = -math.inf
     for i, x in enumerate(column):
         lo = 1 << i
-        fold(out[:lo], x, out=out[lo : 2 * lo])
+        np.maximum(out[:lo], x, out=out[lo : 2 * lo])
     return out
 
 
 def _value_blocks(game: GameSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """coalition_value of every mask, as (first mask, values, sizes) blocks.
 
-    A subset DP folds each dimension's componentwise max (and, for the
-    spread aggregation, min) over the low BLOCK_BITS agents and, separately,
-    over the rest; the block for high bits h combines h's fold with every
-    low fold.  Entries equal coalition_value bit for bit: max and min are
-    exact in any order, the dimensions are added left to right, and the size
-    cost is the same Python expression, looked up by member count.  Mask 0
-    holds nan and size 0.
+    A subset DP takes each dimension's componentwise max over the low
+    BLOCK_BITS agents and, separately, over the rest; the block for high
+    bits h combines h's maxima with every low maximum.  Entries equal
+    coalition_value bit for bit: max is exact in any order, the dimensions
+    are added left to right, and the size cost is the same Python
+    expression, looked up by member count.  Mask 0 holds nan and size 0.
     """
     b = min(game.n, BLOCK_BITS)
     profiles = np.array([a.profile.values for a in game.agents])
-
-    def folded(fold: np.ufunc, empty: float) -> list[tuple[np.ndarray, np.ndarray]]:
-        # per dimension: the fold over the low agents and over the others
-        return [
-            (_subset_fold(profiles[:b, j], fold, empty), _subset_fold(profiles[b:, j], fold, empty))
-            for j in range(game.d)
-        ]
-
-    spread = game.aggregation is Aggregation.COMPONENTWISE_SPREAD
-    maxima = folded(np.maximum, -math.inf)
-    minima = folded(np.minimum, math.inf) if spread else []
+    # per dimension: the max over the low agents and over the others
+    maxima = [
+        (_subset_max(profiles[:b, j]), _subset_max(profiles[b:, j])) for j in range(game.d)
+    ]
     cost = np.array([game.alpha * k**game.beta for k in range(game.n + 1)])
     low_sizes, high_sizes = _mask_sizes(b), _mask_sizes(game.n - b)
     for h in range(1 << (game.n - b)):
         total = np.zeros(1 << b)
-        for j, (low, high) in enumerate(maxima):
-            agg = np.maximum(low, high[h])
-            if spread:
-                low, high = minima[j]
-                agg -= np.minimum(low, high[h])
-            total += agg
+        for low, high in maxima:
+            total += np.maximum(low, high[h])
         total /= game.d
         sizes = low_sizes + high_sizes[h]
         total -= cost[sizes]
@@ -491,64 +425,6 @@ def coalition_value_range(game: GameSpec, max_size: int | None = None) -> float:
     """max v(S) - min v(S) over nonempty coalitions of size <= max_size."""
     lo, hi = coalition_value_bounds(game, max_size)
     return hi - lo
-
-
-@dataclass(frozen=True)
-class MonotonicityWitness:
-    weaker_agent: int
-    stronger_agent: int
-    base_members: tuple[int, ...]
-    value_with_weaker: float
-    value_with_stronger: float
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    passed: bool
-    comparable_pairs: int
-    checks: int
-    witness: MonotonicityWitness | None = None
-
-
-def check_capability_monotonicity(game: GameSpec, max_size: int = 4) -> MonotonicityReport:
-    """Exhaustively test that dominated agents never add more value.
-
-    For every ordered pair (i, j) with profile_i <= profile_j componentwise
-    and every base coalition S of size < max_size avoiding both, checks
-    v(S + i) <= v(S + j).  Vacuously passes when no pair is comparable.
-    """
-    pairs = [
-        (i, j)
-        for i in range(game.n)
-        for j in range(game.n)
-        if i != j and game.profile(j).dominates(game.profile(i))
-    ]
-    checks = 0
-    others = list(range(game.n))
-    for i, j in pairs:
-        rest = [a for a in others if a not in (i, j)]
-        for k in range(0, min(max_size - 1, len(rest)) + 1):
-            for combo in combinations(rest, k):
-                base = 0
-                for a in combo:
-                    base |= 1 << a
-                checks += 1
-                v_i = coalition_value(game, base | 1 << i)
-                v_j = coalition_value(game, base | 1 << j)
-                if v_i > v_j + TIE_EPS:
-                    return MonotonicityReport(
-                        passed=False,
-                        comparable_pairs=len(pairs),
-                        checks=checks,
-                        witness=MonotonicityWitness(
-                            weaker_agent=i,
-                            stronger_agent=j,
-                            base_members=combo,
-                            value_with_weaker=v_i,
-                            value_with_stronger=v_j,
-                        ),
-                    )
-    return MonotonicityReport(passed=True, comparable_pairs=len(pairs), checks=checks)
 
 
 @dataclass(frozen=True)
@@ -719,7 +595,7 @@ def _bell_number(n: int) -> int:
 # serialization
 
 def game_to_dict(game: GameSpec) -> dict:
-    out = {
+    return {
         "d": game.d,
         "alpha": game.alpha,
         "beta": game.beta,
@@ -728,12 +604,17 @@ def game_to_dict(game: GameSpec) -> dict:
             for a in game.agents
         ],
     }
-    if game.aggregation is not Aggregation.COMPONENTWISE_MAX:
-        out["aggregation"] = game.aggregation.value
-    return out
 
 
 def game_from_dict(data: dict) -> GameSpec:
+    if not isinstance(data, dict):
+        raise ValueError("a game must be a JSON object")
+    # the value function is fixed; the optional key only names it
+    aggregation = data.get("aggregation", "componentwise_max")
+    if aggregation != "componentwise_max":
+        raise ValueError(
+            f"unsupported aggregation {aggregation!r}: only 'componentwise_max' is defined"
+        )
     agents = tuple(
         AgentSpec(
             id=int(a["id"]),
@@ -747,7 +628,6 @@ def game_from_dict(data: dict) -> GameSpec:
         d=int(data["d"]),
         alpha=float(data.get("alpha", DEFAULT_ALPHA)),
         beta=float(data.get("beta", DEFAULT_BETA)),
-        aggregation=Aggregation(data.get("aggregation", "componentwise_max")),
     )
 
 
@@ -760,11 +640,9 @@ def save_game(game: GameSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(game_to_dict(game), indent=2) + "\n", encoding="utf-8")
 
 
-def partition_to_dict(partition: Partition) -> dict:
-    return {"n": partition.n, "coalitions": partition.blocks()}
-
-
 def partition_from_dict(data: dict, n: int | None = None) -> Partition:
+    if not isinstance(data, dict):
+        raise ValueError('a partition must be a JSON object with a "coalitions" list')
     blocks = data["coalitions"]
     if n is None:
         n = data.get("n") or sum(len(b) for b in blocks)

@@ -103,8 +103,8 @@ class OracleSpec:
 
     @cached_property
     def _keyed_decision(self):
-        """This oracle's model over one draw whose key the caller passes:
-        `_keyed_decision(delta, head, tail)`, with the coin `_keyed_coin`.
+        """This oracle's model over one draw whose key parts the caller
+        passes: `_keyed_decision(delta, parts)`, with the coin `_keyed_coin`.
         Built once per spec, so `decide` builds no closure per call."""
         return _model(self)(self, _keyed_coin)
 
@@ -162,8 +162,9 @@ def draw_prefix(seed: int, episode: int) -> bytes:
     """Constant head of the draw keys of one episode for one oracle seed.
 
     `prefix + _COUNTERS.pack(b"i", round, b"i", ordinal, b"i", rep)` is
-    `_key_bytes(("pref", seed, episode, round, ordinal, rep))`, so passing it
-    to `decide` changes no draw.
+    `_key_bytes(("pref", seed, episode, round, ordinal, rep))`, the key of
+    `decide` at ctx (episode, round, ordinal), so `episode_decider` changes
+    no draw.
     """
     return _key_bytes(("pref", seed, episode))
 
@@ -211,7 +212,7 @@ def logit_accept_probability(delta: float, epsilon: float) -> float:
 # raw per-capita gap.  `coin(p, round_index, ordinal)` is True when the
 # oracle's draw for that query falls below p; the built-in models read only
 # delta and pass the two draw coordinates on to the coin unread, so `decide`
-# can hand its coin a key head and tail in their place.  `own` and `target`
+# can hand its coin the key parts in their place.  `own` and `target`
 # (masks) name the comparison for oracles that ask about it, as an external
 # one does.
 
@@ -303,10 +304,9 @@ def _majority_coin(prefix: bytes, k: int):
     return coin
 
 
-def _keyed_coin(p, head, tail):
-    """The coin of `decide`: is the one draw keyed `_key_bytes(head)`, or
-    `head + tail` when `tail` holds packed counters, below p?"""
-    return _uniform(_key_bytes(head) if tail is None else head + tail) < p
+def _keyed_coin(p, parts, _ordinal):
+    """The coin of `decide`: is the one draw keyed `_key_bytes(parts)` below p?"""
+    return _uniform(_key_bytes(parts)) < p
 
 
 def episode_decider(oracle: OracleSpec, prefix: bytes):
@@ -316,7 +316,7 @@ def episode_decider(oracle: OracleSpec, prefix: bytes):
     the majority verdict of `oracle.majority_k` draws keyed
     `prefix + (round_index, ordinal, rep)`, where `prefix =
     draw_prefix(oracle.seed, episode)`.  It answers as majority_verdict over
-    `decide(oracle, delta, (round_index, ordinal), rep, prefix=prefix)`.
+    `decide(oracle, delta, (episode, round_index, ordinal), rep)`.
     """
     return _model(oracle)(oracle, _majority_coin(prefix, oracle.majority_k))
 
@@ -326,8 +326,6 @@ def decide(
     delta: float,
     ctx: Sequence[int | str],
     rep: int = 0,
-    *,
-    prefix: bytes | None = None,
 ) -> Verdict:
     """Apply the oracle's decision model to a raw per-capita gap: one draw.
 
@@ -336,15 +334,11 @@ def decide(
     self-comparisons inject no noise there.  Logit has no tie rule: at
     delta = 0 it draws and takes the move with probability 1/2.
 
-    The draw is keyed by ("pref", oracle.seed, *ctx, rep).  With
-    `prefix = draw_prefix(oracle.seed, episode)` and ctx = (round, ordinal)
-    the key is the same, without repacking its constant head.  The episode
-    runner uses `episode_decider`, which folds majority_k such draws.
+    The draw is keyed by ("pref", oracle.seed, *ctx, rep).  The episode
+    runner uses `episode_decider`, which folds majority_k such draws at
+    ctx (episode, round, ordinal).
     """
-    if prefix is None:
-        return oracle._keyed_decision(delta, ("pref", oracle.seed, *ctx, rep), None)
-    tail = _COUNTERS.pack(b"i", ctx[0], b"i", ctx[1], b"i", rep)
-    return oracle._keyed_decision(delta, prefix, tail)
+    return oracle._keyed_decision(delta, ("pref", oracle.seed, *ctx, rep))
 
 
 def answer(

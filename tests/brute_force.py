@@ -16,9 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from coalitions.dynamics import config_to_dict
-from coalitions.game import TIE_EPS, Aggregation, GameSpec
+from coalitions.game import TIE_EPS, GameSpec
 from coalitions.preferences import (
-    _COUNTERS,
     CRITICAL_IRRATIONAL_RATE,
     ChoiceRecord,
     OracleKind,
@@ -36,11 +35,7 @@ def brute_value(game: GameSpec, members: list[int]) -> float:
     """Independent recomputation from explicit member lists."""
     total = 0.0  # left to right, the order the engine adds dimensions in
     for j in range(game.d):
-        column = [game.profile(i)[j] for i in members]
-        if game.aggregation is Aggregation.COMPONENTWISE_MAX:
-            total += max(column)
-        else:
-            total += max(column) - min(column)
+        total += max(game.profile(i)[j] for i in members)
     return total / game.d - game.alpha * len(members) ** game.beta
 
 
@@ -193,13 +188,10 @@ def brute_decide(
     delta: float,
     ctx: tuple,
     rep: int = 0,
-    *,
-    prefix: bytes | None = None,
 ) -> Verdict:
     """One draw of an internal oracle, every model written out in one
     function: the reference for `decide` and the episode deciders.  The draw
-    is keyed by ("pref", oracle.seed, *ctx, rep), or by the episode prefix
-    plus (round, ordinal, rep) = (*ctx, rep)."""
+    is keyed by ("pref", oracle.seed, *ctx, rep)."""
     kind = oracle.kind
     if kind is OracleKind.PERFECT:
         if delta > TIE_EPS:
@@ -220,11 +212,7 @@ def brute_decide(
         p = oracle.p_critical if abs(delta) < oracle.gap_threshold else oracle.p_easy
     else:
         raise ValueError(f"no reference model for oracle kind {kind}")
-    if prefix is None:
-        u = unit_uniform("pref", oracle.seed, *ctx, rep)
-    else:
-        u = _uniform(prefix + _COUNTERS.pack(b"i", ctx[0], b"i", ctx[1], b"i", rep))
-    return hit if u < p else miss
+    return hit if unit_uniform("pref", oracle.seed, *ctx, rep) < p else miss
 
 
 def brute_coin(seed: int, episode: int, k: int, p: float, round_index: int, ordinal: int) -> bool:

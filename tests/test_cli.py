@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and file formats."""
 
 import json
+import shlex
+import sys
 import time
 
 import pytest
@@ -46,7 +48,7 @@ def test_inspect_reference_game(game_file, capsys):
     assert report["bell_n"] == 203
     assert report["gate"] == "FAIL"
     assert any("epsilon >= delta/2" in r for r in report["gate_reasons"])
-    assert report["monotonicity"] == "pass"
+    assert "monotonicity" not in report
 
 
 def test_inspect_counterexample_alignment_witness(duo_file, capsys):
@@ -76,6 +78,22 @@ def test_inspect_rejects_more_agents_than_supported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "at most 20 agents" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        [1, 2],
+        {"d": 1, "agents": [{"id": 0, "profile": 0.5}]},
+        {"d": 1, "agents": [{"id": 0, "profile": [0.5]}], "aggregation": "componentwise_spread"},
+    ],
+    ids=["bare-list", "scalar-profile", "unknown-aggregation"],
+)
+def test_inspect_malformed_game_file_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    assert run_cli("inspect", path) == 2
+    assert "error: cannot parse game file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +141,13 @@ def test_verify_bad_partition_file(game_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("verify", game_file, "--partition", bad) == 2
+
+
+def test_verify_bare_list_partition_file_exits_2(game_file, tmp_path, capsys):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps([[0, 1], [2, 3], [4, 5]]))
+    assert run_cli("verify", game_file, "--partition", bare) == 2
+    assert "error: cannot parse partition" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +425,18 @@ def test_verify_with_dead_oracle_plugin_exits_2(game_file, tmp_path, capsys):
     )
     assert code == 2
     assert "cannot start plugin" in capsys.readouterr().err
+
+
+def test_verify_with_oracle_command_taking_flags(game_file, tmp_path, capsys):
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    command = shlex.join([sys.executable, "-m", "coalitions.oracle_stub", "--mode", "current"])
+    code = run_cli(
+        "verify", game_file, "--partition", part, "--oracle", "external",
+        "--oracle-cmd", command,
+    )
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0  # a plugin that always stays declares every partition stable
+    assert report["mode"] == "behavioral" and report["stable"] is True
 
 
 def test_replay_multi_episode_condition_file(tmp_path, game_file):

@@ -13,13 +13,11 @@ from coalitions.experiments import generate_game
 from coalitions.preferences import derived_rng
 from coalitions.game import (
     MAX_AGENTS,
-    Aggregation,
     CapabilityProfile,
     Coalition,
     EMPTY_COALITION,
     GameSpec,
     Partition,
-    check_capability_monotonicity,
     check_potential_alignment,
     coalition_value,
     coalition_value_range,
@@ -124,7 +122,6 @@ def random_games(draw):
         profiles,
         alpha=draw(st.floats(0.01, 1.0)),
         beta=draw(st.floats(1.0, 2.0)),
-        aggregation=draw(st.sampled_from(list(Aggregation))),
     )
 
 
@@ -214,30 +211,38 @@ def test_delta_budget_error():
 # ---------------------------------------------------------------------------
 # structural checks
 
-def test_monotonicity_passes_for_max_aggregation(six_mixed):
-    report = check_capability_monotonicity(six_mixed)
-    assert report.passed
-    assert report.comparable_pairs > 0
+grid_scores = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(0, 100).map(lambda k: k / 100),
+    st.floats(0, 1, allow_nan=False),
+)
 
 
-def test_monotonicity_vacuous_without_comparable_pairs():
-    game = GameSpec.from_profiles([[0.9, 0.1], [0.1, 0.9]])
-    report = check_capability_monotonicity(game)
-    assert report.passed
-    assert report.comparable_pairs == 0
-
-
-def test_monotonicity_fails_for_spread_aggregation():
+@st.composite
+def dominated_pairs(draw):
+    """A game with two agents i != j whose profile p_j dominates p_i."""
+    n, d = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    profiles = draw(st.lists(st.lists(grid_scores, min_size=d, max_size=d), min_size=n, max_size=n))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    profiles[j] = [max(a, b) for a, b in zip(profiles[i], profiles[j])]
     game = GameSpec.from_profiles(
-        [[0.5], [0.0], [0.5]], aggregation=Aggregation.COMPONENTWISE_SPREAD
+        profiles, alpha=draw(st.floats(0.01, 1.0)), beta=draw(st.floats(1.0, 2.0))
     )
-    report = check_capability_monotonicity(game, max_size=3)
-    assert not report.passed
-    w = report.witness
-    base = list(w.base_members)
-    v_weak = coalition_value(game, Coalition.of(base + [w.weaker_agent]))
-    v_strong = coalition_value(game, Coalition.of(base + [w.stronger_agent]))
-    assert v_weak > v_strong
+    return game, i, j
+
+
+@given(dominated_pairs())
+@settings(max_examples=150, deadline=None)
+def test_dominating_agent_adds_at_least_as_much_value(case):
+    # capability monotonicity holds by construction, so exactly: no TIE_EPS
+    game, i, j = case
+    values = value_table(game)
+    avoid = 1 << i | 1 << j
+    for base in range(1 << game.n):
+        if base & avoid:
+            continue
+        assert values[base | 1 << i] <= values[base | 1 << j]
+        assert coalition_value(game, base | 1 << i) <= coalition_value(game, base | 1 << j)
 
 
 def test_alignment_fails_on_dominated_pair(dominated_pair):
@@ -331,17 +336,14 @@ def test_partition_canonical_order():
     assert a.coalitions[0].members == (0, 2)
 
 
-def test_partition_move(six_mixed):
-    p = Partition.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
-    moved = p.move(0, p.coalition_of(2))
-    assert moved.blocks() == [[0, 2, 3], [1], [4, 5]]
-    solo = p.move(0, EMPTY_COALITION)
-    assert solo.blocks() == [[0], [1], [2, 3], [4, 5]]
-
-
 def test_game_json_round_trip(six_mixed):
     data = json.loads(json.dumps(game_to_dict(six_mixed)))
     assert game_from_dict(data) == six_mixed
+    # the optional "aggregation" key may only name the one value function
+    assert "aggregation" not in data
+    assert game_from_dict({**data, "aggregation": "componentwise_max"}) == six_mixed
+    with pytest.raises(ValueError, match="aggregation"):
+        game_from_dict({**data, "aggregation": "componentwise_spread"})
 
 
 def test_partition_block_iterator_counts():

@@ -354,10 +354,11 @@ def test_draw_prefix_plus_counters_is_the_episode_key(seed, episode, round_index
     )
     assert key == _key_bytes(("pref", seed, episode, round_index, ordinal, rep))
     for oracle in (noisy(0.6, seed=seed), logit(0.1, seed=seed)):
+        decider = episode_decider(oracle, draw_prefix(seed, episode))
         for delta in (-0.05, 0.05, 0.5):
-            assert decide(
-                oracle, delta, (round_index, ordinal), rep, prefix=draw_prefix(seed, episode)
-            ) is decide(oracle, delta, (episode, round_index, ordinal), rep)
+            assert decider(delta, round_index, ordinal) is decide(
+                oracle, delta, (episode, round_index, ordinal)
+            )
 
 
 @given(
@@ -458,8 +459,7 @@ def test_decision_closures_match_reference(oracle, episode, round_index, ordinal
     deltas = [0.0, TIE_EPS, -TIE_EPS, arbitrary]
     for edge in (gap, -gap):
         deltas += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
-    prefix = draw_prefix(oracle.seed, episode)
-    decider = episode_decider(oracle, prefix)
+    decider = episode_decider(oracle, draw_prefix(oracle.seed, episode))
     ctx = (episode, round_index, ordinal)
     for delta in deltas:
         reps = [brute_decide(oracle, delta, ctx, rep) for rep in range(oracle.majority_k)]
@@ -468,7 +468,3 @@ def test_decision_closures_match_reference(oracle, episode, round_index, ordinal
         assert decider(delta, round_index, ordinal) is modal
         for rep, expected in enumerate(reps):
             assert decide(oracle, delta, ctx, rep) is expected
-            assert decide(oracle, delta, (round_index, ordinal), rep, prefix=prefix) is expected
-            assert brute_decide(
-                oracle, delta, (round_index, ordinal), rep, prefix=prefix
-            ) is expected
