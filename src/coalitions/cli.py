@@ -86,26 +86,31 @@ def _load_partition_or_exit(path: str, n: int) -> Partition:
 
 
 def _oracle_from_args(args) -> OracleSpec:
+    """The oracle the flags describe; flags no oracle can have exit 2."""
     kind = OracleKind(args.oracle)
-    external = None
-    if kind is OracleKind.EXTERNAL:
-        command = tuple(args.oracle_cmd) if args.oracle_cmd else None
-        external = ExternalEndpointSpec(
-            command=command,
-            url=args.oracle_url,
-            timeout_s=args.oracle_timeout_ms / 1000.0,
-            protocol=args.protocol,
+    try:
+        external = None
+        if kind is OracleKind.EXTERNAL:
+            command = tuple(args.oracle_cmd) if args.oracle_cmd else None
+            external = ExternalEndpointSpec(
+                command=command,
+                url=args.oracle_url,
+                timeout_s=args.oracle_timeout_ms / 1000.0,
+                protocol=args.protocol,
+            )
+        return OracleSpec(
+            kind=kind,
+            epsilon=args.epsilon,
+            p_critical=args.p_critical,
+            p_easy=args.p_easy,
+            critical_gap=args.critical_gap,
+            seed=args.seed,
+            majority_k=args.majority_k,
+            external=external,
         )
-    return OracleSpec(
-        kind=kind,
-        epsilon=args.epsilon,
-        p_critical=args.p_critical,
-        p_easy=args.p_easy,
-        critical_gap=args.critical_gap,
-        seed=args.seed,
-        majority_k=args.majority_k,
-        external=external,
-    )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _add_oracle_args(parser: argparse.ArgumentParser) -> None:

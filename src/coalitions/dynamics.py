@@ -19,9 +19,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from ._version import ENGINE_VERSION
 from .game import (
@@ -47,6 +47,7 @@ from .preferences import (
     derived_rng,
     draw_prefix,
     episode_decider,
+    episode_draws,
 )
 from .stability import is_nash_stable_masks, random_partition, verify_nash
 
@@ -128,8 +129,10 @@ class EpisodeConfig:
         object.__setattr__(self, "oracles", tuple(oracles))
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+# The round records are NamedTuples: immutable, and built per query and
+# per round by the episode loop at a fraction of a frozen dataclass's cost.
+
+class QueryRecord(NamedTuple):
     agent: int
     target_mask: int  # 0 = solo move
     delta_v: float
@@ -138,8 +141,7 @@ class QueryRecord:
     matched: bool | None  # None on exact ties
 
 
-@dataclass(frozen=True)
-class DeviationEvent:
+class DeviationEvent(NamedTuple):
     agent: int
     from_mask: int  # the agent's block before the move
     to_mask: int  # the agent's block after the move (its singleton when solo)
@@ -153,8 +155,7 @@ class DeviationEvent:
         return mask_members(self.to_mask)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     index: int
     masks_before: tuple[int, ...]  # block masks at the start of the round
     n_queries: int
@@ -208,22 +209,36 @@ class EpisodeLog:
     engine: str = ENGINE_VERSION
 
 
+# Records built without the Python-level `__new__` of a NamedTuple: one C
+# call each, fields in declaration order.
+_query_record = partial(tuple.__new__, QueryRecord)
+_round_record = partial(tuple.__new__, RoundRecord)
+
+
 def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     """Run one seeded episode to stability, timeout, or oracle failure.
 
     `external` maps ExternalEndpointSpec to live plugin sessions; required
     only when some oracle has kind EXTERNAL.  Identical configs produce
     identical logs.
+
+    The scan answers perfect and consistency-noise oracles inline from each
+    agent's rule (see `_agent_rules`): perfect answers the correct verdict,
+    consistency noise the correct one when its draw digest falls below the
+    threshold of the query's criticality.  Logit and external oracles
+    answer through a decider call.
     """
     game = config.game
     n = game.n
     vals = value_table(game)
     pc = per_capita_table(game)
-    deciders = _episode_deciders(config, external)
-    gaps = [o.gap_threshold for o in config.oracles]
+    rules = _agent_rules(config, external)
     record = config.record_queries
     first_wins = config.rule is not DeviationRule.BEST_IMPROVING
     candidate, current = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
+    indifferent = Verdict.INDIFFERENT
+    noise = OracleKind.CONSISTENCY_NOISE
+    new_query = _query_record
 
     blocks = config.initial.block_masks(n, config.seed, config.episode_id)
     phi = sum(vals[b] for b in blocks)
@@ -234,7 +249,6 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     deviations = 0
     n_queries = 0
     crit_total = crit_match = easy_total = easy_match = 0
-    consistent = True
     phi_initial = phi
 
     from .plugin import OracleTransportError  # deferred: only needed on failure paths
@@ -256,8 +270,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
 
             for agent, own, targets in plan:
                 bit = 1 << agent
-                decider = deciders[agent]
-                gap = gaps[agent]
+                kind, gap, copy, pack, t_critical, t_easy, k, decider = rules[agent]
                 pc_own = pc[own]
                 for target in targets:
                     ordinal += 1
@@ -265,17 +278,41 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                     if joined == own:
                         # going solo while already alone: structural tie
                         if record:
-                            queries.append(QueryRecord(agent, 0, 0.0, Verdict.INDIFFERENT, False, None))
+                            queries.append(new_query((agent, 0, 0.0, indifferent, False, None)))
                         continue
                     delta = pc[joined] - pc_own
-                    verdict = decider(delta, round_index, ordinal, own, target)
-                    critical = abs(delta) < gap
-                    if delta > TIE_EPS:
-                        matched = verdict is candidate
-                    elif delta < -TIE_EPS:
-                        matched = verdict is current
+                    size = -delta if delta < 0 else delta
+                    critical = size < gap
+                    if decider is not None:
+                        verdict = decider(delta, round_index, ordinal, own, target)
+                        if size <= TIE_EPS:
+                            matched = None
+                        else:
+                            matched = verdict is (candidate if delta > 0 else current)
+                    elif size <= TIE_EPS:
+                        verdict, matched = indifferent, None
                     else:
-                        matched = None
+                        if kind is noise:
+                            # correct when the digest falls below the threshold;
+                            # for k > 1, when most of the k draws do, stopping
+                            # once one side holds a majority
+                            threshold = t_critical if critical else t_easy
+                            h = copy()
+                            h.update(pack(b"i", round_index, b"i", ordinal, b"i", 0))
+                            matched = h.digest() < threshold
+                            if k > 1:
+                                need = k // 2 + 1
+                                hits = 1 if matched else 0
+                                rep = 1
+                                while hits < need and rep - hits < need:
+                                    h = copy()
+                                    h.update(pack(b"i", round_index, b"i", ordinal, b"i", rep))
+                                    hits += h.digest() < threshold
+                                    rep += 1
+                                matched = hits == need
+                        else:  # perfect
+                            matched = True
+                        verdict = candidate if (delta > 0) == matched else current
                     if matched is not None:
                         if critical:
                             crit_total += 1
@@ -283,10 +320,8 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                         else:
                             easy_total += 1
                             easy_match += matched
-                        if not matched:
-                            consistent = False
                     if record:
-                        queries.append(QueryRecord(agent, target, delta, verdict, critical, matched))
+                        queries.append(new_query((agent, target, delta, verdict, critical, matched)))
                     if verdict is candidate:
                         if first_wins:
                             chosen = (agent, own, target, joined)
@@ -301,7 +336,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
 
             if chosen is None:
                 rounds.append(
-                    RoundRecord(round_index, masks_before, ordinal, None, phi, phi, tuple(queries))
+                    _round_record((round_index, masks_before, ordinal, None, phi, phi, tuple(queries)))
                 )
                 outcome = EpisodeOutcome.NASH_STABLE
                 break
@@ -318,14 +353,16 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
             blocks = tuple(sorted(new_blocks, key=lambda m: m & -m))
             deviations += 1
             rounds.append(
-                RoundRecord(
-                    round_index,
-                    masks_before,
-                    ordinal,
-                    DeviationEvent(agent, own, joined),
-                    phi,
-                    phi_after,
-                    tuple(queries),
+                _round_record(
+                    (
+                        round_index,
+                        masks_before,
+                        ordinal,
+                        DeviationEvent(agent, own, joined),
+                        phi,
+                        phi_after,
+                        tuple(queries),
+                    )
                 )
             )
             phi = phi_after
@@ -341,7 +378,8 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
         critical_matched=crit_match,
         easy_queries=easy_total,
         easy_matched=easy_match,
-        consistent=consistent,
+        # consistent: no non-tie answer contradicted the ground truth
+        consistent=crit_match == crit_total and easy_match == easy_total,
         ground_truth_stable=is_nash_stable_masks(game, blocks),
         phi_initial=phi_initial,
         phi_terminal=phi,
@@ -358,26 +396,42 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     )
 
 
-def _episode_deciders(config: EpisodeConfig, external) -> list:
-    """Each agent's decision closure for this episode (see `episode_decider`).
+def _agent_rules(config: EpisodeConfig, external) -> list[tuple]:
+    """How each agent's oracle answers in this episode, resolved once:
+    `(kind, gap, copy, pack, t_critical, t_easy, k, decider)`.
 
-    A closure is built once per oracle object: `config.oracles` usually holds
-    one spec n times.  Keying by identity, not by the spec's value, skips
-    hashing the frozen dataclass on every episode.  External oracles get a
-    closure that asks the agent's plugin session.
+    Consistency-noise rules carry the episode's draw state (`copy`, `pack`
+    of `episode_draws`), `oracle.draw_thresholds` and `majority_k`; the
+    scan draws them inline.  Perfect rules need nothing to draw.  Logit
+    rules carry their `episode_decider` and external ones a decider that
+    asks the agent's plugin session; the scan calls those.  A rule is built
+    once per oracle object: `config.oracles` usually holds one spec n times,
+    and keying by identity skips hashing the frozen dataclass.
     """
-    made: dict[int, object] = {}
-    deciders = []
+    made: dict[int, tuple] = {}
+    rules = []
     for agent, oracle in enumerate(config.oracles):
-        if oracle.kind is OracleKind.EXTERNAL:
-            deciders.append(_external_decider(oracle, config, agent, external))
+        kind = oracle.kind
+        if kind is OracleKind.EXTERNAL:
+            decider = _external_decider(oracle, config, agent, external)
+            rules.append((kind, oracle.gap_threshold, None, None, None, None, 1, decider))
             continue
-        decider = made.get(id(oracle))
-        if decider is None:
-            prefix = draw_prefix(oracle.seed, config.episode_id)
-            decider = made[id(oracle)] = episode_decider(oracle, prefix)
-        deciders.append(decider)
-    return deciders
+        rule = made.get(id(oracle))
+        if rule is None:
+            copy = pack = t_critical = t_easy = decider = None
+            if kind is not OracleKind.PERFECT:
+                prefix = draw_prefix(oracle.seed, config.episode_id)
+                if kind is OracleKind.CONSISTENCY_NOISE:
+                    copy, pack = episode_draws(prefix)
+                    t_critical, t_easy = oracle.draw_thresholds
+                else:
+                    decider = episode_decider(oracle, prefix)
+            rule = made[id(oracle)] = (
+                kind, oracle.gap_threshold, copy, pack, t_critical, t_easy,
+                oracle.majority_k, decider,
+            )
+        rules.append(rule)
+    return rules
 
 
 def _external_decider(oracle: OracleSpec, config: EpisodeConfig, agent: int, external):

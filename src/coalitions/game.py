@@ -104,6 +104,21 @@ class GameSpec:
         if not self.beta >= 1:
             raise ValueError("beta must be >= 1")
 
+    def __hash__(self) -> int:
+        # cached: every value_table / per_capita_table lookup hashes the game
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.agents, self.d, self.alpha, self.beta))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # a hash is only valid under the PYTHONHASHSEED that made it
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def n(self) -> int:
         return len(self.agents)

@@ -307,9 +307,13 @@ class StdioEndpoint:
     """One child process speaking the line protocol, one query in flight.
 
     Each exchange writes the query line, then polls the plugin's stdout
-    until an answer line arrives or the deadline, which starts after the
-    write, passes.  The ids of timed-out queries are remembered, and a late
-    answer carrying one is dropped when it turns up during a later exchange.
+    until an answer line arrives or the deadline, which starts before the
+    write, passes.  The write does not block: a plugin that stops reading
+    fills the pipe, and the exchange then waits for room only until the
+    deadline.  Bytes left unwritten go out ahead of the next query line, so
+    the plugin never reads a torn line.  The ids of timed-out queries are
+    remembered, and a late answer carrying one is dropped when it turns up
+    during a later exchange.
     """
 
     def __init__(self, command: Sequence[str]):
@@ -331,8 +335,12 @@ class StdioEndpoint:
         assert self._proc.stdin is not None and self._proc.stdout is not None
         self._stdin = self._proc.stdin.fileno()
         self._stdout = self._proc.stdout.fileno()
+        os.set_blocking(self._stdin, False)
         self._poll = select.poll()
         self._poll.register(self._stdout, select.POLLIN)
+        self._write_poll = select.poll()
+        self._write_poll.register(self._stdin, select.POLLOUT)
+        self._unsent = b""
         self._buffer = bytearray()
         self._eof = False
         self._abandoned: set[str] = set()
@@ -340,14 +348,14 @@ class StdioEndpoint:
     def exchange(
         self, query: OracleWireQuery | WireLine, timeout_s: float
     ) -> OracleWireAnswer:
-        data = (query.to_json_line() + "\n").encode("utf-8")
-        try:
-            sent = os.write(self._stdin, data)
-            while sent < len(data):
-                sent += os.write(self._stdin, data[sent:])
-        except OSError as exc:
-            raise OracleWireError(f"plugin pipe closed: {exc}") from exc
         deadline = time.monotonic() + timeout_s
+        data = (query.to_json_line() + "\n").encode("utf-8")
+        if not self._write(self._unsent + data if self._unsent else data, deadline):
+            self._abandoned.add(query.query_id)
+            raise OracleTimeoutError(
+                f"plugin took no query within {timeout_s:.3f}s; "
+                f"query {query.query_id} abandoned"
+            )
         while True:
             line = self._read_line(deadline)
             if line is None:
@@ -367,6 +375,25 @@ class StdioEndpoint:
                     f"expected answer to {query.query_id}, got {answer.query_id}"
                 )
             self._abandoned.discard(answer.query_id)  # a late answer
+
+    def _write(self, data: bytes, deadline: float) -> bool:
+        """Write `data` to the plugin, or keep what the pipe had no room for
+        before the deadline in `_unsent` and return False."""
+        sent = 0
+        while True:
+            try:
+                sent += os.write(self._stdin, data[sent:] if sent else data)
+            except BlockingIOError:
+                pass  # the pipe is full
+            except OSError as exc:
+                raise OracleWireError(f"plugin pipe closed: {exc}") from exc
+            if sent == len(data):
+                self._unsent = b""
+                return True
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._write_poll.poll(math.ceil(remaining * 1000)):
+                self._unsent = data[sent:]
+                return False
 
     def _read_line(self, deadline: float) -> bytes | None:
         """The next line from the plugin without its newline, or None when

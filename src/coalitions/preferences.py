@@ -102,6 +102,13 @@ class OracleSpec:
         return 2.0 * self.epsilon if self.critical_gap is None else self.critical_gap
 
     @cached_property
+    def draw_thresholds(self) -> tuple[bytes, bytes]:
+        """`(draw_threshold(p_critical), draw_threshold(p_easy))`: an episode
+        draw is correct when its digest falls below the threshold of the
+        query's criticality.  Made once per spec; bytes pickle as they are."""
+        return draw_threshold(self.p_critical), draw_threshold(self.p_easy)
+
+    @cached_property
     def _keyed_decision(self):
         """This oracle's model over one draw whose key parts the caller
         passes: `_keyed_decision(delta, parts)`, with the coin `_keyed_coin`.
@@ -163,8 +170,8 @@ def draw_prefix(seed: int, episode: int) -> bytes:
 
     `prefix + _COUNTERS.pack(b"i", round, b"i", ordinal, b"i", rep)` is
     `_key_bytes(("pref", seed, episode, round, ordinal, rep))`, the key of
-    `decide` at ctx (episode, round, ordinal), so `episode_decider` changes
-    no draw.
+    `decide` at ctx (episode, round, ordinal), so drawing an episode from
+    the prefix changes no draw.
     """
     return _key_bytes(("pref", seed, episode))
 
@@ -172,6 +179,36 @@ def draw_prefix(seed: int, episode: int) -> bytes:
 def _uniform(key: bytes) -> float:
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0**64
+
+
+def draw_threshold(p: float) -> bytes:
+    """The 8-byte big-endian T with `digest < T` exactly when the draw
+    `int.from_bytes(digest, "big") / 2.0**64` of `_uniform` is below p.
+
+    T is the smallest integer x whose draw is not below p, found by
+    bisection over that same float expression, so the byte comparison
+    agrees with the float one wherever int-to-float rounding lands,
+    p = 1.0 included (T = 2**64 - 2**10, whose draw rounds to 1.0).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"draw probabilities lie in [0, 1], got {p}")
+    lo, hi = 0, 2**64  # the draw of hi is 1.0, never below p
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2.0**64 < p:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo.to_bytes(8, "big")
+
+
+def episode_draws(prefix: bytes):
+    """`(copy, pack)` for the draws of one episode: after `h = copy()` and
+    `h.update(pack(b"i", round_index, b"i", ordinal, b"i", rep))`,
+    `h.digest()` is the digest of the draw keyed `prefix + (round_index,
+    ordinal, rep)`.  The hash state after `prefix` is built once; each draw
+    copies it and feeds only the packed counters."""
+    return hashlib.blake2b(prefix, digest_size=8).copy, _COUNTERS.pack
 
 
 def unit_uniform(*parts: int | str) -> float:
@@ -273,13 +310,10 @@ def _majority_coin(prefix: bytes, k: int):
     """`coin(p, round_index, ordinal)`: do most of the draws keyed
     `prefix + (round_index, ordinal, rep)`, rep = 0..k-1, fall below p?
 
-    The hash state after `prefix` is built once; each draw copies it and
-    feeds only the packed counters, which gives the digest of the whole key.
     k is odd, so one side reaches k // 2 + 1 draws; the remaining draws
     cannot change the count's verdict and are not made.
     """
-    copy = hashlib.blake2b(prefix, digest_size=8).copy
-    pack = _COUNTERS.pack
+    copy, pack = episode_draws(prefix)
     from_bytes = int.from_bytes
     if k == 1:
         def coin(p, round_index, ordinal):
@@ -310,15 +344,21 @@ def _keyed_coin(p, parts, _ordinal):
 
 
 def episode_decider(oracle: OracleSpec, prefix: bytes):
-    """The oracle's decision for one episode, resolved once.
+    """The decision of a logit oracle for one episode, resolved once.
 
     Returns `decider(delta, round_index, ordinal, own, target) -> Verdict`,
     the majority verdict of `oracle.majority_k` draws keyed
     `prefix + (round_index, ordinal, rep)`, where `prefix =
     draw_prefix(oracle.seed, episode)`.  It answers as majority_verdict over
-    `decide(oracle, delta, (episode, round_index, ordinal), rep)`.
+    `decide(oracle, delta, (episode, round_index, ordinal), rep)`.  The
+    probability of a logit draw moves with delta, so each draw is compared
+    as a float.  Perfect and consistency-noise oracles have no decider: the
+    episode scan decides them inline, the latter by comparing digests from
+    `episode_draws` with `oracle.draw_thresholds`.
     """
-    return _model(oracle)(oracle, _majority_coin(prefix, oracle.majority_k))
+    if oracle.kind is not OracleKind.LOGIT:
+        raise ValueError(f"no episode decider for oracle kind {oracle.kind}")
+    return _logit(oracle, _majority_coin(prefix, oracle.majority_k))
 
 
 def decide(
@@ -335,8 +375,7 @@ def decide(
     delta = 0 it draws and takes the move with probability 1/2.
 
     The draw is keyed by ("pref", oracle.seed, *ctx, rep).  The episode
-    runner uses `episode_decider`, which folds majority_k such draws at
-    ctx (episode, round, ordinal).
+    runner folds majority_k such draws at ctx (episode, round, ordinal).
     """
     return oracle._keyed_decision(delta, ("pref", oracle.seed, *ctx, rep))
 

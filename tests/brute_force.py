@@ -1,22 +1,28 @@
 """Independent brute-force references for the value function, the δ gap,
 the deviation scan, the potential-alignment check, the binning of choice
 logs, the bootstrap CI of a mean, the oracle decision models, the episode
-coin's draws, and the dict form of an episode's round and header lines.
+coin's draws, whole episodes, and the dict form of an episode's round and
+header lines.
 
 These recompute from explicit member lists, the game's profiles and the
 choice rows with plain Python loops, without calling the engine's value,
 gap, scan or binning code, so tests can check the engine against them.
+The episode reference is the exception that proves the rule: it reads the
+engine's value tables and terminal verification, which have references of
+their own, and re-runs only the scan.
 """
 
 import hashlib
 import json
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
-from coalitions.dynamics import config_to_dict
-from coalitions.game import TIE_EPS, GameSpec
+from coalitions._version import ENGINE_VERSION
+from coalitions.dynamics import DeviationRule, config_to_dict
+from coalitions.game import TIE_EPS, GameSpec, Partition, per_capita_table, value_table
 from coalitions.preferences import (
     CRITICAL_IRRATIONAL_RATE,
     ChoiceRecord,
@@ -26,9 +32,12 @@ from coalitions.preferences import (
     _crossing,
     _key_bytes,
     _uniform,
+    derived_rng,
     logit_accept_probability,
+    majority_verdict,
     unit_uniform,
 )
+from coalitions.stability import verify_nash
 
 
 def brute_value(game: GameSpec, members: list[int]) -> float:
@@ -272,3 +281,110 @@ def brute_round_dict(r, record_queries: bool) -> dict:
             for q in r.queries
         ]
     return out
+
+
+def brute_episode(config) -> list[str]:
+    """The JSONL lines of an episode with internal oracles, the scan written
+    out plainly: every query answered as the majority verdict of
+    `brute_decide` over `majority_k` draws, blocks kept as a list sorted by
+    smallest member, the potential updated as the engine adds it up
+    (phi - v(own) + v(rest) + v(joined) - v(target))."""
+    game, n = config.game, config.game.n
+    pc, v = per_capita_table(game), value_table(game)
+    blocks = list(config.initial.block_masks(n, config.seed, config.episode_id))
+    phi = phi_initial = sum(v[b] for b in blocks)
+    rounds = []
+    outcome = "timeout"
+    totals = {True: [0, 0], False: [0, 0]}  # critical -> [queries, matched]
+    consistent = True
+    n_queries = deviations = 0
+    for index in range(1, config.max_rounds + 1):
+        agents = list(range(n))
+        if config.rule is DeviationRule.RANDOM_IMPROVING:
+            derived_rng("scan", config.seed, config.episode_id, index).shuffle(agents)
+        queries = []
+        chosen = None
+        ordinal = 0
+        for agent, own, target, joined in brute_deviation_checks(blocks, agents):
+            if chosen is not None and config.rule is not DeviationRule.BEST_IMPROVING:
+                break
+            ordinal += 1
+            if joined == own:
+                queries.append(SimpleNamespace(
+                    agent=agent, target_mask=0, delta_v=0.0,
+                    verdict=Verdict.INDIFFERENT, critical=False, matched=None,
+                ))
+                continue
+            oracle = config.oracles[agent]
+            delta = pc[joined] - pc[own]
+            verdict = majority_verdict(
+                brute_decide(oracle, delta, (config.episode_id, index, ordinal), rep)
+                for rep in range(oracle.majority_k)
+            )
+            critical = abs(delta) < oracle.gap_threshold
+            matched = None
+            if delta > TIE_EPS:
+                matched = verdict is Verdict.PREFER_CANDIDATE
+            elif delta < -TIE_EPS:
+                matched = verdict is Verdict.PREFER_CURRENT
+            if matched is not None:
+                totals[critical][0] += 1
+                totals[critical][1] += matched
+                consistent = consistent and matched
+            queries.append(SimpleNamespace(
+                agent=agent, target_mask=target, delta_v=delta,
+                verdict=verdict, critical=critical, matched=matched,
+            ))
+            if verdict is Verdict.PREFER_CANDIDATE and (chosen is None or delta > chosen[4]):
+                chosen = (agent, own, target, joined, delta)
+        n_queries += ordinal
+        record = SimpleNamespace(
+            index=index, masks_before=tuple(blocks), n_queries=ordinal,
+            deviation=None, phi_before=phi, phi_after=phi,
+            queries=queries,
+        )
+        rounds.append(record)
+        if chosen is None:
+            outcome = "nash_stable"
+            break
+        agent, own, target, joined, _ = chosen
+        rest = own & ~(1 << agent)
+        phi_after = phi - v[own] + (v[rest] if rest else 0.0) + v[joined]
+        if target:
+            phi_after -= v[target]
+        blocks = [b for b in blocks if b not in (own, target)] + [rest, joined]
+        blocks = sorted((b for b in blocks if b), key=lambda b: min(_members(b)))
+        record.deviation = SimpleNamespace(agent=agent, from_mask=own, to_mask=joined)
+        record.phi_after = phi = phi_after
+        deviations += 1
+
+    terminal = Partition.from_masks(n, tuple(blocks))
+    verification = verify_nash(game, terminal).to_dict()
+    summary = {
+        "n_queries": n_queries,
+        "critical_queries": totals[True][0],
+        "critical_matched": totals[True][1],
+        "easy_queries": totals[False][0],
+        "easy_matched": totals[False][1],
+        "consistent": consistent,
+        "ground_truth_stable": verification["stable"],
+        "phi_initial": round(phi_initial, 12),
+        "phi_terminal": round(phi, 12),
+    }
+    lines = [brute_header_line(config, ENGINE_VERSION)]
+    lines += [_canonical(brute_round_dict(r, config.record_queries)) for r in rounds]
+    lines.append(_canonical({
+        "type": "terminal",
+        "outcome": outcome,
+        "partition": [_members(b) for b in blocks],
+        "rounds": len(rounds),
+        "deviations": deviations,
+        "summary": summary,
+        "verification": verification,
+        "error": None,
+    }))
+    return lines
+
+
+def _canonical(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -427,6 +427,32 @@ def test_verify_with_dead_oracle_plugin_exits_2(game_file, tmp_path, capsys):
     assert "cannot start plugin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--oracle", "external"), "exactly one of command or url must be set"),
+        (("--oracle", "logit", "--epsilon", "0"), "logit oracles require epsilon > 0"),
+    ],
+)
+def test_verify_with_impossible_oracle_flags_exits_2(flags, message, game_file, tmp_path, capsys):
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    assert run_cli("verify", game_file, "--partition", part, *flags) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_with_impossible_oracle_flags_exits_2(game_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", game_file, "--axis", "alpha", "--values", "0.1", "--episodes", "2",
+        "--oracle", "logit", "--epsilon", "0", "--out", out,
+    )
+    assert code == 2
+    assert "error: logit oracles require epsilon > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_with_oracle_command_taking_flags(game_file, tmp_path, capsys):
     part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
     command = shlex.join([sys.executable, "-m", "coalitions.oracle_stub", "--mode", "current"])

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from brute_force import brute_header_line, brute_partitions, brute_round_dict
+from brute_force import brute_episode, brute_header_line, brute_partitions, brute_round_dict
 
 from coalitions.game import Coalition, GameSpec, Partition, check_potential_alignment
 from coalitions.preferences import ExternalEndpointSpec, OracleKind, OracleSpec, Verdict
@@ -277,6 +277,82 @@ def test_equal_configs_that_encode_differently_get_their_own_headers():
     lines = [_header_line(c, "e") for c in both_orders]
     assert lines == [brute_header_line(c, "e") for c in both_orders]
     assert lines[0] != lines[1]
+
+
+# the scan against the plain reference episode
+
+PROBABILITY = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+# agent 0 alone gets exactly its per-capita value by joining agent 1
+EXACT_TIE_GAME = GameSpec.from_profiles([[0.5], [1.0]], alpha=0.25, beta=1)
+
+
+@st.composite
+def internal_oracles(draw):
+    p_critical, p_easy = sorted((draw(PROBABILITY), draw(PROBABILITY | st.just(1.0))))
+    return OracleSpec(
+        kind=draw(st.sampled_from(
+            [OracleKind.PERFECT, OracleKind.LOGIT, OracleKind.CONSISTENCY_NOISE]
+        )),
+        epsilon=draw(st.floats(min_value=0.01, max_value=1.0)),
+        p_critical=p_critical,
+        p_easy=p_easy,
+        critical_gap=draw(st.none() | st.floats(min_value=0.0, max_value=1.0)),
+        seed=draw(INT64),
+        majority_k=draw(st.sampled_from([1, 3, 5])),
+    )
+
+
+@st.composite
+def internal_episode_configs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=3))
+    game = draw(st.builds(
+        GameSpec.from_profiles,
+        st.lists(st.lists(UNIT, min_size=d, max_size=d), min_size=n, max_size=n),
+        alpha=st.floats(min_value=0.01, max_value=0.5),
+        beta=st.floats(min_value=1.0, max_value=2.0),
+    ) | st.just(EXACT_TIE_GAME))
+    n = game.n
+    kind = draw(st.sampled_from(["singletons", "random", "explicit"]))
+    partition = None
+    if kind == "explicit":
+        partition = Partition.from_masks(n, draw(st.sampled_from(brute_partitions(n))))
+    shared = draw(internal_oracles())
+    oracles = draw(
+        st.just((shared,)) | st.lists(internal_oracles() | st.just(shared), min_size=n, max_size=n)
+    )
+    return EpisodeConfig(
+        game=game,
+        oracles=tuple(oracles),
+        initial=InitialPartition(kind=kind, partition=partition),
+        max_rounds=draw(st.integers(min_value=1, max_value=12)),
+        rule=draw(st.sampled_from(list(DeviationRule))),
+        seed=draw(INT64),
+        episode_id=draw(INT64),
+        record_queries=draw(st.booleans()),
+    )
+
+
+@given(config=internal_episode_configs())
+def test_episode_scan_matches_reference(config):
+    assert episode_log_lines(run_episode(config)) == brute_episode(config)
+
+
+def test_episode_scan_answers_exact_ties_without_a_draw():
+    # agent 0 alone against joining agent 1 is an exact tie: perfect and
+    # consistency-noise oracles answer it Indifferent, whatever the seed
+    for seed in range(20):
+        for oracle in (
+            PERFECT,
+            OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, p_critical=0.5, p_easy=0.5, seed=seed),
+            OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, seed=seed, majority_k=3),
+        ):
+            config = EpisodeConfig(game=EXACT_TIE_GAME, oracles=(oracle,), episode_id=seed)
+            log = run_episode(config)
+            tie = log.rounds[0].queries[0]
+            assert (tie.agent, tie.target_mask, tie.delta_v) == (0, 0b10, 0.0)
+            assert (tie.verdict, tie.matched) == (Verdict.INDIFFERENT, None)
+            assert episode_log_lines(log) == brute_episode(config)
 
 
 def test_wrong_size_explicit_initial_partition_is_rejected(six_mixed):

@@ -227,6 +227,54 @@ def test_late_answer_is_dropped_after_a_timeout(tmp_path):
         endpoint.close()
 
 
+def test_query_writes_to_a_plugin_that_stops_reading_time_out(tmp_path, deadline):
+    # ~100 KB of query lines: more than a pipe holds, so the writes fill it
+    endpoint = script_endpoint(tmp_path, """
+        import time
+        time.sleep(60)
+    """)
+    prompt = "x" * 1000
+    try:
+        start = time.monotonic()
+        with deadline(10):
+            for i in range(100):
+                q = OracleWireQuery(
+                    query_id=f"q{i}", prompt=prompt, agent=0, current=(0,), candidate=()
+                )
+                with pytest.raises(OracleTimeoutError):
+                    endpoint.exchange(q, timeout_s=0.01)
+        assert time.monotonic() - start < 5.0
+        assert endpoint._unsent  # the pipe filled up
+    finally:
+        endpoint.close()
+
+
+def test_unsent_query_bytes_go_out_ahead_of_the_next_query(tmp_path, deadline):
+    # the plugin reads nothing for a while, then answers every line it gets:
+    # the timed-out queries arrive whole and their answers are dropped late
+    endpoint = script_endpoint(tmp_path, """
+        import json, sys, time
+        time.sleep(0.5)
+        for line in sys.stdin:
+            answer = {"query_id": json.loads(line)["query_id"], "verdict": "CURRENT"}
+            sys.stdout.write(json.dumps(answer) + "\\n")
+            sys.stdout.flush()
+    """)
+    prompt = "x" * 1000
+    try:
+        with deadline(10):
+            for i in range(100):
+                q = OracleWireQuery(
+                    query_id=f"q{i}", prompt=prompt, agent=0, current=(0,), candidate=()
+                )
+                with pytest.raises(OracleTimeoutError):
+                    endpoint.exchange(q, timeout_s=0.001)
+            assert endpoint._unsent
+            assert endpoint.exchange(wire_query("last"), timeout_s=5.0).query_id == "last"
+    finally:
+        endpoint.close()
+
+
 def test_answer_split_across_writes_is_joined(tmp_path):
     endpoint = script_endpoint(tmp_path, """
         import json, sys, time

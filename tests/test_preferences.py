@@ -1,5 +1,6 @@
 """Oracle decision models, consistency measurement, epsilon estimation."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -25,7 +26,9 @@ from coalitions.preferences import (
     decide,
     derived_rng,
     draw_prefix,
+    draw_threshold,
     episode_decider,
+    episode_draws,
     estimate_epsilon,
     logit_accept_probability,
     measure_consistency,
@@ -353,12 +356,16 @@ def test_draw_prefix_plus_counters_is_the_episode_key(seed, episode, round_index
         b"i", round_index, b"i", ordinal, b"i", rep
     )
     assert key == _key_bytes(("pref", seed, episode, round_index, ordinal, rep))
-    for oracle in (noisy(0.6, seed=seed), logit(0.1, seed=seed)):
-        decider = episode_decider(oracle, draw_prefix(seed, episode))
-        for delta in (-0.05, 0.05, 0.5):
-            assert decider(delta, round_index, ordinal) is decide(
-                oracle, delta, (episode, round_index, ordinal)
-            )
+    copy, pack = episode_draws(draw_prefix(seed, episode))
+    h = copy()
+    h.update(pack(b"i", round_index, b"i", ordinal, b"i", rep))
+    assert h.digest() == hashlib.blake2b(key, digest_size=8).digest()
+    oracle = logit(0.1, seed=seed)
+    decider = episode_decider(oracle, draw_prefix(seed, episode))
+    for delta in (-0.05, 0.05, 0.5):
+        assert decider(delta, round_index, ordinal) is decide(
+            oracle, delta, (episode, round_index, ordinal)
+        )
 
 
 @given(
@@ -387,9 +394,11 @@ def test_decide_survives_pickling():
 
     oracle = noisy(0.6, seed=4)
     before = decide(oracle, 0.1, ("pickle", 0))  # builds the cached model
+    thresholds = oracle.draw_thresholds
     copy = pickle.loads(pickle.dumps(oracle))
     assert copy == oracle
     assert decide(copy, 0.1, ("pickle", 0)) is before
+    assert copy.draw_thresholds == thresholds
 
 
 def test_draw_stream_is_pinned():
@@ -415,13 +424,13 @@ def test_oracle_spec_validation():
 # decision closures against the reference models
 
 def test_exact_ties_per_model():
-    # perfect and consistency-noise answer a tie Indifferent without a draw;
-    # logit has no tie rule and draws a fair coin
+    # perfect and consistency-noise answer a tie Indifferent without a draw
+    # (the episode scan's ties: test_dynamics); logit has no tie rule and
+    # draws a fair coin
     for delta in (0.0, -0.0, TIE_EPS, -TIE_EPS, TIE_EPS / 2):
         for oracle in (PERFECT, noisy(0.6), noisy(0.6, k=3)):
-            decider = episode_decider(oracle, draw_prefix(oracle.seed, 0))
-            assert {decider(delta, 1, o) for o in range(1, 50)} == {Verdict.INDIFFERENT}
-            assert decide(oracle, delta, ("tie", 0)) is Verdict.INDIFFERENT
+            verdicts = {decide(oracle, delta, ("tie", i), rep) for i in range(50) for rep in (0, 1)}
+            assert verdicts == {Verdict.INDIFFERENT}
     for oracle in (logit(0.1), logit(0.1, seed=3)):
         decider = episode_decider(oracle, draw_prefix(oracle.seed, 0))
         verdicts = {decider(0.0, 1, o) for o in range(1, 50)}
@@ -459,12 +468,56 @@ def test_decision_closures_match_reference(oracle, episode, round_index, ordinal
     deltas = [0.0, TIE_EPS, -TIE_EPS, arbitrary]
     for edge in (gap, -gap):
         deltas += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
-    decider = episode_decider(oracle, draw_prefix(oracle.seed, episode))
+    # only logit has an episode decider; the scan decides the other kinds
+    # inline (test_dynamics checks it against the reference episode)
+    if oracle.kind is OracleKind.LOGIT:
+        decider = episode_decider(oracle, draw_prefix(oracle.seed, episode))
+    else:
+        with pytest.raises(ValueError, match="no episode decider"):
+            episode_decider(oracle, draw_prefix(oracle.seed, episode))
+        decider = None
     ctx = (episode, round_index, ordinal)
     for delta in deltas:
         reps = [brute_decide(oracle, delta, ctx, rep) for rep in range(oracle.majority_k)]
         (modal, count), = Counter(reps).most_common(1)
         assert count > oracle.majority_k // 2  # k is odd: never a tie
-        assert decider(delta, round_index, ordinal) is modal
+        if decider is not None:
+            assert decider(delta, round_index, ordinal) is modal
         for rep, expected in enumerate(reps):
             assert decide(oracle, delta, ctx, rep) is expected
+
+
+# ---------------------------------------------------------------------------
+# draw thresholds
+
+DEFAULTS = OracleSpec(kind=OracleKind.CONSISTENCY_NOISE)
+EDGE_PROBABILITIES = [
+    1.0, math.nextafter(1.0, 0.0), 2.0**-64, 5e-324, DEFAULTS.p_critical, DEFAULTS.p_easy,
+] + [math.nextafter(p, to) for p in (DEFAULTS.p_critical, DEFAULTS.p_easy) for to in (0.0, 1.0)]
+
+
+@given(
+    x=st.integers(min_value=0, max_value=2**64 - 1),
+    p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | st.sampled_from(EDGE_PROBABILITIES),
+)
+def test_draw_threshold_matches_the_float_draw(x, p):
+    # p at a draw and just above it puts the threshold right at x as well
+    u = x / 2.0**64
+    for q in (p, u, math.nextafter(u, 1.0)):
+        if not 0.0 < q <= 1.0:
+            continue
+        threshold = draw_threshold(q)
+        t = int.from_bytes(threshold, "big")
+        for y in (x, t - 1, t, 2**64 - 1):
+            if 0 <= y < 2**64:
+                assert (y.to_bytes(8, "big") < threshold) == (y / 2.0**64 < q)
+
+
+def test_draw_threshold_edges():
+    assert draw_threshold(1.0) == (2**64 - 2**10).to_bytes(8, "big")
+    assert draw_threshold(0.0) == bytes(8)
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="draw probabilities"):
+            draw_threshold(p)
+    oracle = noisy(0.6, p_easy=1.0)
+    assert oracle.draw_thresholds == (draw_threshold(0.6), draw_threshold(1.0))
