@@ -346,11 +346,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
             phi_after = phi - vals[own] + (vals[rest] if rest else 0.0) + vals[joined]
             if target:
                 phi_after -= vals[target]
-            new_blocks = [m for m in blocks if m not in (own, target)]
-            if rest:
-                new_blocks.append(rest)
-            new_blocks.append(joined)
-            blocks = tuple(sorted(new_blocks, key=lambda m: m & -m))
+            blocks = _successor(blocks, own, target, joined)
             deviations += 1
             rounds.append(
                 _round_record(
@@ -371,7 +367,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
         outcome = EpisodeOutcome.ERROR
         error = f"{type(exc).__name__}: {exc}"
 
-    terminal = Partition.from_masks(n, blocks)
+    terminal = _partition(n, blocks)
     summary = EpisodeSummary(
         n_queries=n_queries,
         critical_queries=crit_total,
@@ -394,6 +390,26 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
         summary=summary,
         error=error,
     )
+
+
+# Terminal partitions recur across the episodes of a condition; a
+# Partition is immutable, so one object can serve every log that ends there.
+_partition = lru_cache(maxsize=1 << 12)(Partition.from_masks)
+
+
+@lru_cache(maxsize=1 << 12)
+def _successor(
+    blocks: tuple[int, ...], own: int, target: int, joined: int
+) -> tuple[int, ...]:
+    """The block masks after the agent `joined & ~target` leaves `own` and
+    joins `target` (0 = goes solo), ordered by smallest member.  Cached:
+    episodes of a condition revisit the same partitions and moves."""
+    rest = own & ~(joined & ~target)
+    new_blocks = [m for m in blocks if m != own and m != target]
+    if rest:
+        new_blocks.append(rest)
+    new_blocks.append(joined)
+    return tuple(sorted(new_blocks, key=lambda m: m & -m))
 
 
 def _agent_rules(config: EpisodeConfig, external) -> list[tuple]:
@@ -577,6 +593,13 @@ def _members_json(mask: int) -> str:
     return "[" + ",".join(map(str, mask_members(mask))) + "]"
 
 
+@lru_cache(maxsize=1 << 12)
+def _partition_json(masks: tuple[int, ...]) -> str:
+    """The JSON text of a partition's member lists without the brackets,
+    e.g. "[0,2],[1]"."""
+    return ",".join(map(_members_json, masks))
+
+
 _NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -592,23 +615,40 @@ _ROUND_HEAD = (
     '{"deviation":%s,"index":%d,"n_queries":%d,"partition":[%s],'
     '"phi_after":%s,"phi_before":%s'
 )
-_DEVIATION = '{"agent":%d,"from":%s,"to":%s}'
 _QUERY = '[%d,%s,%s,"%s",%d,%s]'
+# canonical JSON of the terminal record
+_TERMINAL = (
+    '{"deviations":%d,"error":%s,"outcome":"%s","partition":[%s],"rounds":%d,'
+    '"summary":%s,"type":"terminal","verification":%s}'
+)
 
 
-def _round_line(r: RoundRecord, record_queries: bool) -> str:
+@lru_cache(maxsize=1 << 12)
+def _deviation_json(dev: DeviationEvent) -> str:
+    return '{"agent":%d,"from":%s,"to":%s}' % (
+        dev.agent, _members_json(dev.from_mask), _members_json(dev.to_mask)
+    )
+
+
+@lru_cache(maxsize=1 << 12)
+def _verification_json(game: "_Same", masks: tuple[int, ...]) -> str:
+    """The canonical JSON of the ground-truth `verify_nash` report of a
+    partition of the game that `game` wraps."""
+    return _canonical(verify_nash(game.obj, _partition(game.obj.n, masks)).to_dict())
+
+
+def _round_line(r: RoundRecord, record_queries: bool, phi_before: str, phi_after: str) -> str:
     """One round as canonical JSON (sorted keys, no spaces), built from text
-    fragments instead of a dict passed through json.dumps."""
+    fragments instead of a dict passed through json.dumps; `phi_before`
+    and `phi_after` are the texts of the round's potentials."""
     dev = r.deviation
     line = _ROUND_HEAD % (
-        "null" if dev is None else _DEVIATION % (
-            dev.agent, _members_json(dev.from_mask), _members_json(dev.to_mask)
-        ),
+        "null" if dev is None else _deviation_json(dev),
         r.index,
         r.n_queries,
-        ",".join(map(_members_json, r.masks_before)),
-        _float_json(r.phi_after),
-        _float_json(r.phi_before),
+        _partition_json(r.masks_before),
+        phi_after,
+        phi_before,
     )
     if record_queries:
         line += ',"queries":[%s]' % ",".join(
@@ -694,20 +734,25 @@ def episode_log_lines(log: EpisodeLog) -> list[str]:
     """
     lines = [_header_line(log.config, log.engine)]
     record_queries = log.config.record_queries
-    lines += [_round_line(r, record_queries) for r in log.rounds]
-    verification = verify_nash(log.config.game, log.terminal_partition).to_dict()
+    # A round starts at the potential the previous one ended at: the very
+    # float object in run_episode's records, so its text is reused.  Only
+    # identity is trusted; 0.0 == -0.0, yet they print differently.
+    phi, text = None, ""
+    for r in log.rounds:
+        before = text if r.phi_before is phi else _float_json(r.phi_before)
+        phi = r.phi_after
+        text = before if phi is r.phi_before else _float_json(phi)
+        lines.append(_round_line(r, record_queries, before, text))
+    masks = log.terminal_partition.masks
     lines.append(
-        _canonical(
-            {
-                "type": "terminal",
-                "outcome": log.outcome.value,
-                "partition": log.terminal_partition.blocks(),
-                "rounds": log.round_count,
-                "deviations": log.deviation_count,
-                "summary": log.summary.to_dict(),
-                "verification": verification,
-                "error": log.error,
-            }
+        _TERMINAL % (
+            log.deviation_count,
+            json.dumps(log.error),
+            log.outcome.value,
+            _partition_json(masks),
+            log.round_count,
+            _canonical(log.summary.to_dict()),
+            _verification_json(_Same(log.config.game), masks),
         )
     )
     return lines

@@ -211,11 +211,6 @@ def episode_draws(prefix: bytes):
     return hashlib.blake2b(prefix, digest_size=8).copy, _COUNTERS.pack
 
 
-def unit_uniform(*parts: int | str) -> float:
-    """Deterministic uniform draw in [0, 1) keyed by the given coordinates."""
-    return _uniform(_key_bytes(parts))
-
-
 def _derived_seed(parts: Sequence[int | str]) -> int:
     digest = hashlib.blake2b(_key_bytes(parts), digest_size=16).digest()
     return int.from_bytes(digest, "big")

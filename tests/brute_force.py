@@ -35,7 +35,6 @@ from coalitions.preferences import (
     derived_rng,
     logit_accept_probability,
     majority_verdict,
-    unit_uniform,
 )
 from coalitions.stability import verify_nash
 
@@ -190,6 +189,12 @@ def brute_bootstrap_ci(
     alpha = 1 - level
     lo, hi = np.quantile(means, [alpha / 2, 1 - alpha / 2])
     return float(lo), float(hi)
+
+
+def unit_uniform(*parts: int | str) -> float:
+    """Deterministic uniform draw in [0, 1) keyed by the given coordinates:
+    the engine's key layout and digest-to-float map, drawn from scratch."""
+    return _uniform(_key_bytes(parts))
 
 
 def brute_decide(

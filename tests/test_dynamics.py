@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from brute_force import brute_episode, brute_header_line, brute_partitions, brute_round_dict
 
-from coalitions.game import Coalition, GameSpec, Partition, check_potential_alignment
+from coalitions.game import TIE_EPS, Coalition, GameSpec, Partition, check_potential_alignment
 from coalitions.preferences import ExternalEndpointSpec, OracleKind, OracleSpec, Verdict
 from coalitions.stability import verify_nash
 from coalitions.dynamics import (
@@ -190,13 +190,36 @@ ROUNDS = st.builds(
 )
 
 
-@given(rounds=st.lists(ROUNDS, max_size=4), record_queries=st.booleans())
-def test_round_lines_match_reference_json(trio, rounds, record_queries):
+COUNTS = st.integers(min_value=0, max_value=10**6)
+SUMMARIES = st.builds(
+    EpisodeSummary, COUNTS, COUNTS, COUNTS, COUNTS, COUNTS,
+    st.booleans(), st.booleans(), FLOATS, FLOATS,
+)
+
+
+@given(
+    rounds=st.lists(ROUNDS, max_size=4),
+    chain=st.booleans(),
+    record_queries=st.booleans(),
+    summary=SUMMARIES,
+    outcome=st.sampled_from(EpisodeOutcome),
+    terminal=st.sampled_from(brute_partitions(3)),
+    error=st.none() | st.text(max_size=8),
+)
+def test_round_lines_match_reference_json(
+    trio, rounds, chain, record_queries, summary, outcome, terminal, error
+):
+    # the round lines, then the terminal line, each against json.dumps of
+    # its dict form
+    if chain:
+        # each round starts at the very float the previous one ended at,
+        # as in run_episode's records
+        for i in range(1, len(rounds)):
+            rounds[i] = rounds[i]._replace(phi_before=rounds[i - 1].phi_after)
     config = EpisodeConfig(game=trio, oracles=(PERFECT,), record_queries=record_queries)
-    summary = EpisodeSummary(0, 0, 0, 0, 0, True, True, 0.0, 0.0)
+    partition = Partition.from_masks(3, terminal)
     log = EpisodeLog(
-        config, tuple(rounds), EpisodeOutcome.TIMEOUT, Partition.singletons(3),
-        len(rounds), 0, summary,
+        config, tuple(rounds), outcome, partition, len(rounds), 7, summary, error=error
     )
     lines = episode_log_lines(log)
     assert len(lines) == len(rounds) + 2
@@ -205,6 +228,27 @@ def test_round_lines_match_reference_json(trio, rounds, record_queries):
             brute_round_dict(r, record_queries), sort_keys=True, separators=(",", ":")
         )
         assert line == ref
+    terminal_ref = {
+        "type": "terminal",
+        "outcome": outcome.value,
+        "partition": partition.blocks(),
+        "rounds": len(rounds),
+        "deviations": 7,
+        "summary": {
+            "n_queries": summary.n_queries,
+            "critical_queries": summary.critical_queries,
+            "critical_matched": summary.critical_matched,
+            "easy_queries": summary.easy_queries,
+            "easy_matched": summary.easy_matched,
+            "consistent": summary.consistent,
+            "ground_truth_stable": summary.ground_truth_stable,
+            "phi_initial": round(summary.phi_initial, 12),
+            "phi_terminal": round(summary.phi_terminal, 12),
+        },
+        "verification": verify_nash(trio, partition).to_dict(),
+        "error": error,
+    }
+    assert lines[-1] == json.dumps(terminal_ref, sort_keys=True, separators=(",", ":"))
 
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -284,6 +328,9 @@ def test_equal_configs_that_encode_differently_get_their_own_headers():
 PROBABILITY = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 # agent 0 alone gets exactly its per-capita value by joining agent 1
 EXACT_TIE_GAME = GameSpec.from_profiles([[0.5], [1.0]], alpha=0.25, beta=1)
+# agent 0 alone loses exactly TIE_EPS by joining agent 1: the per-capita
+# values are -1e-12 alone and -4e-12 / 2 together, all exact in binary64
+EPS_TIE_GAME = GameSpec.from_profiles([[0.0], [0.0]], alpha=1e-12, beta=2)
 
 
 @st.composite
@@ -311,7 +358,7 @@ def internal_episode_configs(draw):
         st.lists(st.lists(UNIT, min_size=d, max_size=d), min_size=n, max_size=n),
         alpha=st.floats(min_value=0.01, max_value=0.5),
         beta=st.floats(min_value=1.0, max_value=2.0),
-    ) | st.just(EXACT_TIE_GAME))
+    ) | st.sampled_from([EXACT_TIE_GAME, EPS_TIE_GAME]))
     n = game.n
     kind = draw(st.sampled_from(["singletons", "random", "explicit"]))
     partition = None
@@ -339,19 +386,26 @@ def test_episode_scan_matches_reference(config):
 
 
 def test_episode_scan_answers_exact_ties_without_a_draw():
-    # agent 0 alone against joining agent 1 is an exact tie: perfect and
-    # consistency-noise oracles answer it Indifferent, whatever the seed
+    # agent 0 alone against joining agent 1 is a tie, the gap being 0 or
+    # exactly TIE_EPS: perfect and consistency-noise oracles answer it
+    # Indifferent, whatever the seed, and no oracle's answer counts as
+    # matched or mismatched
+    oracles = [PERFECT]
     for seed in range(20):
-        for oracle in (
-            PERFECT,
+        oracles += [
             OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, p_critical=0.5, p_easy=0.5, seed=seed),
             OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, seed=seed, majority_k=3),
-        ):
-            config = EpisodeConfig(game=EXACT_TIE_GAME, oracles=(oracle,), episode_id=seed)
+            OracleSpec(kind=OracleKind.LOGIT, epsilon=0.1, seed=seed),
+        ]
+    for game, gap in ((EXACT_TIE_GAME, 0.0), (EPS_TIE_GAME, -TIE_EPS)):
+        for episode, oracle in enumerate(oracles):
+            config = EpisodeConfig(game=game, oracles=(oracle,), episode_id=episode)
             log = run_episode(config)
             tie = log.rounds[0].queries[0]
-            assert (tie.agent, tie.target_mask, tie.delta_v) == (0, 0b10, 0.0)
-            assert (tie.verdict, tie.matched) == (Verdict.INDIFFERENT, None)
+            assert (tie.agent, tie.target_mask, tie.delta_v) == (0, 0b10, gap)
+            assert tie.matched is None
+            if oracle.kind is not OracleKind.LOGIT:
+                assert tie.verdict is Verdict.INDIFFERENT
             assert episode_log_lines(log) == brute_episode(config)
 
 
@@ -373,8 +427,32 @@ def test_engine_caches_are_bounded():
         dynamics._random_masks,
         dynamics._header_config,
         dynamics._members_json,
+        dynamics._partition_json,
+        dynamics._deviation_json,
+        dynamics._verification_json,
+        dynamics._partition,
+        dynamics._successor,
     ):
         assert cached.cache_info().maxsize is not None, cached.__name__
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_successor_is_the_sorted_partition_after_the_move(n):
+    from coalitions.dynamics import _successor
+
+    for masks in brute_partitions(n):
+        blocks = tuple(masks)
+        for agent in range(n):
+            bit = 1 << agent
+            own = next(m for m in blocks if m & bit)
+            for target in [m for m in blocks if m != own] + [0]:
+                if target == 0 and own == bit:
+                    continue  # going solo while alone is no move
+                after = [m for m in blocks if m not in (own, target)]
+                after += [m for m in (own & ~bit, target | bit) if m]
+                lowest = lambda m: min(i for i in range(n) if m >> i & 1)
+                expected = tuple(sorted(after, key=lowest))
+                assert _successor(blocks, own, target, target | bit) == expected
 
 
 def test_random_initial_partitions_are_the_seeded_draws(six_mixed):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import stat
+from dataclasses import replace
 
 import pytest
 
@@ -133,20 +134,50 @@ def test_bootstrap_ci_matches_one_chunk_reference(n):
     rng = derived_rng("chunks", n)
     samples = [rng.random() for _ in range(n)]
     # 2000 resamples span several chunks for every n above 131
-    assert bootstrap_ci(samples, iterations=2000, level=0.9, seed=n) == brute_bootstrap_ci(
-        samples, iterations=2000, level=0.9, seed=n
-    )
+    assert bootstrap_ci([samples], iterations=2000, level=0.9, seed=n) == [
+        brute_bootstrap_ci(samples, iterations=2000, level=0.9, seed=n)
+    ]
+
+
+def test_batched_bootstrap_equals_lone_calls():
+    # mixed lengths (n = 1 included), seeds and iteration counts (1
+    # included); several sets share a stream and one is bootstrapped twice
+    rng = derived_rng("batch", 0)
+    sets = [[float(rng.random() < 0.6) for _ in range(n)] for n in (400, 1, 37, 400, 400, 37, 1, 5)]
+    sets.append(sets[0])
+    seeds = [3, 3, 3, 3, 4, 3, 5, 3, 3]
+    iterations = [1000, 1000, 1, 1000, 1000, 1000, 7, 1, 1000]
+    batched = bootstrap_ci(sets, iterations=iterations, level=0.9, seed=seeds)
+    lone = [
+        bootstrap_ci([s], iterations=it, level=0.9, seed=sd)[0]
+        for s, sd, it in zip(sets, seeds, iterations)
+    ]
+    assert batched == lone
+    assert batched[1] == brute_bootstrap_ci(sets[1], iterations=1000, level=0.9, seed=3)
+    assert bootstrap_ci(sets[:3], iterations=50, seed=9) == [
+        bootstrap_ci([s], iterations=50, seed=9)[0] for s in sets[:3]
+    ]
+    assert bootstrap_ci([]) == []
+
+
+def test_bootstrap_rejects_empty_sets_and_unmatched_parameters():
+    with pytest.raises(ValueError, match="at least one sample"):
+        bootstrap_ci([[0.5], []])
+    with pytest.raises(ValueError, match="one seed and one iteration count per sample set"):
+        bootstrap_ci([[0.5], [0.2]], seed=[1])
+    with pytest.raises(ValueError, match="one seed and one iteration count per sample set"):
+        bootstrap_ci([[0.5]], iterations=[10, 10])
 
 
 def test_bootstrap_degenerate_samples():
-    lo, hi = bootstrap_ci([0.4] * 25, iterations=200, seed=1)
+    [(lo, hi)] = bootstrap_ci([[0.4] * 25], iterations=200, seed=1)
     assert lo == hi == pytest.approx(0.4)
 
 
 def test_bootstrap_width_matches_binomial_se():
     rng = derived_rng("bern", 4)
     samples = [1.0 if rng.random() < 0.732 else 0.0 for _ in range(400)]
-    lo, hi = bootstrap_ci(samples, iterations=10_000, seed=4)
+    [(lo, hi)] = bootstrap_ci([samples], iterations=10_000, seed=4)
     half_width = (hi - lo) / 2
     assert half_width == pytest.approx(0.043, abs=0.01)
 
@@ -157,7 +188,7 @@ def test_bootstrap_coverage():
     for t in range(trials):
         rng = derived_rng("cover", t)
         samples = [rng.random() for _ in range(1000)]
-        lo, hi = bootstrap_ci(samples, iterations=600, seed=t)
+        [(lo, hi)] = bootstrap_ci([samples], iterations=600, seed=t)
         hits += lo <= 0.5 <= hi
     assert hits / trials >= 0.94
 
@@ -165,11 +196,11 @@ def test_bootstrap_coverage():
 def test_bootstrap_is_seeded():
     rng = derived_rng("seeded-ci", 0)
     samples = [rng.random() for _ in range(50)]
-    assert bootstrap_ci(samples, iterations=500, seed=1) == bootstrap_ci(
-        samples, iterations=500, seed=1
+    assert bootstrap_ci([samples], iterations=500, seed=1) == bootstrap_ci(
+        [samples], iterations=500, seed=1
     )
-    assert bootstrap_ci(samples, iterations=500, seed=1) != bootstrap_ci(
-        samples, iterations=500, seed=2
+    assert bootstrap_ci([samples], iterations=500, seed=1) != bootstrap_ci(
+        [samples], iterations=500, seed=2
     )
 
 
@@ -248,6 +279,49 @@ def test_lambda_sweep_degrades_consistency_and_stability(six_mixed):
     assert cells[0].result.consistency > cells[1].result.consistency
     se = 2 * math.sqrt(0.25 / 150)
     assert cells[0].result.nash_rate >= cells[1].result.nash_rate - se
+
+
+@pytest.mark.parametrize("breaks", ["run_episode", "value_gap_delta"])
+def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, monkeypatch, breaks):
+    from coalitions import experiments
+
+    inner = getattr(experiments, breaks)
+    deltas = []
+
+    def failing(first, *args, **kwargs):
+        # the middle cell fails: its episodes, or the second delta computed
+        if breaks == "run_episode":
+            fails = first.oracles[0].epsilon == 0.2
+        else:
+            deltas.append(first)
+            fails = len(deltas) == 2
+        if fails:
+            raise RuntimeError("boom")
+        return inner(first, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, breaks, failing)
+    oracle = noisy(0.86)
+    cells = sweep(six_mixed, SweepAxis.LAMBDA, [0.1, 0.2, 0.3], oracle, episodes=30, seed_base=6)
+    failed = cells[1].result
+    assert failed.name == "lambda=0.2 [failed: boom]"
+    assert math.isnan(failed.ci_low) and math.isnan(failed.ci_high)
+    assert math.isnan(cells[1].delta)
+    alone = [
+        run_condition(
+            Condition(
+                name=f"lambda={cell.value:g}",
+                oracle=replace(oracle, epsilon=cell.value, critical_gap=None),
+                episodes=30,
+                seed_base=6,
+            ),
+            six_mixed,
+            keep_logs=False,
+        )
+        for cell in (cells[0], cells[2])
+    ]
+    assert [cells[0].result, cells[2].result] == alone
+    # the two cells' intervals differ, so a mix-up of cells would show
+    assert (alone[0].ci_low, alone[0].ci_high) != (alone[1].ci_low, alone[1].ci_high)
 
 
 def test_dimension_sweep_runs(six_mixed):

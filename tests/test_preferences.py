@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from brute_force import brute_coin, brute_decide, brute_epsilon_bins
+from brute_force import brute_coin, brute_decide, brute_epsilon_bins, unit_uniform
 
 from coalitions.game import Coalition, EMPTY_COALITION, TIE_EPS
 from coalitions.preferences import (
@@ -34,7 +34,6 @@ from coalitions.preferences import (
     measure_consistency,
     query_delta,
     read_choice_log,
-    unit_uniform,
     write_choice_log,
 )
 
