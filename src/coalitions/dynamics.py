@@ -367,7 +367,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
         outcome = EpisodeOutcome.ERROR
         error = f"{type(exc).__name__}: {exc}"
 
-    terminal = _partition(n, blocks)
+    terminal = Partition.from_masks(n, blocks)
     summary = EpisodeSummary(
         n_queries=n_queries,
         critical_queries=crit_total,
@@ -390,11 +390,6 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
         summary=summary,
         error=error,
     )
-
-
-# Terminal partitions recur across the episodes of a condition; a
-# Partition is immutable, so one object can serve every log that ends there.
-_partition = lru_cache(maxsize=1 << 12)(Partition.from_masks)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -615,6 +610,7 @@ _ROUND_HEAD = (
     '{"deviation":%s,"index":%d,"n_queries":%d,"partition":[%s],'
     '"phi_after":%s,"phi_before":%s'
 )
+_DEVIATION = '{"agent":%d,"from":%s,"to":%s}'
 _QUERY = '[%d,%s,%s,"%s",%d,%s]'
 # canonical JSON of the terminal record
 _TERMINAL = (
@@ -624,17 +620,10 @@ _TERMINAL = (
 
 
 @lru_cache(maxsize=1 << 12)
-def _deviation_json(dev: DeviationEvent) -> str:
-    return '{"agent":%d,"from":%s,"to":%s}' % (
-        dev.agent, _members_json(dev.from_mask), _members_json(dev.to_mask)
-    )
-
-
-@lru_cache(maxsize=1 << 12)
 def _verification_json(game: "_Same", masks: tuple[int, ...]) -> str:
     """The canonical JSON of the ground-truth `verify_nash` report of a
     partition of the game that `game` wraps."""
-    return _canonical(verify_nash(game.obj, _partition(game.obj.n, masks)).to_dict())
+    return _canonical(verify_nash(game.obj, Partition.from_masks(game.obj.n, masks)).to_dict())
 
 
 def _round_line(r: RoundRecord, record_queries: bool, phi_before: str, phi_after: str) -> str:
@@ -643,7 +632,9 @@ def _round_line(r: RoundRecord, record_queries: bool, phi_before: str, phi_after
     and `phi_after` are the texts of the round's potentials."""
     dev = r.deviation
     line = _ROUND_HEAD % (
-        "null" if dev is None else _deviation_json(dev),
+        "null" if dev is None else _DEVIATION % (
+            dev.agent, _members_json(dev.from_mask), _members_json(dev.to_mask)
+        ),
         r.index,
         r.n_queries,
         _partition_json(r.masks_before),

@@ -116,6 +116,8 @@ class ConditionResult:
     ground_truth_rate: float
     n_errors: int
     logs: tuple[EpisodeLog, ...] = ()
+    # per episode, in order: 1.0 if it ended Nash-stable, else 0.0
+    stable_flags: tuple[float, ...] = ()
 
     def row(self) -> list:
         return [
@@ -185,44 +187,10 @@ def run_condition(
     Episode i uses seed seed_base + i; timeouts and errors count as
     unstable.  Convergence rounds average over stable episodes only.  The
     welfare proxy is the terminal potential divided by the agent count.
-    The CI is the bootstrap of the stable flags seeded by seed_base.
+    The CI is the bootstrap of the stable flags seeded by seed_base;
+    `bootstrap_iterations=0` draws none and leaves both bounds NaN, for a
+    caller that bootstraps `stable_flags` of several results in one batch.
     """
-    result, flags = _run_condition(
-        condition,
-        game,
-        jobs=jobs,
-        record_queries=record_queries,
-        keep_logs=keep_logs,
-        consistency_queries=consistency_queries,
-        consistency_repeats=consistency_repeats,
-    )
-    return _with_intervals([result], [flags], [condition.seed_base], bootstrap_iterations)[0]
-
-
-def _with_intervals(
-    results: Sequence[ConditionResult],
-    flag_sets: Sequence[Sequence[float]],
-    seeds: Sequence[int],
-    iterations: int = 10_000,
-) -> list[ConditionResult]:
-    """The results with the bootstrap CIs of their stable flags filled in,
-    all drawn by one `bootstrap_ci` call."""
-    intervals = bootstrap_ci(flag_sets, iterations=iterations, seed=seeds)
-    return [replace(r, ci_low=lo, ci_high=hi) for r, (lo, hi) in zip(results, intervals)]
-
-
-def _run_condition(
-    condition: Condition,
-    game: GameSpec,
-    *,
-    jobs: int = 1,
-    record_queries: bool = False,
-    keep_logs: bool = True,
-    consistency_queries: int = 30,
-    consistency_repeats: int = 10,
-) -> tuple[ConditionResult, list[float]]:
-    """`run_condition` without the bootstrap: the result with NaN CI bounds,
-    and the per-episode stable flags (1.0 or 0.0) its CI is drawn from."""
     n = game.n
     if condition.sample_only:
         stable_flags = []
@@ -238,13 +206,14 @@ def _run_condition(
                 sum(coalition_value(game, c) for c in partition.coalitions) / n
             )
         rate = sum(stable_flags) / len(stable_flags)
+        lo, hi = _interval(stable_flags, bootstrap_iterations, condition.seed_base)
         w_mean, w_sd = _mean_sd(welfare)
         return ConditionResult(
             name=condition.name,
             n_episodes=condition.episodes,
             nash_rate=rate,
-            ci_low=math.nan,
-            ci_high=math.nan,
+            ci_low=lo,
+            ci_high=hi,
             conv_mean=None,
             conv_sd=None,
             welfare_mean=w_mean,
@@ -252,7 +221,8 @@ def _run_condition(
             consistency=None,
             ground_truth_rate=rate,
             n_errors=0,
-        ), stable_flags
+            stable_flags=tuple(stable_flags),
+        )
 
     oracle = condition.effective_oracle()
     assert oracle is not None
@@ -279,6 +249,7 @@ def _run_condition(
         1.0 if log.outcome is EpisodeOutcome.NASH_STABLE else 0.0 for log in logs
     ]
     rate = sum(stable_flags) / len(stable_flags)
+    lo, hi = _interval(stable_flags, bootstrap_iterations, condition.seed_base)
     conv_rounds = [
         float(log.round_count)
         for log in logs
@@ -299,8 +270,8 @@ def _run_condition(
         name=condition.name,
         n_episodes=condition.episodes,
         nash_rate=rate,
-        ci_low=math.nan,
-        ci_high=math.nan,
+        ci_low=lo,
+        ci_high=hi,
         conv_mean=conv_mean,
         conv_sd=conv_sd,
         welfare_mean=w_mean,
@@ -309,7 +280,25 @@ def _run_condition(
         ground_truth_rate=gt_rate,
         n_errors=sum(log.outcome is EpisodeOutcome.ERROR for log in logs),
         logs=tuple(logs) if keep_logs else (),
-    ), stable_flags
+        stable_flags=tuple(stable_flags),
+    )
+
+
+def _interval(flags: Sequence[float], iterations: int, seed: int) -> tuple[float, float]:
+    """The bootstrap CI of one result's stable flags; NaN bounds for 0
+    iterations."""
+    if not iterations:
+        return math.nan, math.nan
+    return bootstrap_ci([flags], iterations=iterations, seed=seed)[0]
+
+
+def _with_intervals(
+    results: Sequence[ConditionResult], seeds: Sequence[int]
+) -> list[ConditionResult]:
+    """The results with the CIs of their stable flags, seeded by `seeds`,
+    filled in by one `bootstrap_ci` call."""
+    intervals = bootstrap_ci([r.stable_flags for r in results], seed=seeds)
+    return [replace(r, ci_low=lo, ci_high=hi) for r, (lo, hi) in zip(results, intervals)]
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +309,32 @@ _BOOTSTRAP_CHUNK = 1 << 18
 
 def bootstrap_ci(
     sample_sets: Sequence[Sequence[float]],
-    iterations: int | Sequence[int] = 10_000,
+    iterations: int = 10_000,
     level: float = 0.95,
     seed: int | Sequence[int] = 0,
 ) -> list[tuple[float, float]]:
     """Seeded percentile bootstrap CIs for the means of several sample sets.
 
-    Returns one `(lo, hi)` per set, in order.  `iterations` and `seed` are
-    either one value for every set or a sequence with one value per set.
-    A set's resamples are drawn from a numpy generator seeded by
-    `bootstrap:<seed>`, so its interval depends only on its samples, seed,
-    iteration count and `level`: it is the same whether the set comes alone
-    or in a batch.  Sets that share `(seed, len(samples), iterations)` share
-    that index stream, which is drawn once per call and gathered by each of
-    them, chunk by chunk.
+    Returns one `(lo, hi)` per set, in order.  `seed` is either one seed for
+    every set or a sequence with one seed per set.  A set's resamples are
+    drawn from a numpy generator seeded by `bootstrap:<seed>`, so its
+    interval depends only on its samples, seed, `iterations` and `level`:
+    it is the same whether the set comes alone or in a batch.  Sets that
+    share `(seed, len(samples))` share that index stream, which is drawn
+    once per call and gathered by each of them, chunk by chunk.
     """
     count = len(sample_sets)
     seeds = list(seed) if isinstance(seed, Sequence) else [seed] * count
-    iters = list(iterations) if isinstance(iterations, Sequence) else [iterations] * count
-    if len(seeds) != count or len(iters) != count:
-        raise ValueError("need one seed and one iteration count per sample set")
-    streams: dict[tuple[int, int, int], list[int]] = {}
+    if len(seeds) != count:
+        raise ValueError("need one seed per sample set")
+    streams: dict[tuple[int, int], list[int]] = {}
     for i, samples in enumerate(sample_sets):
         if len(samples) < 1:
             raise ValueError("need at least one sample")
-        streams.setdefault((seeds[i], len(samples), iters[i]), []).append(i)
+        streams.setdefault((seeds[i], len(samples)), []).append(i)
     alpha = 1 - level
     out: list[tuple[float, float]] = [(math.nan, math.nan)] * count
-    for (s, n, its), members in streams.items():
+    for (s, n), members in streams.items():
         arrs = [np.asarray(sample_sets[i], dtype=float) for i in members]
         rng = np.random.default_rng(
             int.from_bytes(
@@ -355,14 +342,14 @@ def bootstrap_ci(
                 "big",
             )
         )
-        means = np.empty((len(members), its))
+        means = np.empty((len(members), iterations))
         # Generator.integers yields the same stream in any chunking; a chunk
         # of about 2**18 indices keeps the index matrix and each gather near
         # 2 MB
-        chunk = max(1, min(its, _BOOTSTRAP_CHUNK // n))
+        chunk = max(1, min(iterations, _BOOTSTRAP_CHUNK // n))
         done = 0
-        while done < its:
-            take = min(chunk, its - done)
+        while done < iterations:
+            take = min(chunk, iterations - done)
             idx = rng.integers(0, n, size=(take, n))
             for row, arr in zip(means, arrs):
                 row[done : done + take] = arr[idx].mean(axis=1)
@@ -565,7 +552,6 @@ def sweep(
     the cells that ran come from one `bootstrap_ci` call after the last cell.
     """
     cells = []
-    ran: list[tuple[int, list[float]]] = []  # (cell index, stable flags)
     for value in values:
         cell_game = game
         cell_oracle = oracle
@@ -594,9 +580,10 @@ def sweep(
             max_rounds=max_rounds,
         )
         try:
-            result, flags = _run_condition(condition, cell_game, jobs=jobs, keep_logs=False)
+            result = run_condition(
+                condition, cell_game, jobs=jobs, keep_logs=False, bootstrap_iterations=0
+            )
             delta = value_gap_delta(cell_game, max_size=min(cell_game.n, 4))
-            ran.append((len(cells), flags))
         except Exception as exc:  # record the failure, keep sweeping
             result = ConditionResult(
                 name=f"{axis.value}={value:g} [failed: {exc}]",
@@ -614,10 +601,10 @@ def sweep(
             )
             delta = math.nan
         cells.append(SweepCell(axis=axis, value=float(value), delta=delta, result=result))
-    done = _with_intervals(
-        [cells[i].result for i, _ in ran], [flags for _, flags in ran], [seed_base] * len(ran)
-    )
-    for (i, _), result in zip(ran, done):
+    # a failed cell's result has no stable flags
+    ran = [i for i, cell in enumerate(cells) if cell.result.stable_flags]
+    done = _with_intervals([cells[i].result for i in ran], [seed_base] * len(ran))
+    for i, result in zip(ran, done):
         cells[i] = replace(cells[i], result=result)
     return cells
 
@@ -779,23 +766,23 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
     written["metadata"] = meta_path
 
     results = []
-    flag_sets = []
     seeds = []
     for spec in manifest.conditions:
         condition = condition_from_spec(spec, episodes=400, seed_base=manifest.seed)
-        result, flags = _run_condition(condition, game, jobs=jobs, keep_logs=True)
+        result = run_condition(
+            condition, game, jobs=jobs, keep_logs=True, bootstrap_iterations=0
+        )
         log_path = out / f"episodes_{condition.name}.jsonl"
         with atomic_write(log_path) as fh:
             for log in result.logs:
                 fh.write("\n".join(episode_log_lines(log)) + "\n")
         # only the rows are read from here on; the logs are on disk
         results.append(replace(result, logs=()))
-        flag_sets.append(flags)
         seeds.append(condition.seed_base)
         written[f"episodes_{condition.name}"] = log_path
     if results:
         results_path = out / "results.csv"
-        write_results_csv(_with_intervals(results, flag_sets, seeds), results_path)
+        write_results_csv(_with_intervals(results, seeds), results_path)
         written["results"] = results_path
 
     for spec in manifest.sweeps:

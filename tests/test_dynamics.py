@@ -428,9 +428,7 @@ def test_engine_caches_are_bounded():
         dynamics._header_config,
         dynamics._members_json,
         dynamics._partition_json,
-        dynamics._deviation_json,
         dynamics._verification_json,
-        dynamics._partition,
         dynamics._successor,
     ):
         assert cached.cache_info().maxsize is not None, cached.__name__

@@ -82,6 +82,22 @@ def test_random_condition_matches_exhaustive_count(six_mixed):
     assert result.ci_low <= result.nash_rate <= result.ci_high
 
 
+@pytest.mark.parametrize("oracle", [None, noisy(0.8)])
+def test_run_condition_without_iterations_leaves_the_interval_to_its_flags(six_mixed, oracle):
+    cond = Condition(
+        name="c", oracle=oracle, episodes=40, seed_base=5, sample_only=oracle is None
+    )
+    full = run_condition(cond, six_mixed, bootstrap_iterations=300)
+    bare = run_condition(cond, six_mixed, bootstrap_iterations=0)
+    assert math.isnan(bare.ci_low) and math.isnan(bare.ci_high)
+    assert len(bare.stable_flags) == 40
+    assert sum(bare.stable_flags) / 40 == bare.nash_rate
+    assert bootstrap_ci([bare.stable_flags], iterations=300, seed=5) == [
+        (full.ci_low, full.ci_high)
+    ]
+    assert replace(bare, ci_low=full.ci_low, ci_high=full.ci_high) == full
+
+
 def test_rate_monotone_in_consistency_with_matched_seeds(six_mixed):
     rates = []
     for p in (0.64, 0.86):
@@ -139,21 +155,22 @@ def test_bootstrap_ci_matches_one_chunk_reference(n):
     ]
 
 
-def test_batched_bootstrap_equals_lone_calls():
-    # mixed lengths (n = 1 included), seeds and iteration counts (1
-    # included); several sets share a stream and one is bootstrapped twice
+@pytest.mark.parametrize("iterations", [1, 7, 1000])
+def test_batched_bootstrap_equals_lone_calls(iterations):
+    # mixed lengths (n = 1 included) and seeds, for several iteration
+    # counts (1 included); several sets share a stream and one is
+    # bootstrapped twice
     rng = derived_rng("batch", 0)
     sets = [[float(rng.random() < 0.6) for _ in range(n)] for n in (400, 1, 37, 400, 400, 37, 1, 5)]
     sets.append(sets[0])
     seeds = [3, 3, 3, 3, 4, 3, 5, 3, 3]
-    iterations = [1000, 1000, 1, 1000, 1000, 1000, 7, 1, 1000]
     batched = bootstrap_ci(sets, iterations=iterations, level=0.9, seed=seeds)
     lone = [
-        bootstrap_ci([s], iterations=it, level=0.9, seed=sd)[0]
-        for s, sd, it in zip(sets, seeds, iterations)
+        bootstrap_ci([s], iterations=iterations, level=0.9, seed=sd)[0]
+        for s, sd in zip(sets, seeds)
     ]
     assert batched == lone
-    assert batched[1] == brute_bootstrap_ci(sets[1], iterations=1000, level=0.9, seed=3)
+    assert batched[1] == brute_bootstrap_ci(sets[1], iterations=iterations, level=0.9, seed=3)
     assert bootstrap_ci(sets[:3], iterations=50, seed=9) == [
         bootstrap_ci([s], iterations=50, seed=9)[0] for s in sets[:3]
     ]
@@ -163,10 +180,8 @@ def test_batched_bootstrap_equals_lone_calls():
 def test_bootstrap_rejects_empty_sets_and_unmatched_parameters():
     with pytest.raises(ValueError, match="at least one sample"):
         bootstrap_ci([[0.5], []])
-    with pytest.raises(ValueError, match="one seed and one iteration count per sample set"):
+    with pytest.raises(ValueError, match="one seed per sample set"):
         bootstrap_ci([[0.5], [0.2]], seed=[1])
-    with pytest.raises(ValueError, match="one seed and one iteration count per sample set"):
-        bootstrap_ci([[0.5]], iterations=[10, 10])
 
 
 def test_bootstrap_degenerate_samples():
@@ -281,7 +296,7 @@ def test_lambda_sweep_degrades_consistency_and_stability(six_mixed):
     assert cells[0].result.nash_rate >= cells[1].result.nash_rate - se
 
 
-@pytest.mark.parametrize("breaks", ["run_episode", "value_gap_delta"])
+@pytest.mark.parametrize("breaks", ["run_condition", "run_episode", "value_gap_delta"])
 def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, monkeypatch, breaks):
     from coalitions import experiments
 
@@ -289,8 +304,11 @@ def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, mo
     deltas = []
 
     def failing(first, *args, **kwargs):
-        # the middle cell fails: its episodes, or the second delta computed
-        if breaks == "run_episode":
+        # the middle cell fails: its condition, its episodes, or the second
+        # delta computed
+        if breaks == "run_condition":
+            fails = first.name == "lambda=0.2"
+        elif breaks == "run_episode":
             fails = first.oracles[0].epsilon == 0.2
         else:
             deltas.append(first)
