@@ -190,7 +190,7 @@ def cmd_run(args) -> int:
     except FileNotFoundError:
         print(f"error: manifest not found: {args.manifest}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot parse manifest: {exc}", file=sys.stderr)
         return EXIT_USAGE
     manifest = dataclasses.replace(
@@ -202,7 +202,11 @@ def cmd_run(args) -> int:
         print(f"error: game file not found: {manifest.game_path}", file=sys.stderr)
         return EXIT_USAGE
     jobs = args.jobs if args.jobs else manifest.jobs
-    written = run_manifest(manifest, jobs=jobs)
+    try:
+        written = run_manifest(manifest, jobs=jobs)
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot run manifest: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _emit({name: str(path) for name, path in written.items()}, args.json)
     return EXIT_OK
 
@@ -272,6 +276,9 @@ def cmd_bounds(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse params: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not isinstance(params, dict):
+        print("error: params must be a JSON object", file=sys.stderr)
+        return EXIT_USAGE
     if args.game is not None:
         game = _load_game_or_exit(args.game)
         partition = _load_partition_or_exit(args.partition, game.n)
@@ -289,6 +296,9 @@ def cmd_bounds(args) -> int:
         )
     except KeyError as exc:
         print(f"error: params missing field {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, TypeError) as exc:
+        print(f"error: invalid params: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = stability_lower_bound(inputs)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

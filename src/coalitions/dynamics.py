@@ -46,8 +46,8 @@ from .preferences import (
     answer_majority,
     derived_rng,
     draw_prefix,
-    episode_decider,
     episode_draws,
+    logit_accept_probability,
 )
 from .stability import is_nash_stable_masks, random_partition, verify_nash
 
@@ -222,11 +222,12 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     only when some oracle has kind EXTERNAL.  Identical configs produce
     identical logs.
 
-    The scan answers perfect and consistency-noise oracles inline from each
-    agent's rule (see `_agent_rules`): perfect answers the correct verdict,
-    consistency noise the correct one when its draw digest falls below the
-    threshold of the query's criticality.  Logit and external oracles
-    answer through a decider call.
+    The scan answers internal oracles inline from each agent's rule (see
+    `_agent_rules`): perfect answers the correct verdict, consistency noise
+    the correct one when its draw digest falls below the threshold of the
+    query's criticality, and logit takes the move when its draw falls below
+    `logit_accept_probability`.  External oracles answer through a decider
+    call.
     """
     game = config.game
     n = game.n
@@ -237,7 +238,8 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     first_wins = config.rule is not DeviationRule.BEST_IMPROVING
     candidate, current = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
     indifferent = Verdict.INDIFFERENT
-    noise = OracleKind.CONSISTENCY_NOISE
+    noise, logit = OracleKind.CONSISTENCY_NOISE, OracleKind.LOGIT
+    from_bytes = int.from_bytes
     new_query = _query_record
 
     blocks = config.initial.block_masks(n, config.seed, config.episode_id)
@@ -270,7 +272,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
 
             for agent, own, targets in plan:
                 bit = 1 << agent
-                kind, gap, copy, pack, t_critical, t_easy, k, decider = rules[agent]
+                kind, gap, epsilon, copy, pack, t_critical, t_easy, k, decider = rules[agent]
                 pc_own = pc[own]
                 for target in targets:
                     ordinal += 1
@@ -283,8 +285,29 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                     delta = pc[joined] - pc_own
                     size = -delta if delta < 0 else delta
                     critical = size < gap
-                    if decider is not None:
-                        verdict = decider(delta, round_index, ordinal, own, target)
+                    if kind is logit or decider is not None:
+                        if decider is not None:
+                            verdict = decider(delta, round_index, ordinal, own, target)
+                        else:
+                            # no tie rule: an exact tie takes the move with
+                            # probability 1/2; for k > 1, the move is taken
+                            # when most of the k draws fall below p, stopping
+                            # once one side holds a majority
+                            p = logit_accept_probability(delta, epsilon)
+                            h = copy()
+                            h.update(pack(b"i", round_index, b"i", ordinal, b"i", 0))
+                            accepted = from_bytes(h.digest(), "big") / 2.0**64 < p
+                            if k > 1:
+                                need = k // 2 + 1
+                                hits = 1 if accepted else 0
+                                rep = 1
+                                while hits < need and rep - hits < need:
+                                    h = copy()
+                                    h.update(pack(b"i", round_index, b"i", ordinal, b"i", rep))
+                                    hits += from_bytes(h.digest(), "big") / 2.0**64 < p
+                                    rep += 1
+                                accepted = hits == need
+                            verdict = candidate if accepted else current
                         if size <= TIE_EPS:
                             matched = None
                         else:
@@ -409,15 +432,15 @@ def _successor(
 
 def _agent_rules(config: EpisodeConfig, external) -> list[tuple]:
     """How each agent's oracle answers in this episode, resolved once:
-    `(kind, gap, copy, pack, t_critical, t_easy, k, decider)`.
+    `(kind, gap, epsilon, copy, pack, t_critical, t_easy, k, decider)`.
 
-    Consistency-noise rules carry the episode's draw state (`copy`, `pack`
-    of `episode_draws`), `oracle.draw_thresholds` and `majority_k`; the
-    scan draws them inline.  Perfect rules need nothing to draw.  Logit
-    rules carry their `episode_decider` and external ones a decider that
-    asks the agent's plugin session; the scan calls those.  A rule is built
-    once per oracle object: `config.oracles` usually holds one spec n times,
-    and keying by identity skips hashing the frozen dataclass.
+    Logit and consistency-noise rules carry the episode's draw state
+    (`copy`, `pack` of `episode_draws`) and `majority_k`, noise rules also
+    `oracle.draw_thresholds`; the scan draws them inline.  Perfect rules
+    need nothing to draw.  External rules carry a decider that asks the
+    agent's plugin session; the scan calls it.  A rule is built once per
+    oracle object: `config.oracles` usually holds one spec n times, and
+    keying by identity skips hashing the frozen dataclass.
     """
     made: dict[int, tuple] = {}
     rules = []
@@ -425,21 +448,18 @@ def _agent_rules(config: EpisodeConfig, external) -> list[tuple]:
         kind = oracle.kind
         if kind is OracleKind.EXTERNAL:
             decider = _external_decider(oracle, config, agent, external)
-            rules.append((kind, oracle.gap_threshold, None, None, None, None, 1, decider))
+            rules.append((kind, oracle.gap_threshold, None, None, None, None, None, 1, decider))
             continue
         rule = made.get(id(oracle))
         if rule is None:
-            copy = pack = t_critical = t_easy = decider = None
+            copy = pack = t_critical = t_easy = None
             if kind is not OracleKind.PERFECT:
-                prefix = draw_prefix(oracle.seed, config.episode_id)
-                if kind is OracleKind.CONSISTENCY_NOISE:
-                    copy, pack = episode_draws(prefix)
-                    t_critical, t_easy = oracle.draw_thresholds
-                else:
-                    decider = episode_decider(oracle, prefix)
+                copy, pack = episode_draws(draw_prefix(oracle.seed, config.episode_id))
+            if kind is OracleKind.CONSISTENCY_NOISE:
+                t_critical, t_easy = oracle.draw_thresholds
             rule = made[id(oracle)] = (
-                kind, oracle.gap_threshold, copy, pack, t_critical, t_easy,
-                oracle.majority_k, decider,
+                kind, oracle.gap_threshold, oracle.epsilon, copy, pack, t_critical, t_easy,
+                oracle.majority_k, None,
             )
         rules.append(rule)
     return rules

@@ -360,126 +360,6 @@ def bootstrap_ci(
     return out
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
-    statistic: float
-    p_value: float
-    n_used: int
-
-
-def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
-    """Signed-rank test with the normal approximation (valid for ~n >= 6).
-
-    Ties (zero differences) are dropped; equal magnitudes share average
-    ranks, with the variance corrected accordingly.  The statistic is the
-    smaller of the positive and negative rank sums; the p-value is
-    two-sided.
-    """
-    diffs = [a - b for a, b in pairs if a != b]
-    m = len(diffs)
-    if m == 0:
-        raise ValueError("all pairs are tied; the signed-rank test is undefined")
-    order = sorted(range(m), key=lambda i: abs(diffs[i]))
-    ranks = [0.0] * m
-    i = 0
-    tie_correction = 0.0
-    while i < m:
-        j = i
-        while j + 1 < m and abs(diffs[order[j + 1]]) == abs(diffs[order[i]]):
-            j += 1
-        avg_rank = (i + j) / 2 + 1
-        t = j - i + 1
-        tie_correction += t**3 - t
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg_rank
-        i = j + 1
-    w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
-    w_minus = sum(r for r, d in zip(ranks, diffs) if d < 0)
-    statistic = min(w_plus, w_minus)
-    mean = m * (m + 1) / 4
-    var = m * (m + 1) * (2 * m + 1) / 24 - tie_correction / 48
-    if var <= 0:
-        raise ValueError("degenerate variance in signed-rank test")
-    z = (w_plus - mean) / math.sqrt(var)
-    p = math.erfc(abs(z) / math.sqrt(2))
-    return WilcoxonResult(statistic=statistic, p_value=p, n_used=m)
-
-
-@dataclass(frozen=True)
-class BonferroniReport:
-    alpha: float
-    adjusted_alpha: float
-    p_values: tuple[float, ...]
-    adjusted_p: tuple[float, ...]
-    significant: tuple[bool, ...]
-
-
-def bonferroni_correct(p_values: Sequence[float], alpha: float = 0.01) -> BonferroniReport:
-    """Family-wise correction applied whenever several tests run together."""
-    m = len(p_values)
-    if m == 0:
-        raise ValueError("no p-values to correct")
-    return BonferroniReport(
-        alpha=alpha,
-        adjusted_alpha=alpha / m,
-        p_values=tuple(p_values),
-        adjusted_p=tuple(min(1.0, p * m) for p in p_values),
-        significant=tuple(p < alpha / m for p in p_values),
-    )
-
-
-@dataclass(frozen=True)
-class PairwiseComparison:
-    condition_a: str
-    condition_b: str
-    statistic: float
-    p_value: float
-    adjusted_p: float
-    significant: bool
-
-
-def pairwise_welfare_tests(
-    results: Sequence[ConditionResult], alpha: float = 0.01
-) -> list[PairwiseComparison]:
-    """Signed-rank tests between all condition pairs on per-episode welfare.
-
-    Episodes pair up by index (conditions are expected to share seed_base),
-    and the family of tests is Bonferroni-corrected whenever more than one
-    pair is compared.
-    """
-    with_logs = [r for r in results if r.logs]
-    if len(with_logs) < 2:
-        raise ValueError("need at least two conditions with retained logs")
-    pairs = []
-    tests = []
-    n = min(len(r.logs) for r in with_logs)
-    for i, a in enumerate(with_logs):
-        for b in with_logs[i + 1 :]:
-            welfare_pairs = [
-                (
-                    a.logs[k].summary.phi_terminal / a.logs[k].config.game.n,
-                    b.logs[k].summary.phi_terminal / b.logs[k].config.game.n,
-                )
-                for k in range(n)
-            ]
-            tests.append(wilcoxon_signed_rank(welfare_pairs))
-            pairs.append((a.name, b.name))
-    correction = bonferroni_correct([t.p_value for t in tests], alpha=alpha)
-    return [
-        PairwiseComparison(
-            condition_a=names[0],
-            condition_b=names[1],
-            statistic=t.statistic,
-            p_value=t.p_value,
-            adjusted_p=adj,
-            significant=sig,
-        )
-        for names, t, adj, sig in zip(
-            pairs, tests, correction.adjusted_p, correction.significant
-        )
-    ]
-
-
 # ---------------------------------------------------------------------------
 # game generation and sweeps
 
@@ -553,33 +433,34 @@ def sweep(
     """
     cells = []
     for value in values:
-        cell_game = game
-        cell_oracle = oracle
-        if axis is SweepAxis.ALPHA:
-            cell_game = game.with_params(alpha=float(value))
-        elif axis is SweepAxis.BETA:
-            cell_game = game.with_params(beta=float(value))
-        elif axis is SweepAxis.AGENT_COUNT:
-            cell_game = generate_game(
-                int(value), game.d, game.alpha, game.beta, seed_base,
-                lo=profile_lo, hi=profile_hi, pool=int(max(values)),
-            )
-        elif axis is SweepAxis.DIMENSION:
-            cell_game = generate_game(
-                game.n, int(value), game.alpha, game.beta, seed_base,
-                lo=profile_lo, hi=profile_hi,
-            )
-        elif axis is SweepAxis.LAMBDA:
-            cell_oracle = replace(oracle, epsilon=float(value), critical_gap=None)
-        condition = Condition(
-            name=f"{axis.value}={value:g}",
-            oracle=cell_oracle,
-            episodes=episodes,
-            seed_base=seed_base,
-            initial=initial,
-            max_rounds=max_rounds,
-        )
+        # a value the cell's game or oracle rejects fails only that cell
         try:
+            cell_game = game
+            cell_oracle = oracle
+            if axis is SweepAxis.ALPHA:
+                cell_game = game.with_params(alpha=float(value))
+            elif axis is SweepAxis.BETA:
+                cell_game = game.with_params(beta=float(value))
+            elif axis is SweepAxis.AGENT_COUNT:
+                cell_game = generate_game(
+                    int(value), game.d, game.alpha, game.beta, seed_base,
+                    lo=profile_lo, hi=profile_hi, pool=int(max(values)),
+                )
+            elif axis is SweepAxis.DIMENSION:
+                cell_game = generate_game(
+                    game.n, int(value), game.alpha, game.beta, seed_base,
+                    lo=profile_lo, hi=profile_hi,
+                )
+            elif axis is SweepAxis.LAMBDA:
+                cell_oracle = replace(oracle, epsilon=float(value), critical_gap=None)
+            condition = Condition(
+                name=f"{axis.value}={value:g}",
+                oracle=cell_oracle,
+                episodes=episodes,
+                seed_base=seed_base,
+                initial=initial,
+                max_rounds=max_rounds,
+            )
             result = run_condition(
                 condition, cell_game, jobs=jobs, keep_logs=False, bootstrap_iterations=0
             )
@@ -719,6 +600,8 @@ class Manifest:
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError("a manifest is a JSON object")
     base = path.parent
     game_path = Path(data["game"])
     if not game_path.is_absolute():
@@ -737,9 +620,35 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]:
-    """Execute a manifest: per-condition logs, results.csv, sweep CSVs."""
+    """Execute a manifest: per-condition logs, results.csv, sweep CSVs.
+
+    Every condition, sweep axis and sweep oracle is built before anything
+    is written, so a manifest entry they reject leaves no output.
+    """
     game = load_game(manifest.game_path)
     jobs = manifest.jobs if jobs is None else jobs
+    conditions = [
+        condition_from_spec(spec, episodes=400, seed_base=manifest.seed)
+        for spec in manifest.conditions
+    ]
+    sweeps = [
+        (
+            SweepAxis(spec["axis"]),
+            spec["values"],
+            oracle_from_dict(
+                spec.get(
+                    "oracle",
+                    {"kind": "consistency_noise", "p_critical": 0.86, "critical_gap": 0.3},
+                )
+            ),
+            {
+                "episodes": int(spec.get("episodes", 200)),
+                "seed_base": int(spec.get("seed_base", manifest.seed)),
+                "max_rounds": int(spec.get("max_rounds", 30)),
+            },
+        )
+        for spec in manifest.sweeps
+    ]
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -756,8 +665,8 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
                 "welfare_proxy": "terminal potential divided by agent count",
                 "nash_rate": "episodes ending stable before the round budget; "
                 "timeouts and errors count as unstable",
-                "conditions": [c.get("name") for c in manifest.conditions],
-                "sweeps": [s.get("axis") for s in manifest.sweeps],
+                "conditions": [c.name for c in conditions],
+                "sweeps": [axis.value for axis, _, _, _ in sweeps],
             },
             fh,
             indent=2,
@@ -767,8 +676,7 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
 
     results = []
     seeds = []
-    for spec in manifest.conditions:
-        condition = condition_from_spec(spec, episodes=400, seed_base=manifest.seed)
+    for condition in conditions:
         result = run_condition(
             condition, game, jobs=jobs, keep_logs=True, bootstrap_iterations=0
         )
@@ -785,24 +693,8 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
         write_results_csv(_with_intervals(results, seeds), results_path)
         written["results"] = results_path
 
-    for spec in manifest.sweeps:
-        axis = SweepAxis(spec["axis"])
-        oracle = oracle_from_dict(
-            spec.get(
-                "oracle",
-                {"kind": "consistency_noise", "p_critical": 0.86, "critical_gap": 0.3},
-            )
-        )
-        cells = sweep(
-            game,
-            axis,
-            spec["values"],
-            oracle,
-            episodes=int(spec.get("episodes", 200)),
-            seed_base=int(spec.get("seed_base", manifest.seed)),
-            max_rounds=int(spec.get("max_rounds", 30)),
-            jobs=jobs,
-        )
+    for axis, values, oracle, options in sweeps:
+        cells = sweep(game, axis, values, oracle, jobs=jobs, **options)
         sweep_path = out / f"sweep_{axis.value}.csv"
         write_sweep_csv(cells, sweep_path)
         written[f"sweep_{axis.value}"] = sweep_path

@@ -9,6 +9,10 @@ ones), or an external plugin process.
 All randomness is counter-based: each draw hashes (oracle seed, stream
 coordinates, repeat index), so answers are replay-deterministic and
 independent episodes can run in parallel without perturbing each other.
+
+`decide` writes out each internal model for one draw.  The episode scan in
+`dynamics.run_episode` answers the same models inline, drawing the same
+keys from `episode_draws` and folding `majority_k` of them per query.
 """
 
 from __future__ import annotations
@@ -107,19 +111,6 @@ class OracleSpec:
         draw is correct when its digest falls below the threshold of the
         query's criticality.  Made once per spec; bytes pickle as they are."""
         return draw_threshold(self.p_critical), draw_threshold(self.p_easy)
-
-    @cached_property
-    def _keyed_decision(self):
-        """This oracle's model over one draw whose key parts the caller
-        passes: `_keyed_decision(delta, parts)`, with the coin `_keyed_coin`.
-        Built once per spec, so `decide` builds no closure per call."""
-        return _model(self)(self, _keyed_coin)
-
-    def __getstate__(self) -> dict:
-        # the cached closure cannot be pickled; a copy rebuilds it on use
-        state = dict(self.__dict__)
-        state.pop("_keyed_decision", None)
-        return state
 
 
 @dataclass(frozen=True)
@@ -239,123 +230,6 @@ def logit_accept_probability(delta: float, epsilon: float) -> float:
     return math.exp(max(x, -700.0)) / (1.0 + math.exp(max(x, -700.0)))
 
 
-# Each decision model is a factory: given the oracle and a `coin`, it returns
-# the decision `(delta, round_index, ordinal, own, target) -> Verdict` on a
-# raw per-capita gap.  `coin(p, round_index, ordinal)` is True when the
-# oracle's draw for that query falls below p; the built-in models read only
-# delta and pass the two draw coordinates on to the coin unread, so `decide`
-# can hand its coin the key parts in their place.  `own` and `target`
-# (masks) name the comparison for oracles that ask about it, as an external
-# one does.
-
-def _perfect(oracle: OracleSpec, coin):
-    def decide_perfect(delta, round_index=0, ordinal=0, own=0, target=0):
-        if delta > TIE_EPS:
-            return Verdict.PREFER_CANDIDATE
-        if delta < -TIE_EPS:
-            return Verdict.PREFER_CURRENT
-        return Verdict.INDIFFERENT
-
-    return decide_perfect
-
-
-def _logit(oracle: OracleSpec, coin):
-    epsilon = oracle.epsilon
-
-    def decide_logit(delta, round_index=0, ordinal=0, own=0, target=0):
-        # no tie rule: an exact tie takes the move with probability 1/2
-        if coin(logit_accept_probability(delta, epsilon), round_index, ordinal):
-            return Verdict.PREFER_CANDIDATE
-        return Verdict.PREFER_CURRENT
-
-    return decide_logit
-
-
-def _consistency_noise(oracle: OracleSpec, coin):
-    gap, p_critical, p_easy = oracle.gap_threshold, oracle.p_critical, oracle.p_easy
-
-    def decide_consistency_noise(delta, round_index=0, ordinal=0, own=0, target=0):
-        # the correct verdict with probability p, the opposite one otherwise
-        size = abs(delta)
-        if size <= TIE_EPS:
-            return Verdict.INDIFFERENT
-        correct = coin(p_critical if size < gap else p_easy, round_index, ordinal)
-        if (delta > 0) == correct:
-            return Verdict.PREFER_CANDIDATE
-        return Verdict.PREFER_CURRENT
-
-    return decide_consistency_noise
-
-
-_MODELS = {
-    OracleKind.PERFECT: _perfect,
-    OracleKind.LOGIT: _logit,
-    OracleKind.CONSISTENCY_NOISE: _consistency_noise,
-}
-
-
-def _model(oracle: OracleSpec):
-    try:
-        return _MODELS[oracle.kind]
-    except KeyError:
-        raise ValueError(f"decide() does not handle oracle kind {oracle.kind}") from None
-
-
-def _majority_coin(prefix: bytes, k: int):
-    """`coin(p, round_index, ordinal)`: do most of the draws keyed
-    `prefix + (round_index, ordinal, rep)`, rep = 0..k-1, fall below p?
-
-    k is odd, so one side reaches k // 2 + 1 draws; the remaining draws
-    cannot change the count's verdict and are not made.
-    """
-    copy, pack = episode_draws(prefix)
-    from_bytes = int.from_bytes
-    if k == 1:
-        def coin(p, round_index, ordinal):
-            h = copy()
-            h.update(pack(b"i", round_index, b"i", ordinal, b"i", 0))
-            return from_bytes(h.digest(), "big") / 2.0**64 < p
-
-        return coin
-    need = k // 2 + 1
-
-    def coin(p, round_index, ordinal):
-        hits = 0
-        for rep in range(k):
-            h = copy()
-            h.update(pack(b"i", round_index, b"i", ordinal, b"i", rep))
-            hits += from_bytes(h.digest(), "big") / 2.0**64 < p
-            if hits == need:
-                return True
-            if rep + 1 - hits == need:
-                return False
-
-    return coin
-
-
-def _keyed_coin(p, parts, _ordinal):
-    """The coin of `decide`: is the one draw keyed `_key_bytes(parts)` below p?"""
-    return _uniform(_key_bytes(parts)) < p
-
-
-def episode_decider(oracle: OracleSpec, prefix: bytes):
-    """The decision of a logit oracle for one episode, resolved once.
-
-    Returns `decider(delta, round_index, ordinal, own, target) -> Verdict`,
-    the majority verdict of `oracle.majority_k` draws keyed
-    `prefix + (round_index, ordinal, rep)`, where `prefix =
-    draw_prefix(oracle.seed, episode)`.  It answers as majority_verdict over
-    `decide(oracle, delta, (episode, round_index, ordinal), rep)`.  The
-    probability of a logit draw moves with delta, so each draw is compared
-    as a float.  Perfect and consistency-noise oracles have no decider: the
-    episode scan decides them inline, the latter by comparing digests from
-    `episode_draws` with `oracle.draw_thresholds`.
-    """
-    if oracle.kind is not OracleKind.LOGIT:
-        raise ValueError(f"no episode decider for oracle kind {oracle.kind}")
-    return _logit(oracle, _majority_coin(prefix, oracle.majority_k))
-
-
 def decide(
     oracle: OracleSpec,
     delta: float,
@@ -370,9 +244,27 @@ def decide(
     delta = 0 it draws and takes the move with probability 1/2.
 
     The draw is keyed by ("pref", oracle.seed, *ctx, rep).  The episode
-    runner folds majority_k such draws at ctx (episode, round, ordinal).
+    scan folds majority_k such draws at ctx (episode, round, ordinal).
     """
-    return oracle._keyed_decision(delta, ("pref", oracle.seed, *ctx, rep))
+    kind = oracle.kind
+    if kind is OracleKind.LOGIT:
+        p = logit_accept_probability(delta, oracle.epsilon)
+        if _uniform(_key_bytes(("pref", oracle.seed, *ctx, rep))) < p:
+            return Verdict.PREFER_CANDIDATE
+        return Verdict.PREFER_CURRENT
+    if kind is not OracleKind.PERFECT and kind is not OracleKind.CONSISTENCY_NOISE:
+        raise ValueError(f"decide() does not handle oracle kind {kind}")
+    size = abs(delta)
+    if size <= TIE_EPS:
+        return Verdict.INDIFFERENT
+    correct = True
+    if kind is OracleKind.CONSISTENCY_NOISE:
+        # the correct verdict with probability p, the opposite one otherwise
+        p = oracle.p_critical if size < oracle.gap_threshold else oracle.p_easy
+        correct = _uniform(_key_bytes(("pref", oracle.seed, *ctx, rep))) < p
+    if (delta > 0) == correct:
+        return Verdict.PREFER_CANDIDATE
+    return Verdict.PREFER_CURRENT
 
 
 def answer(
@@ -581,6 +473,8 @@ def estimate_epsilon(
     of ("epsilon-bootstrap", seed), so the CI is a function of the log and
     the seed; the point estimate does not depend on the seed.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     records = [
         r if isinstance(r, ChoiceRecord) else ChoiceRecord(float(r[0]), Verdict(r[1]))
         for r in choice_log

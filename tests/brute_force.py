@@ -204,8 +204,8 @@ def brute_decide(
     rep: int = 0,
 ) -> Verdict:
     """One draw of an internal oracle, every model written out in one
-    function: the reference for `decide` and the episode deciders.  The draw
-    is keyed by ("pref", oracle.seed, *ctx, rep)."""
+    function: the reference for `decide` and the episode scan's inline
+    draws.  The draw is keyed by ("pref", oracle.seed, *ctx, rep)."""
     kind = oracle.kind
     if kind is OracleKind.PERFECT:
         if delta > TIE_EPS:
@@ -227,17 +227,6 @@ def brute_decide(
     else:
         raise ValueError(f"no reference model for oracle kind {kind}")
     return hit if unit_uniform("pref", oracle.seed, *ctx, rep) < p else miss
-
-
-def brute_coin(seed: int, episode: int, k: int, p: float, round_index: int, ordinal: int) -> bool:
-    """The episode coin drawn in full: all k draws, each keyed from scratch
-    by ("pref", seed, episode, round, ordinal, rep), and a strict majority
-    of them below p."""
-    draws = [
-        _uniform(_key_bytes(("pref", seed, episode, round_index, ordinal, rep)))
-        for rep in range(k)
-    ]
-    return sum(u < p for u in draws) > k // 2
 
 
 def brute_header_line(config, engine: str) -> str:

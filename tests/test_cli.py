@@ -19,6 +19,8 @@ from coalitions.preferences import (
 )
 from coalitions.dynamics import EpisodeConfig, InitialPartition, run_episode, write_episode_log
 
+PERFECT = OracleSpec(kind=OracleKind.PERFECT)
+
 
 @pytest.fixture
 def game_file(tmp_path, six_mixed):
@@ -277,6 +279,28 @@ def test_bounds_partition_usage_errors(flags, message, game_file, tmp_path, caps
     assert captured.out == ""
 
 
+BOUND_PARAMS = {"p": 0.86, "p_easy": 0.98, "k_eff": 5, "k_n": 15, "gamma": 0.9,
+                "delta": 0.08, "epsilon_bar": 0.15}
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({**BOUND_PARAMS, "p": 2}, "error: invalid params: consistency probabilities"),
+        ({**BOUND_PARAMS, "gamma": "high"}, "error: invalid params: could not convert"),
+        ({**BOUND_PARAMS, "delta": None}, "error: invalid params:"),
+        (list(BOUND_PARAMS.values()), "error: params must be a JSON object"),
+    ],
+)
+def test_bounds_invalid_params_exit_2(params, message, tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert run_cli("bounds", "--params", path) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_regress_command(tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_text(
@@ -301,6 +325,17 @@ def test_estimate_epsilon_command(tmp_path, capsys):
     assert run_cli("estimate-epsilon", path, "--json") == 0
     report = json.loads(capsys.readouterr().out)
     assert 0.10 <= report["estimate"] <= 0.20
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_estimate_epsilon_without_bins_exits_2(bins, tmp_path, capsys):
+    rows = [ChoiceRecord(dv, decide(PERFECT, dv, ())) for dv in (-0.2, -0.1, 0.1, 0.2)]
+    path = tmp_path / "choices.csv"
+    write_choice_log(rows, path)
+    assert run_cli("estimate-epsilon", path, "--bins", bins) == 2
+    captured = capsys.readouterr()
+    assert f"error: bins must be >= 1, got {bins}" in captured.err
+    assert captured.out == ""
 
 
 def test_estimate_epsilon_no_threshold(tmp_path):
@@ -370,6 +405,31 @@ def test_run_missing_game(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"game": "missing.json", "conditions": []}))
     assert run_cli("run", manifest) == 2
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ({"conditions": [{"name": "mystery"}]}, "needs an oracle or sample_only"),
+        (
+            {"conditions": [{"name": "staged", "episodes": 2}],
+             "sweeps": [{"axis": "gamma", "values": [0.1]}]},
+            "'gamma' is not a valid SweepAxis",
+        ),
+        ([{"name": "staged"}], "a manifest is a JSON object"),
+        ({"conditions": 5}, "cannot parse manifest"),
+    ],
+)
+def test_run_bad_manifest_exits_2_and_writes_nothing(manifest, message, tmp_path, game_file, capsys):
+    if isinstance(manifest, dict):
+        manifest = {"game": str(game_file), "output_dir": str(tmp_path / "out"), **manifest}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("run", path, "--output-dir", tmp_path / "out") == 2
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_manifest(tmp_path):

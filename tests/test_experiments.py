@@ -22,7 +22,6 @@ from coalitions.experiments import (
     SWEEP_COLUMNS,
     SweepAxis,
     atomic_write,
-    bonferroni_correct,
     bootstrap_ci,
     builtin_condition_table,
     condition_from_spec,
@@ -32,7 +31,6 @@ from coalitions.experiments import (
     run_manifest,
     sample_queries,
     sweep,
-    wilcoxon_signed_rank,
     write_results_csv,
 )
 
@@ -220,50 +218,6 @@ def test_bootstrap_is_seeded():
 
 
 # ---------------------------------------------------------------------------
-# wilcoxon and bonferroni
-
-def test_wilcoxon_rejects_uniform_improvement():
-    pairs = [(i + 1.0, i + 0.5) for i in range(20)]
-    result = wilcoxon_signed_rank(pairs)
-    assert result.statistic == 0
-    assert result.p_value < 0.001
-
-
-def test_wilcoxon_accepts_symmetric_noise():
-    accepted = 0
-    trials = 100
-    for t in range(trials):
-        rng = derived_rng("wilcoxon", t)
-        pairs = [(rng.random(), rng.random()) for _ in range(100)]
-        if wilcoxon_signed_rank(pairs).p_value > 0.05:
-            accepted += 1
-    assert accepted >= 90
-
-
-def test_wilcoxon_all_ties_errors():
-    with pytest.raises(ValueError, match="tied"):
-        wilcoxon_signed_rank([(1.0, 1.0), (2.0, 2.0)])
-
-
-def test_wilcoxon_matches_scipy():
-    scipy_stats = pytest.importorskip("scipy.stats")
-    rng = derived_rng("scipy-check", 1)
-    pairs = [(rng.random(), rng.random() * 0.9) for _ in range(40)]
-    ours = wilcoxon_signed_rank(pairs)
-    a, b = zip(*pairs)
-    ref = scipy_stats.wilcoxon(a, b, correction=False, mode="approx")
-    assert ours.statistic == pytest.approx(ref.statistic, abs=1e-9)
-    assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-6)
-
-
-def test_bonferroni():
-    report = bonferroni_correct([0.004, 0.2, 0.0001], alpha=0.01)
-    assert report.adjusted_alpha == pytest.approx(0.01 / 3)
-    assert report.significant == (False, False, True)
-    assert report.adjusted_p[2] == pytest.approx(0.0003)
-
-
-# ---------------------------------------------------------------------------
 # sweeps
 
 def test_alpha_sweep_reports_delta_per_cell(six_mixed):
@@ -340,6 +294,24 @@ def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, mo
     assert [cells[0].result, cells[2].result] == alone
     # the two cells' intervals differ, so a mix-up of cells would show
     assert (alone[0].ci_low, alone[0].ci_high) != (alone[1].ci_low, alone[1].ci_high)
+
+
+@pytest.mark.parametrize(
+    "axis, bad, good, message",
+    [
+        (SweepAxis.AGENT_COUNT, 0, 3, "at least one agent"),
+        (SweepAxis.ALPHA, -0.1, 0.2, "alpha must be > 0"),
+    ],
+)
+def test_sweep_keeps_a_cell_whose_value_the_game_rejects(six_mixed, axis, bad, good, message):
+    cells = sweep(six_mixed, axis, [bad, good], noisy(0.86), episodes=20, seed_base=6)
+    failed = cells[0].result
+    assert failed.name.startswith(f"{axis.value}={bad:g} [failed: ")
+    assert message in failed.name
+    assert math.isnan(failed.nash_rate) and math.isnan(cells[0].delta)
+    # the good cell is the one a sweep over it alone gives (same profile pool)
+    alone = sweep(six_mixed, axis, [good], noisy(0.86), episodes=20, seed_base=6)
+    assert cells[1] == alone[0]
 
 
 def test_dimension_sweep_runs(six_mixed):
@@ -500,24 +472,6 @@ def test_builtin_condition_table_round_trip():
     assert greedy.rule is DeviationRule.BEST_IMPROVING
     rand = condition_from_spec({"name": "random"}, episodes=50, seed_base=9)
     assert rand.sample_only
-
-
-def test_pairwise_welfare_tests(six_mixed):
-    from coalitions.experiments import pairwise_welfare_tests
-
-    results = []
-    for p in (0.64, 0.86):
-        cond = Condition(
-            name=f"p{p}", oracle=noisy(p), episodes=60, seed_base=404,
-            initial=InitialPartition(kind="random"),
-        )
-        results.append(run_condition(cond, six_mixed, bootstrap_iterations=100))
-    comparisons = pairwise_welfare_tests(results, alpha=0.01)
-    assert len(comparisons) == 1
-    c = comparisons[0]
-    assert (c.condition_a, c.condition_b) == ("p0.64", "p0.86")
-    assert 0 <= c.p_value <= 1
-    assert c.adjusted_p == pytest.approx(c.p_value)  # single test: no inflation
 
 
 @pytest.mark.parametrize(

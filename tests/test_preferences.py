@@ -2,16 +2,16 @@
 
 import hashlib
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from brute_force import brute_coin, brute_decide, brute_epsilon_bins, unit_uniform
+from brute_force import brute_decide, brute_epsilon_bins, unit_uniform
 
 from coalitions.game import Coalition, EMPTY_COALITION, TIE_EPS
 from coalitions.preferences import (
     ChoiceRecord,
+    ExternalEndpointSpec,
     InsufficientDataError,
     OracleKind,
     OracleSpec,
@@ -21,13 +21,10 @@ from coalitions.preferences import (
     answer_majority,
     _COUNTERS,
     _key_bytes,
-    _majority_coin,
-    _uniform,
     decide,
     derived_rng,
     draw_prefix,
     draw_threshold,
-    episode_decider,
     episode_draws,
     estimate_epsilon,
     logit_accept_probability,
@@ -359,40 +356,13 @@ def test_draw_prefix_plus_counters_is_the_episode_key(seed, episode, round_index
     h = copy()
     h.update(pack(b"i", round_index, b"i", ordinal, b"i", rep))
     assert h.digest() == hashlib.blake2b(key, digest_size=8).digest()
-    oracle = logit(0.1, seed=seed)
-    decider = episode_decider(oracle, draw_prefix(seed, episode))
-    for delta in (-0.05, 0.05, 0.5):
-        assert decider(delta, round_index, ordinal) is decide(
-            oracle, delta, (episode, round_index, ordinal)
-        )
-
-
-@given(
-    seed=INT64,
-    episode=INT64,
-    round_index=INT64,
-    ordinal=INT64,
-    k=st.sampled_from([1, 3, 5]),
-)
-def test_episode_coin_draws_are_the_full_key_draws(seed, episode, round_index, ordinal, k):
-    coin = _majority_coin(draw_prefix(seed, episode), k)
-    draws = [
-        _uniform(_key_bytes(("pref", seed, episode, round_index, ordinal, rep)))
-        for rep in range(k)
-    ]
-    # a threshold at each draw and just above it puts the order statistic
-    # the majority turns on exactly at that draw
-    thresholds = [0.0, 1.0] + draws + [math.nextafter(u, math.inf) for u in draws]
-    for p in thresholds:
-        expected = brute_coin(seed, episode, k, p, round_index, ordinal)
-        assert coin(p, round_index, ordinal) is expected
 
 
 def test_decide_survives_pickling():
     import pickle
 
     oracle = noisy(0.6, seed=4)
-    before = decide(oracle, 0.1, ("pickle", 0))  # builds the cached model
+    before = decide(oracle, 0.1, ("pickle", 0))  # fills the cached properties
     thresholds = oracle.draw_thresholds
     copy = pickle.loads(pickle.dumps(oracle))
     assert copy == oracle
@@ -419,8 +389,14 @@ def test_oracle_spec_validation():
     assert OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, epsilon=0.2).gap_threshold == pytest.approx(0.4)
 
 
+def test_decide_rejects_external_oracles():
+    oracle = OracleSpec(kind=OracleKind.EXTERNAL, external=ExternalEndpointSpec(command=("stub",)))
+    with pytest.raises(ValueError, match="does not handle oracle kind"):
+        decide(oracle, 0.1, ("external", 0))
+
+
 # ---------------------------------------------------------------------------
-# decision closures against the reference models
+# decide against the reference models
 
 def test_exact_ties_per_model():
     # perfect and consistency-noise answer a tie Indifferent without a draw
@@ -431,10 +407,8 @@ def test_exact_ties_per_model():
             verdicts = {decide(oracle, delta, ("tie", i), rep) for i in range(50) for rep in (0, 1)}
             assert verdicts == {Verdict.INDIFFERENT}
     for oracle in (logit(0.1), logit(0.1, seed=3)):
-        decider = episode_decider(oracle, draw_prefix(oracle.seed, 0))
-        verdicts = {decider(0.0, 1, o) for o in range(1, 50)}
+        verdicts = {decide(oracle, 0.0, ("tie", i)) for i in range(50)}
         assert verdicts == {Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT}
-        assert {decide(oracle, 0.0, ("tie", i)) for i in range(50)} == verdicts
 
 
 PROBABILITY = st.floats(min_value=0.01, max_value=1.0)
@@ -467,23 +441,12 @@ def test_decision_closures_match_reference(oracle, episode, round_index, ordinal
     deltas = [0.0, TIE_EPS, -TIE_EPS, arbitrary]
     for edge in (gap, -gap):
         deltas += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
-    # only logit has an episode decider; the scan decides the other kinds
-    # inline (test_dynamics checks it against the reference episode)
-    if oracle.kind is OracleKind.LOGIT:
-        decider = episode_decider(oracle, draw_prefix(oracle.seed, episode))
-    else:
-        with pytest.raises(ValueError, match="no episode decider"):
-            episode_decider(oracle, draw_prefix(oracle.seed, episode))
-        decider = None
+    # the episode scan folds these draws inline (test_dynamics checks it
+    # against the reference episode)
     ctx = (episode, round_index, ordinal)
     for delta in deltas:
-        reps = [brute_decide(oracle, delta, ctx, rep) for rep in range(oracle.majority_k)]
-        (modal, count), = Counter(reps).most_common(1)
-        assert count > oracle.majority_k // 2  # k is odd: never a tie
-        if decider is not None:
-            assert decider(delta, round_index, ordinal) is modal
-        for rep, expected in enumerate(reps):
-            assert decide(oracle, delta, ctx, rep) is expected
+        for rep in range(oracle.majority_k):
+            assert decide(oracle, delta, ctx, rep) is brute_decide(oracle, delta, ctx, rep)
 
 
 # ---------------------------------------------------------------------------
