@@ -128,8 +128,6 @@ def measure_bound_inputs(
     game: GameSpec,
     logs: Sequence[EpisodeLog],
     oracle: OracleSpec,
-    *,
-    perfect_gamma_fallback: bool = True,
 ) -> BoundInputs:
     """Measure every bound input from a finished batch.
 
@@ -156,8 +154,6 @@ def measure_bound_inputs(
     try:
         gamma = estimate_gamma(logs)
     except ValueError:
-        if not perfect_gamma_fallback:
-            raise
         perfect = OracleSpec(kind=OracleKind.PERFECT, epsilon=epsilon, seed=oracle.seed)
         stable = 0
         for log in logs:

@@ -27,14 +27,13 @@ from .game import (
     value_gap_delta,
 )
 from .preferences import (
-    ExternalEndpointSpec,
     OracleKind,
     OracleSpec,
     estimate_epsilon,
     read_choice_log,
 )
 from .stability import StabilityConcept, bell_number, verify_core, verify_individual, verify_nash
-from .dynamics import replay_file
+from .dynamics import oracle_from_dict, replay_file
 from .bounds import (
     BoundInputs,
     consistency_regression,
@@ -85,29 +84,27 @@ def _load_partition_or_exit(path: str, n: int) -> Partition:
         raise SystemExit(EXIT_USAGE)
 
 
+#: oracle flags that are passed on only when given, by their oracle_from_dict key
+_ORACLE_FLAGS = ("epsilon", "p_critical", "p_easy", "critical_gap", "majority_k")
+
+
 def _oracle_from_args(args) -> OracleSpec:
-    """The oracle the flags describe; flags no oracle can have exit 2."""
-    kind = OracleKind(args.oracle)
+    """The oracle the flags describe; flags no oracle can have exit 2.
+
+    The flags given become an `oracle_from_dict` dict, so a flag left out
+    takes the OracleSpec or ExternalEndpointSpec default.
+    """
+    data = {"kind": args.oracle, "seed": args.seed}
+    data.update(
+        (key, getattr(args, key)) for key in _ORACLE_FLAGS if getattr(args, key) is not None
+    )
+    if args.oracle == OracleKind.EXTERNAL.value:
+        endpoint = {"command": args.oracle_cmd, "url": args.oracle_url, "protocol": args.protocol}
+        if args.oracle_timeout_ms is not None:
+            endpoint["timeout_s"] = args.oracle_timeout_ms / 1000.0
+        data["external"] = {key: v for key, v in endpoint.items() if v is not None}
     try:
-        external = None
-        if kind is OracleKind.EXTERNAL:
-            command = tuple(args.oracle_cmd) if args.oracle_cmd else None
-            external = ExternalEndpointSpec(
-                command=command,
-                url=args.oracle_url,
-                timeout_s=args.oracle_timeout_ms / 1000.0,
-                protocol=args.protocol,
-            )
-        return OracleSpec(
-            kind=kind,
-            epsilon=args.epsilon,
-            p_critical=args.p_critical,
-            p_easy=args.p_easy,
-            critical_gap=args.critical_gap,
-            seed=args.seed,
-            majority_k=args.majority_k,
-            external=external,
-        )
+        return oracle_from_dict(data)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -120,23 +117,20 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
         choices=[k.value for k in OracleKind],
         help="decision model answering deviation queries",
     )
-    parser.add_argument("--epsilon", type=float, default=0.15)
-    parser.add_argument("--p-critical", type=float, default=0.86)
-    parser.add_argument("--p-easy", type=float, default=0.98)
-    parser.add_argument("--critical-gap", type=float, default=None)
-    parser.add_argument("--majority-k", type=int, default=1)
+    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--p-critical", type=float)
+    parser.add_argument("--p-easy", type=float)
+    parser.add_argument("--critical-gap", type=float)
+    parser.add_argument("--majority-k", type=int)
     parser.add_argument(
         "--oracle-cmd",
         type=shlex.split,
-        default=None,
         metavar="COMMAND",
         help="plugin command line as one shell-quoted string",
     )
-    parser.add_argument("--oracle-url", default=None)
-    parser.add_argument("--oracle-timeout-ms", type=float, default=10_000.0)
-    parser.add_argument(
-        "--protocol", default="staged", choices=["standard", "cot", "staged"]
-    )
+    parser.add_argument("--oracle-url")
+    parser.add_argument("--oracle-timeout-ms", type=float)
+    parser.add_argument("--protocol", choices=["standard", "cot", "staged"])
 
 
 def cmd_inspect(args) -> int:
@@ -341,19 +335,19 @@ def cmd_sweep(args) -> int:
     except ValueError:
         print("error: --values must be a comma-separated list of numbers", file=sys.stderr)
         return EXIT_USAGE
+    options = {} if args.episodes is None else {"episodes": args.episodes}
     cells = sweep(
-        game,
-        SweepAxis(args.axis),
-        values,
-        oracle,
-        episodes=args.episodes,
-        seed_base=args.seed,
-        jobs=args.jobs or 1,
+        game, SweepAxis(args.axis), values, oracle, seed_base=args.seed,
+        jobs=args.jobs or 1, **options,
     )
     out = Path(args.out) if args.out else Path(f"sweep_{args.axis}.csv")
     write_sweep_csv(cells, out)
     _emit({"written": str(out), "cells": len(cells)}, args.json)
-    return EXIT_OK
+    # the CSV row has no room for the cause; a failed cell's name holds it
+    failed = [c.result.name for c in cells if not c.result.stable_flags]
+    for name in failed:
+        print(f"error: sweep cell {name}", file=sys.stderr)
+    return EXIT_USAGE if failed else EXIT_OK
 
 
 def cmd_estimate_epsilon(args) -> int:
@@ -414,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-block-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     _add_oracle_args(p)
     p.set_defaults(func=cmd_verify)
 
@@ -428,19 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", default=None)
     p.add_argument("--partition", default=None)
     p.add_argument("--epsilon", type=float, default=0.15)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("regress", help="fit stability rate on consistency")
     p.add_argument("points", help="CSV with consistency,nash_rate columns")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_regress)
 
     p = sub.add_parser("sweep", help="rerun a condition across one axis")
     p.add_argument("game")
     p.add_argument("--axis", required=True, choices=[a.value for a in SweepAxis])
     p.add_argument("--values", required=True, help="comma-separated numbers")
-    p.add_argument("--episodes", type=int, default=200)
+    p.add_argument("--episodes", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=int(os.environ.get("COALITIONS_JOBS", "0")) or None)
     p.add_argument("--seed", type=int, default=0)

@@ -39,6 +39,7 @@ from .game import (
     value_table,
 )
 from .preferences import (
+    ExternalEndpointSpec,
     OracleKind,
     OracleSpec,
     PreferenceQuery,
@@ -551,28 +552,43 @@ def oracle_to_dict(oracle: OracleSpec) -> dict:
     return out
 
 
-def oracle_from_dict(data: dict) -> OracleSpec:
-    from .preferences import ExternalEndpointSpec
+#: The keys an oracle dict may give, each with its cast (None: as given).
+#: A key left out takes the field's default in OracleSpec or
+#: ExternalEndpointSpec.
+_ORACLE_KEYS = {
+    "epsilon": float,
+    "p_critical": float,
+    "p_easy": float,
+    "critical_gap": None,
+    "seed": int,
+    "majority_k": int,
+}
+_ENDPOINT_KEYS = {"url": None, "timeout_s": float, "protocol": None}
 
-    external = None
-    if data.get("external"):
-        e = data["external"]
-        external = ExternalEndpointSpec(
-            command=tuple(e["command"]) if e.get("command") else None,
-            url=e.get("url"),
-            timeout_s=float(e.get("timeout_s", 10.0)),
-            protocol=e.get("protocol", "staged"),
-        )
-    return OracleSpec(
-        kind=OracleKind(data["kind"]),
-        epsilon=float(data.get("epsilon", 0.15)),
-        p_critical=float(data.get("p_critical", 0.86)),
-        p_easy=float(data.get("p_easy", 0.98)),
-        critical_gap=data.get("critical_gap"),
-        seed=int(data.get("seed", 0)),
-        majority_k=int(data.get("majority_k", 1)),
-        external=external,
-    )
+
+def _given(data: dict, keys: dict) -> dict:
+    return {
+        key: data[key] if cast is None else cast(data[key])
+        for key, cast in keys.items()
+        if key in data
+    }
+
+
+def oracle_from_dict(data: dict) -> OracleSpec:
+    """The oracle an `oracle_to_dict`-shaped dict describes.
+
+    The one way outside input (logs, manifests, CLI flags) becomes an
+    OracleSpec: only the keys given are passed on, so every default is the
+    dataclass field's.
+    """
+    fields = _given(data, _ORACLE_KEYS)
+    e = data.get("external")
+    if e is not None:
+        endpoint = _given(e, _ENDPOINT_KEYS)
+        if e.get("command"):
+            endpoint["command"] = tuple(e["command"])
+        fields["external"] = ExternalEndpointSpec(**endpoint)
+    return OracleSpec(kind=OracleKind(data["kind"]), **fields)
 
 
 def config_to_dict(config: EpisodeConfig) -> dict:

@@ -29,9 +29,9 @@ import numpy as np
 from .game import (
     Coalition,
     GameSpec,
-    coalition_value,
     iter_deviation_checks,
     load_game,
+    potential,
     value_gap_delta,
 )
 from .preferences import (
@@ -67,6 +67,11 @@ RESULT_COLUMNS = (
 )
 
 SWEEP_COLUMNS = ("axis", "value") + RESULT_COLUMNS[1:] + ("delta",)
+
+#: deviation queries `run_condition` samples to measure an oracle's consistency
+CONSISTENCY_QUERIES = 30
+#: agent-count and dimension sweep cells draw profiles from [lo, hi]^d
+SWEEP_PROFILE_RANGE = (0.55, 0.85)
 
 
 @dataclass(frozen=True)
@@ -176,18 +181,17 @@ def run_condition(
     game: GameSpec,
     *,
     jobs: int = 1,
-    record_queries: bool = False,
     keep_logs: bool = True,
-    consistency_queries: int = 30,
-    consistency_repeats: int = 10,
     bootstrap_iterations: int = 10_000,
 ) -> ConditionResult:
     """Run every episode of a condition and aggregate the outcomes.
 
-    Episode i uses seed seed_base + i; timeouts and errors count as
-    unstable.  Convergence rounds average over stable episodes only.  The
-    welfare proxy is the terminal potential divided by the agent count.
-    The CI is the bootstrap of the stable flags seeded by seed_base;
+    Episode i uses seed seed_base + i; its log records no queries.
+    Timeouts and errors count as unstable.  Convergence rounds average over
+    stable episodes only.  The welfare proxy is the terminal potential
+    divided by the agent count.  The consistency figure is
+    `measure_consistency`'s agreement over CONSISTENCY_QUERIES sampled
+    queries.  The CI is the bootstrap of the stable flags seeded by seed_base;
     `bootstrap_iterations=0` draws none and leaves both bounds NaN, for a
     caller that bootstraps `stable_flags` of several results in one batch.
     """
@@ -202,9 +206,7 @@ def run_condition(
             stable_flags.append(
                 1.0 if is_nash_stable_masks(game, partition.masks) else 0.0
             )
-            welfare.append(
-                sum(coalition_value(game, c) for c in partition.coalitions) / n
-            )
+            welfare.append(potential(game, partition) / n)
         rate = sum(stable_flags) / len(stable_flags)
         lo, hi = _interval(stable_flags, bootstrap_iterations, condition.seed_base)
         w_mean, w_sd = _mean_sd(welfare)
@@ -235,7 +237,7 @@ def run_condition(
             rule=condition.rule,
             seed=condition.seed_base + idx,
             episode_id=idx,
-            record_queries=record_queries,
+            record_queries=False,
         )
         for idx in range(condition.episodes)
     ]
@@ -260,11 +262,9 @@ def run_condition(
     w_mean, w_sd = _mean_sd(welfare)
     consistency = None
     if oracle.kind is not OracleKind.EXTERNAL:
-        queries = sample_queries(game, consistency_queries, condition.seed_base)
+        queries = sample_queries(game, CONSISTENCY_QUERIES, condition.seed_base)
         if queries:
-            consistency = measure_consistency(
-                oracle, game, queries, repeats=consistency_repeats
-            ).agreement
+            consistency = measure_consistency(oracle, game, queries).agreement
     gt_rate = sum(log.summary.ground_truth_stable for log in logs) / len(logs)
     return ConditionResult(
         name=condition.name,
@@ -417,18 +417,16 @@ def sweep(
     *,
     episodes: int = 200,
     seed_base: int = 0,
-    max_rounds: int = 30,
-    initial: InitialPartition = InitialPartition(kind="random"),
+    max_rounds: int = Condition.max_rounds,
     jobs: int = 1,
-    profile_lo: float = 0.55,
-    profile_hi: float = 0.85,
 ) -> list[SweepCell]:
     """Rerun one condition across an axis; per-cell failures do not abort.
 
     Agent-count and dimension cells resample profiles from a seeded uniform
-    generator (the template supplies the remaining parameters); cost axes
-    reuse the template's agents; the lambda axis reparameterizes the oracle's
-    rationality bound (and with it the critical-gap threshold).  The CIs of
+    generator over SWEEP_PROFILE_RANGE (the template supplies the remaining
+    parameters); cost axes reuse the template's agents; the lambda axis
+    reparameterizes the oracle's rationality bound (and with it the
+    critical-gap threshold).  The CIs of
     the cells that ran come from one `bootstrap_ci` call after the last cell.
     """
     cells = []
@@ -444,12 +442,12 @@ def sweep(
             elif axis is SweepAxis.AGENT_COUNT:
                 cell_game = generate_game(
                     int(value), game.d, game.alpha, game.beta, seed_base,
-                    lo=profile_lo, hi=profile_hi, pool=int(max(values)),
+                    *SWEEP_PROFILE_RANGE, pool=int(max(values)),
                 )
             elif axis is SweepAxis.DIMENSION:
                 cell_game = generate_game(
                     game.n, int(value), game.alpha, game.beta, seed_base,
-                    lo=profile_lo, hi=profile_hi,
+                    *SWEEP_PROFILE_RANGE,
                 )
             elif axis is SweepAxis.LAMBDA:
                 cell_oracle = replace(oracle, epsilon=float(value), critical_gap=None)
@@ -458,7 +456,6 @@ def sweep(
                 oracle=cell_oracle,
                 episodes=episodes,
                 seed_base=seed_base,
-                initial=initial,
                 max_rounds=max_rounds,
             )
             result = run_condition(
@@ -550,40 +547,38 @@ def builtin_condition_table() -> dict:
     return json.loads(text)
 
 
-def condition_from_spec(
-    spec: dict, *, episodes: int, seed_base: int, table: dict | None = None
-) -> Condition:
+def condition_from_spec(spec: dict, *, episodes: int, seed_base: int) -> Condition:
     """Build a Condition from a manifest entry, filling builtin defaults.
 
     A bare {"name": "staged"} pulls the packaged parameterization; explicit
-    oracle fields override it.
+    oracle fields override it.  The table's `defaults` fill the oracle keys
+    the condition leaves out; what neither gives takes the OracleSpec and
+    Condition field defaults.
     """
-    table = table if table is not None else builtin_condition_table()
-    defaults = table.get("defaults", {})
+    table = builtin_condition_table()
     name = spec["name"]
     base = dict(table.get("conditions", {}).get(name, {}))
     merged = {**base, **spec}
     sample_only = bool(merged.get("sample_only", False))
     oracle = None
     if not sample_only:
-        odata = dict(merged.get("oracle") or {})
-        if not odata:
+        if not merged.get("oracle"):
             raise ValueError(f"condition {name!r} needs an oracle or sample_only")
-        odata.setdefault("p_easy", defaults.get("p_easy", 0.98))
-        odata.setdefault("epsilon", defaults.get("epsilon", 0.15))
-        odata.setdefault("critical_gap", defaults.get("critical_gap"))
-        odata.setdefault("majority_k", defaults.get("majority_k", 1))
-        oracle = oracle_from_dict(odata)
-    initial = merged.get("initial", "random")
+        oracle = oracle_from_dict({**table.get("defaults", {}), **merged["oracle"]})
+    options: dict = {}
+    if "initial" in merged:
+        options["initial"] = InitialPartition(kind=merged["initial"])
+    if "rule" in merged:
+        options["rule"] = DeviationRule(merged["rule"])
+    if "max_rounds" in merged:
+        options["max_rounds"] = int(merged["max_rounds"])
     return Condition(
         name=name,
         oracle=oracle,
         episodes=int(merged.get("episodes", episodes)),
         seed_base=int(merged.get("seed_base", seed_base)),
-        initial=InitialPartition(kind=initial),
-        rule=DeviationRule(merged.get("rule", "first")),
-        max_rounds=int(merged.get("max_rounds", 30)),
         sample_only=sample_only,
+        **options,
     )
 
 
@@ -642,9 +637,8 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
                 )
             ),
             {
-                "episodes": int(spec.get("episodes", 200)),
                 "seed_base": int(spec.get("seed_base", manifest.seed)),
-                "max_rounds": int(spec.get("max_rounds", 30)),
+                **{key: int(spec[key]) for key in ("episodes", "max_rounds") if key in spec},
             },
         )
         for spec in manifest.sweeps

@@ -38,7 +38,7 @@ DEFAULT_BETA = 1.3
 
 
 class EnumerationBudgetError(ValueError):
-    """Raised when an exhaustive check would exceed its configured cap."""
+    """Raised when an exhaustive check would exceed its cap."""
 
 
 @dataclass(frozen=True)
@@ -267,16 +267,6 @@ def _as_mask(coalition: Coalition | int) -> int:
     return coalition.mask if isinstance(coalition, Coalition) else int(coalition)
 
 
-def _aggregate_mean(game: GameSpec, mask: int) -> float:
-    profiles = [game.agents[i].profile.values for i in range(game.n) if mask >> i & 1]
-    # added left to right like the value table; sum() compensates on
-    # Python >= 3.12 and would differ from it in the last bit
-    total = 0.0
-    for column in zip(*profiles):
-        total += max(column)
-    return total / game.d
-
-
 def coalition_value(game: GameSpec, coalition: Coalition | int) -> float:
     """Value of a coalition: aggregated capability minus coordination cost."""
     mask = _as_mask(coalition)
@@ -284,8 +274,7 @@ def coalition_value(game: GameSpec, coalition: Coalition | int) -> float:
         raise ValueError("empty coalition has no value")
     if mask >> game.n:
         raise ValueError("coalition contains agents outside the game")
-    k = mask.bit_count()
-    return _aggregate_mean(game, mask) - game.alpha * k**game.beta
+    return value_table(game)[mask]
 
 
 def per_capita_value(game: GameSpec, coalition: Coalition | int, agent: int) -> float:
@@ -293,14 +282,17 @@ def per_capita_value(game: GameSpec, coalition: Coalition | int, agent: int) -> 
     mask = _as_mask(coalition)
     if not mask >> agent & 1:
         raise ValueError(f"agent {agent} is not a member of the coalition")
-    return coalition_value(game, mask) / mask.bit_count()
+    if mask >> game.n:
+        raise ValueError("coalition contains agents outside the game")
+    return per_capita_table(game)[mask]
 
 
 def potential(game: GameSpec, partition: Partition) -> float:
     """Sum of coalition values over the partition."""
     if partition.n != game.n:
         raise ValueError("partition size does not match the game")
-    return sum(coalition_value(game, c) for c in partition.coalitions)
+    values = value_table(game)
+    return sum(values[c.mask] for c in partition.coalitions)
 
 
 # The value kernel works in blocks of 2**BLOCK_BITS masks (32 KB of float64).
@@ -329,14 +321,15 @@ def _subset_max(column: np.ndarray) -> np.ndarray:
 
 
 def _value_blocks(game: GameSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """coalition_value of every mask, as (first mask, values, sizes) blocks.
+    """The value of every mask, as (first mask, values, sizes) blocks.
 
     A subset DP takes each dimension's componentwise max over the low
     BLOCK_BITS agents and, separately, over the rest; the block for high
-    bits h combines h's maxima with every low maximum.  Entries equal
-    coalition_value bit for bit: max is exact in any order, the dimensions
-    are added left to right, and the size cost is the same Python
-    expression, looked up by member count.  Mask 0 holds nan and size 0.
+    bits h combines h's maxima with every low maximum.  Max is exact in any
+    order, the dimensions are added left to right and divided by d, and the
+    size cost `alpha * k**beta` is a Python float looked up by member
+    count, so an entry does not depend on the blocking.  Mask 0 holds nan
+    and size 0.
     """
     b = min(game.n, BLOCK_BITS)
     profiles = np.array([a.profile.values for a in game.agents])
@@ -368,8 +361,9 @@ def value_table(game: GameSpec) -> tuple[float, ...]:
     """Coalition values for every nonempty mask, indexed by mask.
 
     Index 0 holds nan (the empty coalition has no value).  Built in numpy by
-    a subset DP over bitmasks (see _value_blocks): O(2**n * d) array work,
-    entries equal to coalition_value exactly.  n <= MAX_AGENTS bounds it.
+    a subset DP over bitmasks (see _value_blocks): O(2**n * d) array work.
+    `coalition_value`, `per_capita_value` and `potential` index this table
+    and `per_capita_table`.  n <= MAX_AGENTS bounds it.
     """
     return _table((values for _, values, _ in _value_blocks(game)))
 
@@ -380,15 +374,7 @@ def per_capita_table(game: GameSpec) -> tuple[float, ...]:
     return _table((values / sizes for _, values, sizes in _value_blocks(game)))
 
 
-def count_coalitions(n: int, max_size: int) -> int:
-    return sum(math.comb(n, k) for k in range(1, min(max_size, n) + 1))
-
-
-def value_gap_delta(
-    game: GameSpec,
-    max_size: int = 4,
-    budget: int = 2_000_000,
-) -> float:
+def value_gap_delta(game: GameSpec, max_size: int = 4) -> float:
     """Minimum nonzero per-capita value separation seen by any single agent.
 
     Takes, for each agent, the per-capita values of every coalition of
@@ -403,11 +389,6 @@ def value_gap_delta(
     share an agent differ by one grid step in their summed capabilities; on
     six_mixed (g = 0.01, d = 3) delta is 1/1200 at every alpha.
     """
-    if count_coalitions(game.n, max_size) > budget:
-        raise EnumerationBudgetError(
-            f"value-gap enumeration over {count_coalitions(game.n, max_size)} "
-            f"coalitions exceeds the budget of {budget}"
-        )
     masks, per_capita = [], []
     for first, values, sizes in _value_blocks(game):
         kept = np.flatnonzero((sizes > 0) & (sizes <= max_size))
@@ -535,10 +516,12 @@ def iter_deviation_checks(
             yield agent, own, target, target | bit
 
 
-def check_potential_alignment(
-    game: GameSpec,
-    partition_cap: int = 150_000,
-) -> AlignmentReport:
+#: the most partitions check_potential_alignment exhausts: Bell(10) =
+#: 115,975 fit, Bell(11) = 678,570 do not
+ALIGNMENT_PARTITION_CAP = 150_000
+
+
+def check_potential_alignment(game: GameSpec) -> AlignmentReport:
     """Check that every strictly improving deviation strictly raises Phi.
 
     Exhausts all partitions; fails with the first witness where an agent's
@@ -546,10 +529,11 @@ def check_potential_alignment(
     (a zero change counts as a failure).  Self-comparisons are not counted
     as deviations.
     """
-    bell = _bell_number(game.n)
-    if bell > partition_cap:
+    bell = bell_number(game.n)
+    if bell > ALIGNMENT_PARTITION_CAP:
         raise EnumerationBudgetError(
-            f"alignment check over {bell} partitions exceeds the cap of {partition_cap}"
+            f"alignment check over {bell} partitions exceeds the cap of "
+            f"{ALIGNMENT_PARTITION_CAP}"
         )
     vals = value_table(game)
     pc = per_capita_table(game)
@@ -594,7 +578,8 @@ def check_potential_alignment(
 
 
 @lru_cache(maxsize=None)
-def _bell_number(n: int) -> int:
+def bell_number(n: int) -> int:
+    """Number of set partitions of n elements."""
     if n == 0:
         return 1
     row = [1]

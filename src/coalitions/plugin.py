@@ -115,31 +115,26 @@ def _member_list(members: Sequence[int]) -> str:
     return ", ".join(f"agent {i}" for i in members) if members else "(empty)"
 
 
-def _score_row(names: Sequence[str], scores: Sequence[float], decimals: int) -> str:
-    return ", ".join(
-        f"{_short(n)}: {s:.{decimals}f}" for n, s in zip(names, scores)
-    )
+def _score_row(names: Sequence[str], scores: Sequence[float]) -> str:
+    return ", ".join(f"{_short(n)}: {s:.2f}" for n, s in zip(names, scores))
 
 
 def render_prompt(
     protocol: str,
     game: GameSpec,
     query: PreferenceQuery,
-    task_dims: Sequence[str] | None = None,
-    decimals: int = 2,
 ) -> str:
     """Deterministic prompt text for one deviation query.
 
     The candidate block shows the coalition as it would look after the agent
     joins; a solo move renders the agent alone.  Scores print with two
-    decimals unless overridden.
+    decimals; the task asks for every skill dimension of the game.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown prompt protocol {protocol!r}")
     if query.agent >= game.n:
         raise ValueError("query agent is not part of the game")
     names = dimension_names(game.d)
-    dims = list(task_dims) if task_dims is not None else list(names)
     agent = query.agent
     profile = game.profile(agent)
     current = list(query.current.members)
@@ -147,20 +142,20 @@ def render_prompt(
 
     lines = [f"You are agent {agent} with capabilities:"]
     for name, score in zip(names, profile):
-        lines.append(f"- {_title(name)}: {score:.{decimals}f}")
+        lines.append(f"- {_title(name)}: {score:.2f}")
     lines.append("")
     lines.append("Evaluate whether to stay in your current coalition")
     lines.append("or switch to a different one.")
     lines.append("")
     lines.append(f"CURRENT COALITION: {_member_list(current)}")
     lines.append("Capabilities (max per dim):")
-    lines.append("  " + _score_row(names, _maxima(game, current), decimals))
+    lines.append("  " + _score_row(names, _maxima(game, current)))
     lines.append("")
     lines.append(f"CANDIDATE COALITION (if you join): {_member_list(candidate)}")
     lines.append("Capabilities (max per dim):")
-    lines.append("  " + _score_row(names, _maxima(game, candidate), decimals))
+    lines.append("  " + _score_row(names, _maxima(game, candidate)))
     lines.append("")
-    lines.append(f"TASK: Answer questions requiring [{', '.join(dims)}]")
+    lines.append(f"TASK: Answer questions requiring [{', '.join(names)}]")
     lines.append("")
 
     if protocol == "staged":

@@ -352,7 +352,6 @@ def measure_consistency(
     queries: Sequence[PreferenceQuery],
     repeats: int = 10,
     *,
-    stream: int = 0,
     external=None,
 ) -> ConsistencyReport:
     """Estimate self-agreement by re-asking each query `repeats` times.
@@ -360,7 +359,8 @@ def measure_consistency(
     The headline number is the pairwise agreement rate, the probability that
     two independent answers to the same query coincide, estimated without
     bias from all answer pairs.  The modal rate (share of answers matching
-    the most common one) is reported alongside.
+    the most common one) is reported alongside.  Repeat `rep` of query `qi`
+    is drawn at ctx ("consistency", 0, qi, rep).
     """
     if repeats < 2:
         raise ValueError("repeats must be >= 2")
@@ -371,7 +371,7 @@ def measure_consistency(
         counts: dict[Verdict, int] = {}
         for rep in range(repeats):
             v = answer(
-                oracle, game, q, ctx=("consistency", stream, qi, rep), external=external
+                oracle, game, q, ctx=("consistency", 0, qi, rep), external=external
             ).verdict
             counts[v] = counts.get(v, 0) + 1
         pairs = sum(c * (c - 1) for c in counts.values()) / (repeats * (repeats - 1))

@@ -17,7 +17,6 @@ checks, so building a whole plan per partition would cost more (see there).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +30,7 @@ from .game import (
     GameSpec,
     Partition,
     TIE_EPS,
-    _bell_number,
+    bell_number,
     iter_deviation_checks,
     iter_partition_blocks,
     mask_members,
@@ -104,11 +103,6 @@ class StabilityReport:
         }
 
 
-def bell_number(n: int) -> int:
-    """Number of set partitions of n elements."""
-    return _bell_number(n)
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of agents 0..n-1 exactly once."""
     if n > MAX_ENUM_AGENTS:
@@ -170,8 +164,6 @@ def verify_nash(
     partition: Partition,
     oracle: "OracleSpec | None" = None,
     *,
-    episode_id: int = 0,
-    round_index: int = 0,
     external=None,
 ) -> StabilityReport:
     """Certify Nash stability of a partition.
@@ -180,7 +172,8 @@ def verify_nash(
     comparison).  With an oracle, each comparison is answered behaviorally
     via majority voting, which is how a run is verified when preferences are
     noisy.  The full scan always completes so queries_used is exactly
-    n * |partition| either way.
+    n * |partition| either way.  The answer to the i-th check (from 1) is
+    drawn at ctx ("verify", 0, 0, i).
     """
     if partition.n != game.n:
         raise ValueError("partition size does not match the game")
@@ -204,7 +197,7 @@ def verify_nash(
                 oracle,
                 game,
                 q,
-                ctx=("verify", episode_id, round_index, queries),
+                ctx=("verify", 0, 0, queries),
                 external=external,
             ).verdict
             improves = verdict is Verdict.PREFER_CANDIDATE
@@ -252,22 +245,17 @@ def verify_core(
     game: GameSpec,
     partition: Partition,
     max_block_size: int | None = None,
-    budget: int = 2_000_000,
 ) -> StabilityReport:
     """Certify core stability by brute force over candidate blocking sets.
 
     A nonempty set T blocks when every member would earn strictly more in T
-    standing alone than in its current coalition.
+    standing alone than in its current coalition.  At most 2**n - 1 sets,
+    which n <= MAX_AGENTS bounds.
     """
     if partition.n != game.n:
         raise ValueError("partition size does not match the game")
     n = game.n
     max_block_size = n if max_block_size is None else min(max_block_size, n)
-    total = sum(math.comb(n, k) for k in range(1, max_block_size + 1))
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"core check over {total} subsets exceeds the budget of {budget}"
-        )
     pc = per_capita_table(game)
     current = [0.0] * n
     for c in partition.coalitions:

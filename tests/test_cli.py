@@ -1,13 +1,16 @@
 """CLI subcommands, exit codes, and file formats."""
 
+import contextlib
+import io
 import json
 import shlex
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coalitions.cli import main
+from coalitions.cli import _oracle_from_args, build_parser, main
 from coalitions.game import save_game
 from coalitions.preferences import (
     ChoiceRecord,
@@ -17,7 +20,14 @@ from coalitions.preferences import (
     derived_rng,
     write_choice_log,
 )
-from coalitions.dynamics import EpisodeConfig, InitialPartition, run_episode, write_episode_log
+from coalitions.dynamics import (
+    EpisodeConfig,
+    InitialPartition,
+    oracle_from_dict,
+    oracle_to_dict,
+    run_episode,
+    write_episode_log,
+)
 
 PERFECT = OracleSpec(kind=OracleKind.PERFECT)
 
@@ -511,6 +521,84 @@ def test_sweep_with_impossible_oracle_flags_exits_2(game_file, tmp_path, capsys)
     assert code == 2
     assert "error: logit oracles require epsilon > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_reports_failed_cells_and_exits_2(game_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", game_file, "--axis", "agents", "--values", "0,3", "--episodes", "2",
+        "--out", out,
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: sweep cell agents=0 [failed: ")
+    # the CSV is still written, the failed cell as a row of NaNs
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3 and rows[1].startswith("agents,0.0,0,nan,")
+    assert "cells: 2" in captured.out
+
+
+_SWEEP_ARGV = ("sweep", "game.json", "--axis", "alpha", "--values", "0.1")
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def oracle_flags(draw):
+    """(argv flags, the oracle_from_dict dict they describe): a subset of the
+    oracle flags, numbers drawn as ints or floats, the dict taking each number
+    as drawn so that a cast missing on either side shows."""
+    kind = draw(st.sampled_from([k.value for k in OracleKind]))
+    flags, data = ["--oracle", kind], {"kind": kind}
+    numbers = {
+        "seed": st.integers(0, 2**31),
+        "epsilon": st.one_of(st.integers(0, 2), st.floats(0.0, 1.0, **_finite)),
+        "p_critical": st.one_of(st.just(1), st.floats(0.3, 1.0, **_finite)),
+        "p_easy": st.one_of(st.just(1), st.floats(0.3, 1.0, **_finite)),
+        "critical_gap": st.floats(0.0, 1.0, **_finite),
+        "majority_k": st.integers(1, 5),
+    }
+    for key, values in numbers.items():
+        if draw(st.booleans()):
+            data[key] = draw(values)
+            flags += ["--" + key.replace("_", "-"), str(data[key])]
+    endpoint = {}
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(["plugin", "python3 -m plugin --mode 'a b'"]))
+        flags += ["--oracle-cmd", command]
+        endpoint["command"] = shlex.split(command)
+    if draw(st.booleans()):
+        endpoint["url"] = "http://127.0.0.1:1/oracle"
+        flags += ["--oracle-url", endpoint["url"]]
+    if draw(st.booleans()):
+        ms = draw(st.one_of(st.sampled_from([1000, 2500]), st.floats(1.0, 1e5, **_finite)))
+        flags += ["--oracle-timeout-ms", str(ms)]
+        endpoint["timeout_s"] = ms // 1000 if ms == 1000 else ms / 1000.0
+    if draw(st.booleans()):
+        endpoint["protocol"] = draw(st.sampled_from(["standard", "cot", "staged"]))
+        flags += ["--protocol", endpoint["protocol"]]
+    if kind == OracleKind.EXTERNAL.value:
+        data["external"] = endpoint
+    return flags, data
+
+
+@given(oracle_flags())
+@settings(max_examples=300, deadline=None)
+def test_oracle_flags_and_oracle_dicts_agree(drawn):
+    flags, data = drawn
+    args = build_parser().parse_args([*_SWEEP_ARGV, *flags])
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            from_flags = json.dumps(oracle_to_dict(_oracle_from_args(args)), sort_keys=True)
+        except SystemExit as exc:
+            assert exc.code == 2
+            from_flags = stderr.getvalue()
+    try:
+        from_dict = json.dumps(oracle_to_dict(oracle_from_dict(data)), sort_keys=True)
+    except ValueError as exc:
+        from_dict = f"error: {exc}\n"
+    assert from_flags == from_dict
 
 
 def test_verify_with_oracle_command_taking_flags(game_file, tmp_path, capsys):

@@ -233,7 +233,7 @@ def test_alpha_sweep_reports_delta_per_cell(six_mixed):
 def test_agent_count_sweep_rates_non_increasing(six_mixed):
     cells = sweep(
         six_mixed, SweepAxis.AGENT_COUNT, [4, 6, 8], noisy(0.86), episodes=120,
-        seed_base=2, profile_lo=0.55, profile_hi=0.85,
+        seed_base=2,
     )
     rates = [c.result.nash_rate for c in cells]
     se = 2 * math.sqrt(0.25 / 120)
@@ -472,6 +472,41 @@ def test_builtin_condition_table_round_trip():
     assert greedy.rule is DeviationRule.BEST_IMPROVING
     rand = condition_from_spec({"name": "random"}, episodes=50, seed_base=9)
     assert rand.sample_only
+
+
+# each builtin condition's oracle as oracle_to_dict JSON, pinned: the table's
+# defaults, the OracleSpec fields and the Condition fields together must keep
+# building exactly these
+_NOISE = (
+    '{"critical_gap": 0.3, "epsilon": 0.15, "kind": "consistency_noise", '
+    '"majority_k": %d, "p_critical": %s, "p_easy": 0.98, "seed": 0}'
+)
+BUILTIN_CONDITION_ORACLES = {
+    "random": None,
+    "greedy": (
+        '{"critical_gap": 0.3, "epsilon": 0.15, "kind": "perfect", '
+        '"majority_k": 1, "p_critical": 0.86, "p_easy": 0.98, "seed": 0}'
+    ),
+    "standard": _NOISE % (1, "0.64"),
+    "cot": _NOISE % (1, "0.74"),
+    "self_consistency": _NOISE % (3, "0.79"),
+    "staged": _NOISE % (1, "0.86"),
+}
+
+
+def test_builtin_conditions_build_the_recorded_oracles():
+    from coalitions.dynamics import DeviationRule, oracle_to_dict
+
+    assert set(BUILTIN_CONDITION_ORACLES) == set(builtin_condition_table()["conditions"])
+    for name, expected in BUILTIN_CONDITION_ORACLES.items():
+        condition = condition_from_spec({"name": name}, episodes=400, seed_base=0)
+        oracle = condition.oracle
+        got = None if oracle is None else json.dumps(oracle_to_dict(oracle), sort_keys=True)
+        assert got == expected, name
+        rule = DeviationRule.BEST_IMPROVING if name == "greedy" else DeviationRule.FIRST_IMPROVING
+        assert (condition.initial, condition.rule, condition.max_rounds) == (
+            InitialPartition(kind="random"), rule, 30,
+        )
 
 
 @pytest.mark.parametrize(

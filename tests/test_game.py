@@ -24,6 +24,7 @@ from coalitions.game import (
     game_from_dict,
     game_to_dict,
     iter_partition_blocks,
+    mask_members,
     per_capita_table,
     per_capita_value,
     potential,
@@ -109,7 +110,7 @@ def test_value_decreases_in_alpha_and_beta(profiles, params):
 
 
 # ---------------------------------------------------------------------------
-# value tables: the subset-DP kernel against per-mask coalition_value
+# value tables: the subset-DP kernel against per-mask brute_value
 
 unit_scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1, allow_nan=False))
 
@@ -129,10 +130,11 @@ def random_games(draw):
 @settings(max_examples=60, deadline=None)
 def test_value_kernel_matches_per_mask_values(game):
     masks = range(1, 1 << game.n)
-    direct = [coalition_value(game, m) for m in masks]
+    direct = [brute_value(game, list(mask_members(m))) for m in masks]
     values, per_capita = value_table(game), per_capita_table(game)
     assert math.isnan(values[0]) and math.isnan(per_capita[0])
     assert list(values[1:]) == direct
+    assert [coalition_value(game, m) for m in masks] == direct
     assert list(per_capita[1:]) == [v / m.bit_count() for m, v in zip(masks, direct)]
     for k in range(1, game.n + 1):
         sized = [v for m, v in zip(masks, direct) if m.bit_count() <= k]
@@ -198,14 +200,6 @@ def test_delta_ignores_duplicate_values():
 def test_delta_single_agent_is_infinite():
     game = GameSpec.from_profiles([[0.4]])
     assert math.isinf(value_gap_delta(game))
-
-
-def test_delta_budget_error():
-    from coalitions.game import EnumerationBudgetError
-
-    game = GameSpec.from_profiles([[0.5]] * 20)
-    with pytest.raises(EnumerationBudgetError):
-        value_gap_delta(game, max_size=12, budget=1000)
 
 
 # ---------------------------------------------------------------------------
