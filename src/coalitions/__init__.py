@@ -25,7 +25,6 @@ from .game import (
 from .preferences import (
     OracleKind,
     OracleSpec,
-    PreferenceAnswer,
     PreferenceQuery,
     Verdict,
     answer,

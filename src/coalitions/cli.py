@@ -209,28 +209,34 @@ def cmd_verify(args) -> int:
     game = _load_game_or_exit(args.game)
     partition = _load_partition_or_exit(args.partition, game.n)
     concept = StabilityConcept(args.concept)
-    if concept is StabilityConcept.NASH:
-        if args.oracle != "perfect" or args.oracle_cmd or args.oracle_url:
-            oracle = _oracle_from_args(args)
-            if oracle.kind is OracleKind.EXTERNAL:
-                from .plugin import OracleTransportError, open_sessions
-
-                try:
-                    with open_sessions([oracle]) as sessions:
-                        report = verify_nash(
-                            game, partition, oracle, external=sessions[oracle.external]
-                        )
-                except OracleTransportError as exc:
-                    print(f"error: oracle plugin failed: {exc}", file=sys.stderr)
-                    return EXIT_USAGE
-            else:
-                report = verify_nash(game, partition, oracle)
-        else:
-            report = verify_nash(game, partition)
-    elif concept is StabilityConcept.INDIVIDUAL:
+    oracle = _oracle_from_args(args)
+    behavioral = args.oracle != "perfect" or args.oracle_cmd or args.oracle_url
+    if behavioral and concept is not StabilityConcept.NASH:
+        print(
+            f"error: --concept {concept.value} is checked against the game's values; "
+            "only --concept nash takes an oracle",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    if concept is StabilityConcept.INDIVIDUAL:
         report = verify_individual(game, partition)
-    else:
+    elif concept is StabilityConcept.CORE:
         report = verify_core(game, partition, max_block_size=args.max_block_size)
+    elif not behavioral:
+        report = verify_nash(game, partition)
+    elif oracle.kind is OracleKind.EXTERNAL:
+        from .plugin import OracleTransportError, open_sessions
+
+        try:
+            with open_sessions([oracle]) as sessions:
+                report = verify_nash(
+                    game, partition, oracle, external=sessions[oracle.external]
+                )
+        except OracleTransportError as exc:
+            print(f"error: oracle plugin failed: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    else:
+        report = verify_nash(game, partition, oracle)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK if report.stable else EXIT_DOMAIN
 

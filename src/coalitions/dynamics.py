@@ -147,14 +147,6 @@ class DeviationEvent(NamedTuple):
     from_mask: int  # the agent's block before the move
     to_mask: int  # the agent's block after the move (its singleton when solo)
 
-    @property
-    def from_members(self) -> tuple[int, ...]:
-        return mask_members(self.from_mask)
-
-    @property
-    def to_members(self) -> tuple[int, ...]:
-        return mask_members(self.to_mask)
-
 
 class RoundRecord(NamedTuple):
     index: int
@@ -164,11 +156,6 @@ class RoundRecord(NamedTuple):
     phi_before: float
     phi_after: float
     queries: tuple[QueryRecord, ...] = ()
-
-    @property
-    def partition_before(self) -> tuple[tuple[int, ...], ...]:
-        """Member tuples of the blocks at the start of the round."""
-        return tuple(map(mask_members, self.masks_before))
 
 
 @dataclass(frozen=True)
@@ -475,7 +462,7 @@ def _external_decider(oracle: OracleSpec, config: EpisodeConfig, agent: int, ext
             oracle, config.game, q,
             ctx=(config.episode_id, round_index, ordinal),
             external=external[oracle.external],
-        ).verdict
+        )
 
     return decide_external
 
@@ -804,14 +791,45 @@ class ReplayReport:
 
 
 def replay_lines(recorded: Sequence[str]) -> ReplayReport:
-    """Re-run the episode embedded in a recorded log and diff every line."""
-    recorded = [ln.strip() for ln in recorded if ln.strip()]
-    if not recorded:
+    """Re-run the episodes embedded in recorded log lines and diff every line.
+
+    A condition log with several episodes is split at its header records
+    and each episode is replayed in turn.  Only lines that can be headers
+    are parsed: a header holds the JSON string "header", written as such or
+    with a \\u escape in it.
+    """
+    lines = [s for s in (ln.strip() for ln in recorded) if s]
+    if not lines:
         raise ValueError("empty episode log")
-    header = json.loads(recorded[0])
-    if header.get("type") != "header":
+    starts = []
+    headers = []
+    for i, ln in enumerate(lines):
+        if '"header"' in ln or "\\u" in ln:
+            record = json.loads(ln)
+            if isinstance(record, dict) and record.get("type") == "header":
+                starts.append(i)
+                headers.append(record)
+    if not starts:
+        raise ValueError("episode log contains no header record")
+    if starts[0] != 0:
         raise ValueError("episode log must start with a header record")
-    return _replay_episode(header, recorded)
+    starts.append(len(lines))
+    checked = 0
+    warning = None
+    for header, a, b in zip(headers, starts, starts[1:]):
+        report = _replay_episode(header, lines[a:b])
+        warning = warning or report.version_warning
+        if not report.identical:
+            return ReplayReport(
+                identical=False,
+                lines_checked=checked + report.lines_checked,
+                first_divergence=a + (report.first_divergence or 0),
+                recorded_line=report.recorded_line,
+                replayed_line=report.replayed_line,
+                version_warning=warning,
+            )
+        checked += report.lines_checked
+    return ReplayReport(identical=True, lines_checked=checked, version_warning=warning)
 
 
 def _replay_episode(header: dict, recorded: list[str]) -> ReplayReport:
@@ -851,42 +869,6 @@ def _replay_episode(header: dict, recorded: list[str]) -> ReplayReport:
 
 
 def replay_file(path: str | Path) -> ReplayReport:
-    """Replay a log file; condition files with several episodes are split
-    at header records and each episode is replayed in turn.
-
-    Only lines that can be headers are parsed: a header holds the JSON
-    string "header", written as such or with a \\u escape in it.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [s for s in (ln.strip() for ln in text.splitlines()) if s]
-    if not lines:
-        raise ValueError("empty episode log")
-    starts = []
-    headers = []
-    for i, ln in enumerate(lines):
-        if '"header"' in ln or "\\u" in ln:
-            record = json.loads(ln)
-            if isinstance(record, dict) and record.get("type") == "header":
-                starts.append(i)
-                headers.append(record)
-    if not starts:
-        raise ValueError("episode log contains no header record")
-    if starts[0] != 0:
-        raise ValueError("episode log must start with a header record")
-    starts.append(len(lines))
-    checked = 0
-    warning = None
-    for header, a, b in zip(headers, starts, starts[1:]):
-        report = _replay_episode(header, lines[a:b])
-        warning = warning or report.version_warning
-        if not report.identical:
-            return ReplayReport(
-                identical=False,
-                lines_checked=checked + report.lines_checked,
-                first_divergence=a + (report.first_divergence or 0),
-                recorded_line=report.recorded_line,
-                replayed_line=report.replayed_line,
-                version_warning=warning,
-            )
-        checked += report.lines_checked
-    return ReplayReport(identical=True, lines_checked=checked, version_warning=warning)
+    """Replay a log file, one episode or a whole condition's, as
+    `replay_lines` replays its lines."""
+    return replay_lines(Path(path).read_text(encoding="utf-8").splitlines())

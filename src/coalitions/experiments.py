@@ -35,6 +35,7 @@ from .game import (
     value_gap_delta,
 )
 from .preferences import (
+    CI_LEVEL,
     OracleKind,
     OracleSpec,
     PreferenceQuery,
@@ -48,9 +49,9 @@ from .dynamics import (
     EpisodeLog,
     EpisodeOutcome,
     InitialPartition,
-    episode_log_lines,
     oracle_from_dict,
     run_episode,
+    write_episode_log,
 )
 
 RESULT_COLUMNS = (
@@ -182,7 +183,6 @@ def run_condition(
     *,
     jobs: int = 1,
     keep_logs: bool = True,
-    bootstrap_iterations: int = 10_000,
 ) -> ConditionResult:
     """Run every episode of a condition and aggregate the outcomes.
 
@@ -191,11 +191,13 @@ def run_condition(
     stable episodes only.  The welfare proxy is the terminal potential
     divided by the agent count.  The consistency figure is
     `measure_consistency`'s agreement over CONSISTENCY_QUERIES sampled
-    queries.  The CI is the bootstrap of the stable flags seeded by seed_base;
-    `bootstrap_iterations=0` draws none and leaves both bounds NaN, for a
-    caller that bootstraps `stable_flags` of several results in one batch.
+    queries.  Both CI bounds are left NaN: `bootstrap_ci` over the
+    `stable_flags` of several results fills them in one batch.
     """
     n = game.n
+    logs: list[EpisodeLog] = []
+    conv_mean = conv_sd = consistency = None
+    n_errors = 0
     if condition.sample_only:
         stable_flags = []
         welfare = []
@@ -207,89 +209,63 @@ def run_condition(
                 1.0 if is_nash_stable_masks(game, partition.masks) else 0.0
             )
             welfare.append(potential(game, partition) / n)
-        rate = sum(stable_flags) / len(stable_flags)
-        lo, hi = _interval(stable_flags, bootstrap_iterations, condition.seed_base)
-        w_mean, w_sd = _mean_sd(welfare)
-        return ConditionResult(
-            name=condition.name,
-            n_episodes=condition.episodes,
-            nash_rate=rate,
-            ci_low=lo,
-            ci_high=hi,
-            conv_mean=None,
-            conv_sd=None,
-            welfare_mean=w_mean,
-            welfare_sd=w_sd,
-            consistency=None,
-            ground_truth_rate=rate,
-            n_errors=0,
-            stable_flags=tuple(stable_flags),
-        )
-
-    oracle = condition.effective_oracle()
-    assert oracle is not None
-    configs = [
-        EpisodeConfig(
-            game=game,
-            oracles=(oracle,) * n,
-            initial=condition.initial,
-            max_rounds=condition.max_rounds,
-            rule=condition.rule,
-            seed=condition.seed_base + idx,
-            episode_id=idx,
-            record_queries=False,
-        )
-        for idx in range(condition.episodes)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            logs = list(pool.map(run_episode, configs, chunksize=16))
+        gt_rate = sum(stable_flags) / len(stable_flags)
     else:
-        logs = [run_episode(c) for c in configs]
+        oracle = condition.effective_oracle()
+        assert oracle is not None
+        configs = [
+            EpisodeConfig(
+                game=game,
+                oracles=(oracle,) * n,
+                initial=condition.initial,
+                max_rounds=condition.max_rounds,
+                rule=condition.rule,
+                seed=condition.seed_base + idx,
+                episode_id=idx,
+                record_queries=False,
+            )
+            for idx in range(condition.episodes)
+        ]
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                logs = list(pool.map(run_episode, configs, chunksize=16))
+        else:
+            logs = [run_episode(c) for c in configs]
 
-    stable_flags = [
-        1.0 if log.outcome is EpisodeOutcome.NASH_STABLE else 0.0 for log in logs
-    ]
-    rate = sum(stable_flags) / len(stable_flags)
-    lo, hi = _interval(stable_flags, bootstrap_iterations, condition.seed_base)
-    conv_rounds = [
-        float(log.round_count)
-        for log in logs
-        if log.outcome is EpisodeOutcome.NASH_STABLE
-    ]
-    conv_mean, conv_sd = _mean_sd(conv_rounds) if conv_rounds else (None, None)
-    welfare = [log.summary.phi_terminal / n for log in logs]
+        stable_flags = [
+            1.0 if log.outcome is EpisodeOutcome.NASH_STABLE else 0.0 for log in logs
+        ]
+        conv_rounds = [
+            float(log.round_count)
+            for log in logs
+            if log.outcome is EpisodeOutcome.NASH_STABLE
+        ]
+        if conv_rounds:
+            conv_mean, conv_sd = _mean_sd(conv_rounds)
+        welfare = [log.summary.phi_terminal / n for log in logs]
+        if oracle.kind is not OracleKind.EXTERNAL:
+            queries = sample_queries(game, CONSISTENCY_QUERIES, condition.seed_base)
+            if queries:
+                consistency = measure_consistency(oracle, game, queries)
+        gt_rate = sum(log.summary.ground_truth_stable for log in logs) / len(logs)
+        n_errors = sum(log.outcome is EpisodeOutcome.ERROR for log in logs)
     w_mean, w_sd = _mean_sd(welfare)
-    consistency = None
-    if oracle.kind is not OracleKind.EXTERNAL:
-        queries = sample_queries(game, CONSISTENCY_QUERIES, condition.seed_base)
-        if queries:
-            consistency = measure_consistency(oracle, game, queries).agreement
-    gt_rate = sum(log.summary.ground_truth_stable for log in logs) / len(logs)
     return ConditionResult(
         name=condition.name,
         n_episodes=condition.episodes,
-        nash_rate=rate,
-        ci_low=lo,
-        ci_high=hi,
+        nash_rate=sum(stable_flags) / len(stable_flags),
+        ci_low=math.nan,
+        ci_high=math.nan,
         conv_mean=conv_mean,
         conv_sd=conv_sd,
         welfare_mean=w_mean,
         welfare_sd=w_sd,
         consistency=consistency,
         ground_truth_rate=gt_rate,
-        n_errors=sum(log.outcome is EpisodeOutcome.ERROR for log in logs),
+        n_errors=n_errors,
         logs=tuple(logs) if keep_logs else (),
         stable_flags=tuple(stable_flags),
     )
-
-
-def _interval(flags: Sequence[float], iterations: int, seed: int) -> tuple[float, float]:
-    """The bootstrap CI of one result's stable flags; NaN bounds for 0
-    iterations."""
-    if not iterations:
-        return math.nan, math.nan
-    return bootstrap_ci([flags], iterations=iterations, seed=seed)[0]
 
 
 def _with_intervals(
@@ -310,15 +286,15 @@ _BOOTSTRAP_CHUNK = 1 << 18
 def bootstrap_ci(
     sample_sets: Sequence[Sequence[float]],
     iterations: int = 10_000,
-    level: float = 0.95,
     seed: int | Sequence[int] = 0,
 ) -> list[tuple[float, float]]:
-    """Seeded percentile bootstrap CIs for the means of several sample sets.
+    """Seeded CI_LEVEL percentile bootstrap CIs for the means of several
+    sample sets.
 
     Returns one `(lo, hi)` per set, in order.  `seed` is either one seed for
     every set or a sequence with one seed per set.  A set's resamples are
     drawn from a numpy generator seeded by `bootstrap:<seed>`, so its
-    interval depends only on its samples, seed, `iterations` and `level`:
+    interval depends only on its samples, seed and `iterations`:
     it is the same whether the set comes alone or in a batch.  Sets that
     share `(seed, len(samples))` share that index stream, which is drawn
     once per call and gathered by each of them, chunk by chunk.
@@ -332,7 +308,7 @@ def bootstrap_ci(
         if len(samples) < 1:
             raise ValueError("need at least one sample")
         streams.setdefault((seeds[i], len(samples)), []).append(i)
-    alpha = 1 - level
+    alpha = 1 - CI_LEVEL
     out: list[tuple[float, float]] = [(math.nan, math.nan)] * count
     for (s, n), members in streams.items():
         arrs = [np.asarray(sample_sets[i], dtype=float) for i in members]
@@ -458,9 +434,7 @@ def sweep(
                 seed_base=seed_base,
                 max_rounds=max_rounds,
             )
-            result = run_condition(
-                condition, cell_game, jobs=jobs, keep_logs=False, bootstrap_iterations=0
-            )
+            result = run_condition(condition, cell_game, jobs=jobs, keep_logs=False)
             delta = value_gap_delta(cell_game, max_size=min(cell_game.n, 4))
         except Exception as exc:  # record the failure, keep sweeping
             result = ConditionResult(
@@ -671,13 +645,11 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
     results = []
     seeds = []
     for condition in conditions:
-        result = run_condition(
-            condition, game, jobs=jobs, keep_logs=True, bootstrap_iterations=0
-        )
+        result = run_condition(condition, game, jobs=jobs, keep_logs=True)
         log_path = out / f"episodes_{condition.name}.jsonl"
         with atomic_write(log_path) as fh:
             for log in result.logs:
-                fh.write("\n".join(episode_log_lines(log)) + "\n")
+                write_episode_log(log, fh)
         # only the rows are read from here on; the logs are on disk
         results.append(replace(result, logs=()))
         seeds.append(condition.seed_base)

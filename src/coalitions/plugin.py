@@ -13,7 +13,9 @@ Wire format, one JSON object per line, UTF-8:
     answer: {"query_id": str, "verdict": "CURRENT"|"CANDIDATE"|"INDIFFERENT",
              "confidence": "low"|"medium"|"high", "raw": str}
 
-`verdict` may be omitted if `raw` carries a parseable declaration.
+`verdict` may be omitted if `raw` carries a parseable declaration.  The
+engine reads only `verdict` and `raw`; a `verdict` that is present must be
+a string.  The prompt still asks for a confidence, and plugins may send one.
 
 A stdio plugin has one query in flight at a time.  The endpoint reads the
 child's stdout itself, with no reader thread: after writing a query it polls
@@ -44,11 +46,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .game import GameSpec
 from .preferences import (
-    Confidence,
     ExternalEndpointSpec,
     OracleParseFailure,
     OracleSpec,
-    PreferenceAnswer,
     PreferenceQuery,
     Verdict,
 )
@@ -195,7 +195,6 @@ def render_prompt(
 _DECL_RE = re.compile(
     r"i\s*prefer\s*:?\s*\[?\s*(current|candidate|indifferent)\b", re.IGNORECASE
 )
-_CONF_RE = re.compile(r"confidence\s*:?\s*\[?\s*(low|medium|high)\b", re.IGNORECASE)
 
 _VERDICTS = {
     "current": Verdict.PREFER_CURRENT,
@@ -204,13 +203,12 @@ _VERDICTS = {
 }
 
 
-def parse_declaration(raw: str) -> PreferenceAnswer:
+def parse_declaration(raw: str) -> Verdict:
     """Extract the final preference declaration from a completion.
 
     Scans for the last "I prefer: X" occurrence, skipping the literal option
-    menu (where the captured word is followed by a slash), and reads an
-    optional confidence declared after it.  Raises OracleParseFailure when
-    no declaration is found.
+    menu (where the captured word is followed by a slash).  Raises
+    OracleParseFailure when no declaration is found.
     """
     last = None
     for m in _DECL_RE.finditer(raw):
@@ -220,18 +218,7 @@ def parse_declaration(raw: str) -> PreferenceAnswer:
         last = m
     if last is None:
         raise OracleParseFailure("no preference declaration found")
-    verdict = _VERDICTS[last.group(1).lower()]
-    confidence = None
-    conf = None
-    for cm in _CONF_RE.finditer(raw, last.end()):
-        tail = raw[cm.end() : cm.end() + 8].lstrip()
-        if tail.startswith("/"):
-            continue
-        conf = cm
-        break
-    if conf is not None:
-        confidence = Confidence(conf.group(1).lower())
-    return PreferenceAnswer(verdict=verdict, confidence=confidence)
+    return _VERDICTS[last.group(1).lower()]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +251,6 @@ class OracleWireQuery:
 class OracleWireAnswer:
     query_id: str
     verdict: str | None
-    confidence: str | None
     raw: str
 
     @classmethod
@@ -275,10 +261,12 @@ class OracleWireAnswer:
             raise OracleWireError(f"malformed answer line: {exc}") from exc
         if not isinstance(data, dict) or "query_id" not in data:
             raise OracleWireError("answer must be an object with a query_id")
+        verdict = data.get("verdict")
+        if verdict is not None and not isinstance(verdict, str):
+            raise OracleWireError(f"answer verdict must be a string, got {verdict!r}")
         return cls(
             query_id=str(data["query_id"]),
-            verdict=data.get("verdict"),
-            confidence=data.get("confidence"),
+            verdict=verdict,
             raw=str(data.get("raw", "")),
         )
 
@@ -559,22 +547,15 @@ class ExternalSession:
         q: PreferenceQuery,
         ctx: Sequence[int | str] = (),
         rep: int = 0,
-    ) -> PreferenceAnswer:
+    ) -> Verdict:
         query_id = "q-" + "-".join(map(str, ctx)) + f"-{rep}-{self.queries_sent}"
         line = self._wire_line(game, q, query_id)
         self.queries_sent += 1
         answer = self._endpoint.exchange(WireLine(query_id, line), self.spec.timeout_s)
         if answer.verdict:
-            key = answer.verdict.strip().lower()
-            if key in _VERDICTS:
-                confidence = None
-                if answer.confidence and answer.confidence.lower() in (
-                    "low",
-                    "medium",
-                    "high",
-                ):
-                    confidence = Confidence(answer.confidence.lower())
-                return PreferenceAnswer(verdict=_VERDICTS[key], confidence=confidence)
+            verdict = _VERDICTS.get(answer.verdict.strip().lower())
+            if verdict is not None:
+                return verdict
         return parse_declaration(answer.raw)
 
     def close(self) -> None:

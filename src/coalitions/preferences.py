@@ -39,12 +39,6 @@ class Verdict(Enum):
     INDIFFERENT = "indifferent"
 
 
-class Confidence(Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-
-
 class OracleKind(Enum):
     PERFECT = "perfect"
     LOGIT = "logit"
@@ -129,12 +123,6 @@ class PreferenceQuery:
             raise ValueError("agent must belong to the current coalition")
         if self.agent in self.candidate:
             raise ValueError("candidate coalition must not contain the agent")
-
-
-@dataclass(frozen=True)
-class PreferenceAnswer:
-    verdict: Verdict
-    confidence: Confidence | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +262,7 @@ def answer(
     ctx: Sequence[int | str] = (),
     rep: int = 0,
     external=None,
-) -> PreferenceAnswer:
+) -> Verdict:
     """Answer one preference query.
 
     `ctx` are the stream coordinates (for episodes: id, round, ordinal) that
@@ -289,7 +277,7 @@ def answer(
                 "none was provided"
             )
         return external.ask(game, q, ctx=ctx, rep=rep)
-    return PreferenceAnswer(decide(oracle, query_delta(game, q), ctx, rep))
+    return decide(oracle, query_delta(game, q), ctx, rep)
 
 
 _VERDICTS = tuple(Verdict)
@@ -311,7 +299,7 @@ def answer_majority(
     q: PreferenceQuery,
     ctx: Sequence[int | str] = (),
     external=None,
-) -> PreferenceAnswer:
+) -> Verdict:
     """Repeat the query majority_k times and return the modal verdict.
 
     Repeats draw from independent sub-streams.  Parse failures from external
@@ -321,79 +309,47 @@ def answer_majority(
     verdicts = []
     for rep in range(oracle.majority_k):
         try:
-            verdicts.append(answer(oracle, game, q, ctx=ctx, rep=rep, external=external).verdict)
+            verdicts.append(answer(oracle, game, q, ctx=ctx, rep=rep, external=external))
         except OracleParseFailure:
             continue
-    return PreferenceAnswer(majority_verdict(verdicts))
+    return majority_verdict(verdicts)
 
 
 # ---------------------------------------------------------------------------
 # consistency measurement
-
-@dataclass(frozen=True)
-class QueryConsistency:
-    query_index: int
-    agreement: float       # probability two independent answers coincide
-    modal_rate: float      # share of answers equal to the modal answer
-    modal_verdict: Verdict
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    per_query: tuple[QueryConsistency, ...]
-    agreement: float
-    modal_rate: float
-    repeats: int
-
 
 def measure_consistency(
     oracle: OracleSpec,
     game: GameSpec,
     queries: Sequence[PreferenceQuery],
     repeats: int = 10,
-    *,
-    external=None,
-) -> ConsistencyReport:
+) -> float:
     """Estimate self-agreement by re-asking each query `repeats` times.
 
-    The headline number is the pairwise agreement rate, the probability that
-    two independent answers to the same query coincide, estimated without
-    bias from all answer pairs.  The modal rate (share of answers matching
-    the most common one) is reported alongside.  Repeat `rep` of query `qi`
-    is drawn at ctx ("consistency", 0, qi, rep).
+    Returns the pairwise agreement rate averaged over the queries: the
+    probability that two independent answers to the same query coincide,
+    estimated without bias from all answer pairs.  Repeat `rep` of query
+    `qi` is drawn at ctx ("consistency", 0, qi, rep).
     """
     if repeats < 2:
         raise ValueError("repeats must be >= 2")
     if not queries:
         raise ValueError("measure_consistency needs at least one query")
-    rows = []
+    total = 0.0
     for qi, q in enumerate(queries):
         counts: dict[Verdict, int] = {}
         for rep in range(repeats):
-            v = answer(
-                oracle, game, q, ctx=("consistency", 0, qi, rep), external=external
-            ).verdict
+            v = answer(oracle, game, q, ctx=("consistency", 0, qi, rep))
             counts[v] = counts.get(v, 0) + 1
-        pairs = sum(c * (c - 1) for c in counts.values()) / (repeats * (repeats - 1))
-        modal = max(counts, key=lambda v: counts[v])
-        rows.append(
-            QueryConsistency(
-                query_index=qi,
-                agreement=pairs,
-                modal_rate=counts[modal] / repeats,
-                modal_verdict=modal,
-            )
-        )
-    return ConsistencyReport(
-        per_query=tuple(rows),
-        agreement=sum(r.agreement for r in rows) / len(rows),
-        modal_rate=sum(r.modal_rate for r in rows) / len(rows),
-        repeats=repeats,
-    )
+        total += sum(c * (c - 1) for c in counts.values()) / (repeats * (repeats - 1))
+    return total / len(queries)
 
 
 # ---------------------------------------------------------------------------
 # epsilon estimation from choice logs
+
+#: Coverage of every bootstrap confidence interval the engine reports.
+CI_LEVEL = 0.95
 
 #: Irrational-choice rate of a logit chooser at a gap exactly equal to its
 #: rationality bound; the threshold the gap estimator inverts.
@@ -455,7 +411,6 @@ def estimate_epsilon(
     min_per_bin: int = 30,
     bootstrap_iterations: int = 500,
     seed: int = 0,
-    level: float = 0.95,
 ) -> EpsilonEstimate:
     """Estimate the rationality bound from logged (gap, verdict) choices.
 
@@ -463,7 +418,8 @@ def estimate_epsilon(
     bin (the verdict contradicting the sign of the gap), and reads off the
     gap at which that rate falls through 1/(1+e), the rate a logit chooser
     shows when the gap equals its bound.  The crossing is interpolated
-    between bin centers; a percentile bootstrap over log rows gives the CI.
+    between bin centers; a percentile bootstrap over log rows gives the
+    CI_LEVEL CI.
     Returns found=False when the rate never drops below the threshold, as
     with uniformly random verdicts.
 
@@ -521,8 +477,8 @@ def estimate_epsilon(
     ci_low = ci_high = None
     if len(resampled) >= max(20, bootstrap_iterations // 2):
         resampled.sort()
-        lo_idx = int((1 - level) / 2 * len(resampled))
-        hi_idx = min(len(resampled) - 1, int((1 + level) / 2 * len(resampled)))
+        lo_idx = int((1 - CI_LEVEL) / 2 * len(resampled))
+        hi_idx = min(len(resampled) - 1, int((1 + CI_LEVEL) / 2 * len(resampled)))
         ci_low, ci_high = resampled[lo_idx], resampled[hi_idx]
     return EpsilonEstimate(
         estimate=estimate,

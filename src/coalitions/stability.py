@@ -199,7 +199,7 @@ def verify_nash(
                 q,
                 ctx=("verify", 0, 0, queries),
                 external=external,
-            ).verdict
+            )
             improves = verdict is Verdict.PREFER_CANDIDATE
         if improves and witness is None:
             witness = _witness(pc, agent, own, target, joined)

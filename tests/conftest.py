@@ -1,4 +1,6 @@
+import json
 import signal
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -58,3 +60,21 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return within
+
+
+@pytest.fixture
+def answering_plugin():
+    """`answering_plugin(**fields)` is the command line of a stdio plugin
+    that answers every query with `{"query_id": <its id>, **fields}`."""
+
+    def command(**fields) -> tuple[str, ...]:
+        source = (
+            "import json, sys\n"
+            f"fields = json.loads({json.dumps(json.dumps(fields))})\n"
+            "for line in sys.stdin:\n"
+            "    answer = {'query_id': json.loads(line)['query_id'], **fields}\n"
+            "    print(json.dumps(answer), flush=True)\n"
+        )
+        return (sys.executable, "-c", source)
+
+    return command

@@ -613,6 +613,48 @@ def test_verify_with_oracle_command_taking_flags(game_file, tmp_path, capsys):
     assert report["mode"] == "behavioral" and report["stable"] is True
 
 
+def test_verify_with_a_non_string_plugin_verdict_exits_2(
+    game_file, tmp_path, capsys, answering_plugin
+):
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    code = run_cli(
+        "verify", game_file, "--partition", part, "--oracle", "external",
+        "--oracle-cmd", shlex.join(answering_plugin(verdict=5, raw="")),
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: oracle plugin failed" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("concept", ["core", "individual"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--oracle", "consistency_noise"),
+        ("--oracle", "logit", "--epsilon", "0.1"),
+        ("--oracle", "external", "--oracle-cmd", "no-such-plugin"),
+    ],
+)
+def test_verify_value_concepts_refuse_an_oracle(concept, flags, game_file, tmp_path, capsys):
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    assert run_cli("verify", game_file, "--partition", part, "--concept", concept, *flags) == 2
+    captured = capsys.readouterr()
+    assert f"error: --concept {concept}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("concept", ["core", "individual"])
+def test_verify_value_concepts_parse_the_oracle_flags(concept, game_file, tmp_path, capsys):
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    code = run_cli(
+        "verify", game_file, "--partition", part, "--concept", concept,
+        "--oracle", "logit", "--epsilon", "0",
+    )
+    assert code == 2
+    assert "error: logit oracles require epsilon > 0" in capsys.readouterr().err
+
+
 def test_replay_multi_episode_condition_file(tmp_path, game_file):
     manifest = tmp_path / "m.json"
     manifest.write_text(

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 
 from brute_force import brute_episode, brute_header_line, brute_partitions, brute_round_dict
 
-from coalitions.game import TIE_EPS, Coalition, GameSpec, Partition, check_potential_alignment
+from coalitions.game import (
+    TIE_EPS, Coalition, GameSpec, Partition, check_potential_alignment, mask_members,
+)
 from coalitions.preferences import ExternalEndpointSpec, OracleKind, OracleSpec, Verdict
 from coalitions.stability import verify_nash
 from coalitions.dynamics import (
@@ -49,9 +51,9 @@ def test_counterexample_cycles_to_timeout(dominated_pair):
     assert log.outcome is EpisodeOutcome.TIMEOUT
     assert log.round_count == 30
     assert log.rounds[0].deviation.agent == 1  # weak agent joins the strong one
-    assert log.rounds[0].deviation.to_members == (0, 1)
+    assert mask_members(log.rounds[0].deviation.to_mask) == (0, 1)
     assert log.rounds[1].deviation.agent == 0  # strong agent walks out
-    assert log.rounds[1].deviation.to_members == (0,)
+    assert mask_members(log.rounds[1].deviation.to_mask) == (0,)
     # the two-state cycle repeats for the whole episode
     for i, r in enumerate(log.rounds):
         assert r.deviation.agent == (1 if i % 2 == 0 else 0)
@@ -83,9 +85,9 @@ def test_rounds_apply_exactly_one_deviation(six_mixed):
         assert before.deviation is not None  # non-final rounds always move
         dev = before.deviation
         # applying the recorded move to the previous partition gives the next
-        target = set(dev.to_members) - {dev.agent}
+        target = set(mask_members(dev.to_mask)) - {dev.agent}
         moved = []
-        for b in before.partition_before:
+        for b in map(mask_members, before.masks_before):
             nb = set(b) - {dev.agent}
             if nb == target and target:
                 nb.add(dev.agent)
@@ -93,7 +95,7 @@ def test_rounds_apply_exactly_one_deviation(six_mixed):
                 moved.append(frozenset(nb))
         if not target:
             moved.append(frozenset({dev.agent}))
-        assert set(moved) == {frozenset(b) for b in after.partition_before}
+        assert set(moved) == {frozenset(mask_members(b)) for b in after.masks_before}
 
 
 NOISE = OracleKind.CONSISTENCY_NOISE
@@ -471,7 +473,7 @@ def test_explicit_initial_partition(six_mixed):
             six_mixed, seed=2, initial=InitialPartition(kind="explicit", partition=start)
         )
     )
-    assert tuple(map(tuple, log.rounds[0].partition_before)) == ((0, 1, 2), (3, 4, 5))
+    assert tuple(map(mask_members, log.rounds[0].masks_before)) == ((0, 1, 2), (3, 4, 5))
     assert log.outcome is EpisodeOutcome.NASH_STABLE
 
 
@@ -511,9 +513,9 @@ def test_best_improving_takes_largest_gain(parasite_game):
         )
     )
     assert first.rounds[0].deviation.agent == 0
-    assert first.rounds[0].deviation.to_members == (0, 1)  # scan hits the join first
+    assert mask_members(first.rounds[0].deviation.to_mask) == (0, 1)  # scan hits the join first
     assert best.rounds[0].deviation.agent == 0
-    assert best.rounds[0].deviation.to_members == (0,)  # solo pays more
+    assert mask_members(best.rounds[0].deviation.to_mask) == (0,)  # solo pays more
 
 
 def test_random_improving_is_seeded(six_mixed):
@@ -657,6 +659,31 @@ def test_replay_file_splits_episodes_at_headers(six_mixed, tmp_path):
     assert not report.identical
     assert report.first_divergence == tampered
     assert report.lines_checked == tampered + 1
+
+
+def test_replay_lines_splits_a_condition_log_as_replay_file_does(six_mixed, tmp_path):
+    from coalitions.experiments import Manifest, run_manifest
+    from coalitions.game import save_game
+
+    game_path = tmp_path / "game.json"
+    save_game(six_mixed, game_path)
+    manifest = Manifest(
+        game_path=game_path, output_dir=tmp_path / "out", seed=3, jobs=1,
+        conditions=({"name": "cot", "episodes": 4},), sweeps=(),
+    )
+    path = run_manifest(manifest)["episodes_cot"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert sum('"type":"header"' in ln for ln in lines) == 4
+    report = replay_lines(lines)
+    assert report == replay_file(path)
+    assert report.identical and report.lines_checked == len(lines)
+
+    tampered = max(i for i, ln in enumerate(lines) if '"type":"round"' in ln)
+    lines[tampered] = lines[tampered].replace('"type":"round"', '"type":"round","x":1')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    report = replay_lines(lines)
+    assert report == replay_file(path)
+    assert not report.identical and report.first_divergence == tampered
 
 
 def test_replay_file_needs_a_leading_header(six_mixed, tmp_path):

@@ -32,6 +32,7 @@ from coalitions.experiments import (
     sample_queries,
     sweep,
     write_results_csv,
+    _with_intervals,
 )
 
 
@@ -63,7 +64,7 @@ def test_perfect_oracle_always_stabilizes():
         seed_base=7,
         initial=InitialPartition(kind="random"),
     )
-    result = run_condition(cond, game, keep_logs=False, bootstrap_iterations=500)
+    result = run_condition(cond, game, keep_logs=False)
     assert result.nash_rate == 1.0
     assert result.ground_truth_rate == 1.0
     assert result.consistency == 1.0
@@ -72,12 +73,13 @@ def test_perfect_oracle_always_stabilizes():
 
 def test_random_condition_matches_exhaustive_count(six_mixed):
     cond = Condition(name="random", oracle=None, episodes=2000, seed_base=3, sample_only=True)
-    result = run_condition(cond, six_mixed, bootstrap_iterations=500)
+    result = run_condition(cond, six_mixed)
     expected = len(find_nash_stable(six_mixed)) / bell_number(6)
     se = math.sqrt(expected * (1 - expected) / cond.episodes)
     assert result.nash_rate == pytest.approx(expected, abs=3 * se + 1e-9)
     assert result.conv_mean is None
-    assert result.ci_low <= result.nash_rate <= result.ci_high
+    [(lo, hi)] = bootstrap_ci([result.stable_flags], iterations=500, seed=3)
+    assert lo <= result.nash_rate <= hi
 
 
 @pytest.mark.parametrize("oracle", [None, noisy(0.8)])
@@ -85,12 +87,12 @@ def test_run_condition_without_iterations_leaves_the_interval_to_its_flags(six_m
     cond = Condition(
         name="c", oracle=oracle, episodes=40, seed_base=5, sample_only=oracle is None
     )
-    full = run_condition(cond, six_mixed, bootstrap_iterations=300)
-    bare = run_condition(cond, six_mixed, bootstrap_iterations=0)
+    bare = run_condition(cond, six_mixed)
+    [full] = _with_intervals([bare], [5])
     assert math.isnan(bare.ci_low) and math.isnan(bare.ci_high)
     assert len(bare.stable_flags) == 40
     assert sum(bare.stable_flags) / 40 == bare.nash_rate
-    assert bootstrap_ci([bare.stable_flags], iterations=300, seed=5) == [
+    assert bootstrap_ci([bare.stable_flags], seed=5) == [
         (full.ci_low, full.ci_high)
     ]
     assert replace(bare, ci_low=full.ci_low, ci_high=full.ci_high) == full
@@ -103,7 +105,7 @@ def test_rate_monotone_in_consistency_with_matched_seeds(six_mixed):
             name=f"p{p}", oracle=noisy(p), episodes=150, seed_base=500,
             initial=InitialPartition(kind="random"),
         )
-        result = run_condition(cond, six_mixed, keep_logs=False, bootstrap_iterations=500)
+        result = run_condition(cond, six_mixed, keep_logs=False)
         rates.append(result.nash_rate)
     se = math.sqrt(0.25 / 150)
     assert rates[1] > rates[0] - 2 * se
@@ -114,8 +116,8 @@ def test_parallel_execution_matches_serial(six_mixed):
         name="par", oracle=noisy(0.8, seed=0), episodes=40, seed_base=77,
         initial=InitialPartition(kind="random"),
     )
-    serial = run_condition(cond, six_mixed, jobs=1, bootstrap_iterations=200)
-    parallel = run_condition(cond, six_mixed, jobs=4, bootstrap_iterations=200)
+    serial = run_condition(cond, six_mixed, jobs=1)
+    parallel = run_condition(cond, six_mixed, jobs=4)
     assert serial.nash_rate == parallel.nash_rate
     assert serial.welfare_mean == parallel.welfare_mean
     assert [l.outcome for l in serial.logs] == [l.outcome for l in parallel.logs]
@@ -130,7 +132,7 @@ def test_welfare_of_mixed_profiles_beats_weakest_clone(six_mixed):
             name="w", oracle=noisy(0.86, seed=0), episodes=80, seed_base=11,
             initial=InitialPartition(kind="random"),
         )
-        return run_condition(cond, game, keep_logs=False, bootstrap_iterations=200).welfare_mean
+        return run_condition(cond, game, keep_logs=False).welfare_mean
 
     mixed = welfare(six_mixed)
     clones = []
@@ -148,8 +150,8 @@ def test_bootstrap_ci_matches_one_chunk_reference(n):
     rng = derived_rng("chunks", n)
     samples = [rng.random() for _ in range(n)]
     # 2000 resamples span several chunks for every n above 131
-    assert bootstrap_ci([samples], iterations=2000, level=0.9, seed=n) == [
-        brute_bootstrap_ci(samples, iterations=2000, level=0.9, seed=n)
+    assert bootstrap_ci([samples], iterations=2000, seed=n) == [
+        brute_bootstrap_ci(samples, iterations=2000, level=0.95, seed=n)
     ]
 
 
@@ -162,13 +164,13 @@ def test_batched_bootstrap_equals_lone_calls(iterations):
     sets = [[float(rng.random() < 0.6) for _ in range(n)] for n in (400, 1, 37, 400, 400, 37, 1, 5)]
     sets.append(sets[0])
     seeds = [3, 3, 3, 3, 4, 3, 5, 3, 3]
-    batched = bootstrap_ci(sets, iterations=iterations, level=0.9, seed=seeds)
+    batched = bootstrap_ci(sets, iterations=iterations, seed=seeds)
     lone = [
-        bootstrap_ci([s], iterations=iterations, level=0.9, seed=sd)[0]
+        bootstrap_ci([s], iterations=iterations, seed=sd)[0]
         for s, sd in zip(sets, seeds)
     ]
     assert batched == lone
-    assert batched[1] == brute_bootstrap_ci(sets[1], iterations=iterations, level=0.9, seed=3)
+    assert batched[1] == brute_bootstrap_ci(sets[1], iterations=iterations, level=0.95, seed=3)
     assert bootstrap_ci(sets[:3], iterations=50, seed=9) == [
         bootstrap_ci([s], iterations=50, seed=9)[0] for s in sets[:3]
     ]
@@ -278,8 +280,9 @@ def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, mo
     assert failed.name == "lambda=0.2 [failed: boom]"
     assert math.isnan(failed.ci_low) and math.isnan(failed.ci_high)
     assert math.isnan(cells[1].delta)
-    alone = [
-        run_condition(
+    alone = []
+    for cell in (cells[0], cells[2]):
+        result = run_condition(
             Condition(
                 name=f"lambda={cell.value:g}",
                 oracle=replace(oracle, epsilon=cell.value, critical_gap=None),
@@ -289,8 +292,8 @@ def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, mo
             six_mixed,
             keep_logs=False,
         )
-        for cell in (cells[0], cells[2])
-    ]
+        [(lo, hi)] = bootstrap_ci([result.stable_flags], seed=6)
+        alone.append(replace(result, ci_low=lo, ci_high=hi))
     assert [cells[0].result, cells[2].result] == alone
     # the two cells' intervals differ, so a mix-up of cells would show
     assert (alone[0].ci_low, alone[0].ci_high) != (alone[1].ci_low, alone[1].ci_high)
@@ -329,7 +332,9 @@ def test_results_csv_schema(tmp_path, six_mixed):
         name="tiny", oracle=noisy(0.86), episodes=10, seed_base=1,
         initial=InitialPartition(kind="random"),
     )
-    result = run_condition(cond, six_mixed, keep_logs=False, bootstrap_iterations=100)
+    result = run_condition(cond, six_mixed, keep_logs=False)
+    [(lo, hi)] = bootstrap_ci([result.stable_flags], iterations=100, seed=1)
+    result = replace(result, ci_low=lo, ci_high=hi)
     path = tmp_path / "results.csv"
     write_results_csv([result], path)
     with open(path, newline="") as fh:
@@ -404,7 +409,7 @@ def test_one_agent_game_has_no_consistency_queries(solo_game, deadline):
 def test_run_condition_on_one_agent_game(solo_game, deadline):
     condition = Condition(name="solo", oracle=noisy(0.8), episodes=5, seed_base=1)
     with deadline(10):
-        result = run_condition(condition, solo_game, bootstrap_iterations=100)
+        result = run_condition(condition, solo_game)
     assert result.consistency is None
     assert result.nash_rate == 1.0 and result.n_errors == 0
     assert result.row()[RESULT_COLUMNS.index("consistency")] == ""

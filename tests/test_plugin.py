@@ -14,7 +14,6 @@ from coalitions import plugin
 from coalitions.game import Coalition, GameSpec
 from coalitions.stability import enumerate_partitions
 from coalitions.preferences import (
-    Confidence,
     ExternalEndpointSpec,
     OracleKind,
     OracleParseFailure,
@@ -106,7 +105,7 @@ def test_parse_corpus_fully_succeeds():
     corpus = completion_corpus()
     assert len(corpus) == 50
     for text, expected in corpus:
-        assert parse_declaration(text).verdict is expected
+        assert parse_declaration(text) is expected
 
 
 def test_parse_last_declaration_wins():
@@ -115,14 +114,12 @@ def test_parse_last_declaration_wins():
         "Step 4 reveals heavy coordination costs.\n"
         "## Step 5: Final Preference\nI prefer: CURRENT\nConfidence: high\n"
     )
-    answer = parse_declaration(text)
-    assert answer.verdict is Verdict.PREFER_CURRENT
-    assert answer.confidence is Confidence.HIGH
+    assert parse_declaration(text) is Verdict.PREFER_CURRENT
 
 
 def test_parse_skips_option_menu():
     assert (
-        parse_declaration(DECLARATION_MENU + "\nI prefer: INDIFFERENT").verdict
+        parse_declaration(DECLARATION_MENU + "\nI prefer: INDIFFERENT")
         is Verdict.INDIFFERENT
     )
 
@@ -335,9 +332,7 @@ def test_session_answers_and_parse_fallback(trio):
     spec = stub_endpoint("--mode", "current")
     session = ExternalSession(spec)
     try:
-        ans = session.ask(trio, worked_query(), ctx=(1, 2, 3))
-        assert ans.verdict is Verdict.PREFER_CURRENT
-        assert ans.confidence is Confidence.HIGH
+        assert session.ask(trio, worked_query(), ctx=(1, 2, 3)) is Verdict.PREFER_CURRENT
     finally:
         session.close()
 
@@ -352,8 +347,24 @@ def test_majority_defaults_to_current_when_all_attempts_fail(trio):
     )
     verdict = answer_majority(
         oracle, trio, worked_query(), ctx=(0,), external=FailingSession()
-    ).verdict
+    )
     assert verdict is Verdict.PREFER_CURRENT
+
+
+def test_a_non_string_verdict_is_a_wire_error():
+    with pytest.raises(OracleWireError, match="verdict must be a string"):
+        OracleWireAnswer.from_json('{"query_id": "a", "verdict": 5, "raw": ""}')
+    with pytest.raises(OracleWireError, match="verdict must be a string"):
+        OracleWireAnswer.from_json('{"query_id": "a", "verdict": ["CURRENT"]}')
+
+
+def test_a_non_string_confidence_is_not_read(trio, answering_plugin):
+    command = answering_plugin(verdict="CURRENT", confidence=5, raw="")
+    session = ExternalSession(ExternalEndpointSpec(command=command, timeout_s=5.0))
+    try:
+        assert session.ask(trio, worked_query()) is Verdict.PREFER_CURRENT
+    finally:
+        session.close()
 
 
 def test_wire_answer_validation():
@@ -400,7 +411,7 @@ class RecordingEndpoint:
     def exchange(self, query, timeout_s):
         self.sent.append(query.to_json_line())
         if self.inner is None:
-            answer = OracleWireAnswer(query.query_id, "CURRENT", None, "")
+            answer = OracleWireAnswer(query.query_id, "CURRENT", "")
         else:
             answer = self.inner.exchange(query, timeout_s)
         self.answers.append(answer)
@@ -512,7 +523,7 @@ def test_http_endpoint_round_trip(trio):
             [OracleSpec(kind=OracleKind.EXTERNAL, external=spec)]
         ) as sessions:
             ans = sessions[spec].ask(trio, worked_query(), ctx=(9,))
-            assert ans.verdict is Verdict.PREFER_CANDIDATE
+            assert ans is Verdict.PREFER_CANDIDATE
             queries = list(all_queries(trio))[:8]
             for q in queries:
                 sessions[spec].ask(trio, q, ctx=(9,))
@@ -552,3 +563,15 @@ def test_episode_aborts_on_transport_timeout(six_mixed):
         log = run_episode(cfg, external=sessions)
     assert log.outcome is EpisodeOutcome.ERROR
     assert "Timeout" in log.error
+
+
+def test_episode_ends_in_error_on_a_non_string_verdict(six_mixed, answering_plugin):
+    from coalitions.dynamics import EpisodeConfig, EpisodeOutcome, run_episode
+
+    spec = ExternalEndpointSpec(command=answering_plugin(verdict=5, raw=""), timeout_s=5.0)
+    oracle = OracleSpec(kind=OracleKind.EXTERNAL, external=spec)
+    cfg = EpisodeConfig(game=six_mixed, oracles=(oracle,) * 6, seed=2)
+    with open_sessions(cfg.oracles) as sessions:
+        log = run_episode(cfg, external=sessions)
+    assert log.outcome is EpisodeOutcome.ERROR
+    assert "verdict must be a string" in log.error
