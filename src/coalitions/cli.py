@@ -62,34 +62,34 @@ def _emit(data: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _load_game_or_exit(path: str) -> GameSpec:
+def _read_or_exit(read, path: str, what: str, *args):
+    """`read(path, *args)`; a missing or malformed file exits 2 with an error line."""
     try:
-        return load_game(path)
+        return read(path, *args)
     except FileNotFoundError:
-        print(f"error: game file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        print(f"error: {what} not found: {path}", file=sys.stderr)
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse game file: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        print(f"error: cannot parse {what}: {exc}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _load_game_or_exit(path: str) -> GameSpec:
+    return _read_or_exit(load_game, path, "game file")
 
 
 def _load_partition_or_exit(path: str, n: int) -> Partition:
-    try:
-        return load_partition(path, n=n)
-    except FileNotFoundError:
-        print(f"error: partition file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse partition: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    return _read_or_exit(load_partition, path, "partition file", n)
 
 
 #: oracle flags that are passed on only when given, by their oracle_from_dict key
 _ORACLE_FLAGS = ("epsilon", "p_critical", "p_easy", "critical_gap", "majority_k")
+#: the endpoint flags, which only an external oracle takes
+_ENDPOINT_FLAGS = ("--oracle-cmd", "--oracle-url", "--oracle-timeout-ms", "--protocol")
 
 
 def _oracle_from_args(args) -> OracleSpec:
-    """The oracle the flags describe; flags no oracle can have exit 2.
+    """The oracle the flags describe; flags no oracle can have, and endpoint
+    flags without `--oracle external`, exit 2.
 
     The flags given become an `oracle_from_dict` dict, so a flag left out
     takes the OracleSpec or ExternalEndpointSpec default.
@@ -98,11 +98,15 @@ def _oracle_from_args(args) -> OracleSpec:
     data.update(
         (key, getattr(args, key)) for key in _ORACLE_FLAGS if getattr(args, key) is not None
     )
+    given = [f for f in _ENDPOINT_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
     if args.oracle == OracleKind.EXTERNAL.value:
         endpoint = {"command": args.oracle_cmd, "url": args.oracle_url, "protocol": args.protocol}
         if args.oracle_timeout_ms is not None:
             endpoint["timeout_s"] = args.oracle_timeout_ms / 1000.0
         data["external"] = {key: v for key, v in endpoint.items() if v is not None}
+    elif given:
+        print(f"error: only --oracle external takes {', '.join(given)}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     try:
         return oracle_from_dict(data)
     except ValueError as exc:
@@ -179,14 +183,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        manifest = load_manifest(args.manifest)
-    except FileNotFoundError:
-        print(f"error: manifest not found: {args.manifest}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse manifest: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    manifest = _read_or_exit(load_manifest, args.manifest, "manifest")
     manifest = dataclasses.replace(
         manifest,
         output_dir=Path(args.output_dir) if args.output_dir else manifest.output_dir,
@@ -210,7 +207,7 @@ def cmd_verify(args) -> int:
     partition = _load_partition_or_exit(args.partition, game.n)
     concept = StabilityConcept(args.concept)
     oracle = _oracle_from_args(args)
-    behavioral = args.oracle != "perfect" or args.oracle_cmd or args.oracle_url
+    behavioral = oracle.kind is not OracleKind.PERFECT
     if behavioral and concept is not StabilityConcept.NASH:
         print(
             f"error: --concept {concept.value} is checked against the game's values; "
@@ -242,14 +239,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        report = replay_file(args.log)
-    except FileNotFoundError:
-        print(f"error: log not found: {args.log}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse log: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = _read_or_exit(replay_file, args.log, "log")
     if report.version_warning:
         print(f"warning: {report.version_warning}", file=sys.stderr)
     out = {
@@ -268,14 +258,9 @@ def cmd_bounds(args) -> int:
     if (args.game is None) != (args.partition is None):
         print("error: --game and --partition must be given together", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        params = json.loads(Path(args.params).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"error: params file not found: {args.params}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: cannot parse params: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = _read_or_exit(
+        lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.params, "params file"
+    )
     if not isinstance(params, dict):
         print("error: params must be a JSON object", file=sys.stderr)
         return EXIT_USAGE
@@ -357,14 +342,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_estimate_epsilon(args) -> int:
-    try:
-        records = read_choice_log(args.log)
-    except FileNotFoundError:
-        print(f"error: choice log not found: {args.log}", file=sys.stderr)
-        return EXIT_USAGE
-    except (KeyError, ValueError) as exc:
-        print(f"error: cannot parse choice log: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    records = _read_or_exit(read_choice_log, args.log, "choice log")
     try:
         est = estimate_epsilon(
             records, bins=args.bins, min_per_bin=args.min_per_bin, seed=args.seed
@@ -459,8 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--values" in argv[:-1]:  # argparse takes "-1,0.2" for an option
+        i = argv.index("--values")
+        argv[i : i + 2] = [f"--values={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from importlib import resources
-from itertools import chain
 from operator import or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -31,7 +31,7 @@ import numpy as np
 
 TIE_EPS = 1e-12
 DEDUP_EPS = 1e-9
-# the value table's limit: 2**20 masks, ~32 MB per cached table of floats
+# the value table's limit: 2**20 masks, 8 MB per cached table of float64
 MAX_AGENTS = 20
 DEFAULT_ALPHA = 0.15
 DEFAULT_BETA = 1.3
@@ -320,16 +320,15 @@ def _subset_max(column: np.ndarray) -> np.ndarray:
     return out
 
 
-def _value_blocks(game: GameSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The value of every mask, as (first mask, values, sizes) blocks.
+def _value_blocks(game: GameSpec) -> Iterator[tuple[int, np.ndarray]]:
+    """The value of every mask, as (first mask, values) blocks.
 
     A subset DP takes each dimension's componentwise max over the low
     BLOCK_BITS agents and, separately, over the rest; the block for high
     bits h combines h's maxima with every low maximum.  Max is exact in any
     order, the dimensions are added left to right and divided by d, and the
     size cost `alpha * k**beta` is a Python float looked up by member
-    count, so an entry does not depend on the blocking.  Mask 0 holds nan
-    and size 0.
+    count, so an entry does not depend on the blocking.  Mask 0 holds nan.
     """
     b = min(game.n, BLOCK_BITS)
     profiles = np.array([a.profile.values for a in game.agents])
@@ -344,34 +343,37 @@ def _value_blocks(game: GameSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray]
         for low, high in maxima:
             total += np.maximum(low, high[h])
         total /= game.d
-        sizes = low_sizes + high_sizes[h]
-        total -= cost[sizes]
+        total -= cost[low_sizes + high_sizes[h]]
         if h == 0:
             total[0] = math.nan  # the empty coalition has no value
-        yield h << b, total, sizes
-
-
-def _table(blocks: Iterator[np.ndarray]) -> tuple[float, ...]:
-    # grown in place, without a list of the whole table beside it
-    return tuple(chain.from_iterable(block.tolist() for block in blocks))
+        yield h << b, total
 
 
 @lru_cache(maxsize=64)
-def value_table(game: GameSpec) -> tuple[float, ...]:
+def value_table(game: GameSpec) -> array:
     """Coalition values for every nonempty mask, indexed by mask.
 
     Index 0 holds nan (the empty coalition has no value).  Built in numpy by
-    a subset DP over bitmasks (see _value_blocks): O(2**n * d) array work.
-    `coalition_value`, `per_capita_value` and `potential` index this table
-    and `per_capita_table`.  n <= MAX_AGENTS bounds it.
+    a subset DP over bitmasks (see _value_blocks): O(2**n * d) array work,
+    once per game, as float64 at 8 bytes an entry; the other value readers
+    view this buffer.  n <= MAX_AGENTS bounds it.  The cache hands the same
+    array to every caller, so callers only read it.
     """
-    return _table((values for _, values, _ in _value_blocks(game)))
+    table = array("d", [0.0]) * (1 << game.n)  # one allocation, no temporary
+    out = np.frombuffer(table)
+    for first, values in _value_blocks(game):
+        out[first : first + len(values)] = values
+    return table
 
 
 @lru_cache(maxsize=64)
-def per_capita_table(game: GameSpec) -> tuple[float, ...]:
+def per_capita_table(game: GameSpec) -> array:
     """Per-capita coalition values for every nonempty mask, indexed by mask."""
-    return _table((values / sizes for _, values, sizes in _value_blocks(game)))
+    values = np.frombuffer(value_table(game))
+    table = array("d", [0.0]) * len(values)
+    # the ufunc casts the counts in chunks: no float temporary of the whole table
+    np.divide(values, _mask_sizes(game.n), out=np.frombuffer(table))
+    return table
 
 
 def value_gap_delta(game: GameSpec, max_size: int = 4) -> float:
@@ -389,12 +391,9 @@ def value_gap_delta(game: GameSpec, max_size: int = 4) -> float:
     share an agent differ by one grid step in their summed capabilities; on
     six_mixed (g = 0.01, d = 3) delta is 1/1200 at every alpha.
     """
-    masks, per_capita = [], []
-    for first, values, sizes in _value_blocks(game):
-        kept = np.flatnonzero((sizes > 0) & (sizes <= max_size))
-        masks.append(kept + first)
-        per_capita.append(values[kept] / sizes[kept])
-    masks, per_capita = np.concatenate(masks), np.concatenate(per_capita)
+    sizes = _mask_sizes(game.n)
+    masks = np.flatnonzero((sizes > 0) & (sizes <= max_size))
+    per_capita = np.frombuffer(per_capita_table(game))[masks]
     best = math.inf
     for agent in range(game.n):
         gaps = np.diff(np.sort(per_capita[(masks >> agent) & 1 == 1]))
@@ -408,13 +407,10 @@ def coalition_value_bounds(
     game: GameSpec, max_size: int | None = None
 ) -> tuple[float, float]:
     """(min v(S), max v(S)) over nonempty coalitions of size <= max_size."""
-    max_size = game.n if max_size is None else max_size
-    lo, hi = math.inf, -math.inf
-    for _, values, sizes in _value_blocks(game):
-        kept = values[(sizes > 0) & (sizes <= max_size)]
-        lo = min(lo, float(kept.min(initial=math.inf)))
-        hi = max(hi, float(kept.max(initial=-math.inf)))
-    return lo, hi
+    values = np.frombuffer(value_table(game))[1:]
+    if max_size is not None and max_size < game.n:
+        values = values[_mask_sizes(game.n)[1:] <= max_size]
+    return float(values.min(initial=math.inf)), float(values.max(initial=-math.inf))
 
 
 def coalition_value_range(game: GameSpec, max_size: int | None = None) -> float:
@@ -470,6 +466,14 @@ def iter_partition_blocks(n: int) -> Iterator[tuple[int, ...]]:
             m[j] = m[j - 1]
 
 
+def _partition_size(masks: tuple[int, ...]) -> int:
+    """n, when `masks` are the blocks of a partition of agents 0..n-1."""
+    n = sum(map(int.bit_count, masks))
+    if reduce(or_, masks, 0) != (1 << n) - 1:
+        raise ValueError(f"masks {masks} do not partition agents 0..{n - 1}")
+    return n
+
+
 @lru_cache(maxsize=1 << 8)
 def deviation_plan(masks: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The deviation scan of a partition as data: `(agent, own, targets)`
@@ -483,12 +487,9 @@ def deviation_plan(masks: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, .
     checks.  Cached for the episode loop: improving dynamics keep returning
     to the same partitions (about 89 % of the paper manifest's ~93k scans
     hit a cache of this size; 91 % at four times the size).  One-shot scans
-    build the plan uncached, through `iter_deviation_checks`.
+    use `iter_deviation_checks`, which builds no plan.
     """
-    n = sum(map(int.bit_count, masks))
-    if reduce(or_, masks, 0) != (1 << n) - 1:
-        raise ValueError(f"masks {masks} do not partition agents 0..{n - 1}")
-    entries: list = [None] * n
+    entries: list = [None] * _partition_size(masks)
     for i, own in enumerate(masks):
         targets = masks[:i] + masks[i + 1 :] + (0,)
         for agent in mask_members(own):
@@ -501,19 +502,25 @@ def iter_deviation_checks(
 ) -> Iterator[tuple[int, int, int, int]]:
     """Yield (agent, own, target, joined) for every deviation comparison.
 
-    The flat view of `deviation_plan(masks)`: `joined` is
+    The checks of `deviation_plan(masks)`, in the same order: `joined` is
     `target | 1 << agent`.  Agents come in `agents` order (default:
     ascending ids); each agent's targets are the other blocks in the given
-    order, then the solo move (target 0).
+    order, then the solo move (target 0).  Builds no plan, for one-shot
+    callers that visit each partition once, often for one agent.
     """
-    # Uncached: one-shot callers (exhaustive sweeps, verification) visit
-    # each partition once, so the cache would only miss, then evict the
-    # entries the episode loop keeps returning to.
-    plan = deviation_plan.__wrapped__(tuple(masks))
-    for agent, own, targets in plan if agents is None else map(plan.__getitem__, agents):
+    masks = tuple(masks)
+    n = _partition_size(masks)
+    targets = masks + (0,)
+    for agent in range(n) if agents is None else agents:
         bit = 1 << agent
+        for own in masks:
+            if own & bit:
+                break
+        else:
+            raise ValueError(f"agent {agent} is not in the partition {masks}")
         for target in targets:
-            yield agent, own, target, target | bit
+            if target != own:
+                yield agent, own, target, target | bit
 
 
 #: the most partitions check_potential_alignment exhausts: Bell(10) =

@@ -5,14 +5,14 @@ verification routes every deviation comparison through a preference oracle.
 Each agent is checked against every other coalition of the partition plus
 the solo move, which makes exactly n * |partition| checks.  One scan kernel
 serves every user: `game.deviation_plan`, a per-agent list of those checks,
-which `dynamics.run_episode` walks directly through its cache, and its flat
-view `iter_deviation_checks` (re-exported here), which builds the plan
-uncached and yields one check at a time to `verify_nash` (both modes),
-`verify_individual`, `bounds.count_critical_decisions`,
+which `dynamics.run_episode` walks directly through its cache, and
+`iter_deviation_checks` (re-exported here), which yields the same checks in
+the same order one at a time, without building a plan, to `verify_nash`
+(both modes), `verify_individual`, `bounds.count_critical_decisions`,
 `experiments.sample_queries` and `game.check_potential_alignment`.  The
 early-exit `_nash_stable` predicate keeps its own loop: `find_nash_stable`
 visits 115,975 distinct partitions at n = 10 and mostly exits after a few
-checks, so building a whole plan per partition would cost more (see there).
+checks, so even the generator would cost more (see there).
 """
 
 from __future__ import annotations

@@ -523,6 +523,61 @@ def test_sweep_with_impossible_oracle_flags_exits_2(game_file, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spelling", [("--values", "-1,0.2"), ("--values=-1,0.2",)])
+def test_sweep_values_may_start_with_a_negative_number(spelling, game_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", game_file, "--axis", "alpha", *spelling, "--episodes", "2", "--out", out,
+    )
+    captured = capsys.readouterr()
+    # the game rejects alpha = -1, which fails that cell only
+    assert code == 2
+    assert captured.err.splitlines() == ["error: sweep cell alpha=-1 [failed: alpha must be > 0]"]
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3
+    assert rows[1].startswith("alpha,-1.0,0,nan,") and rows[2].startswith("alpha,0.2,2,")
+
+
+_ENDPOINT_ONLY = [
+    ("--oracle-cmd", "/no/such/plugin"),
+    ("--oracle-url", "http://127.0.0.1:1/oracle"),
+    ("--oracle-timeout-ms", "5"),
+    ("--protocol", "cot"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(flag, flag[0]) for flag in _ENDPOINT_ONLY]
+    + [(("--oracle-cmd", "/no/such/plugin", "--protocol", "cot"), "--oracle-cmd, --protocol")],
+)
+@pytest.mark.parametrize(
+    "oracle", [(), ("--oracle", "perfect"), ("--oracle", "logit", "--epsilon", "0.1")]
+)
+def test_verify_refuses_endpoint_flags_without_an_external_oracle(
+    flags, named, oracle, game_file, tmp_path, capsys
+):
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    assert run_cli("verify", game_file, "--partition", part, *oracle, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: only --oracle external takes {named}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", _ENDPOINT_ONLY, ids=lambda f: f[0])
+def test_sweep_refuses_endpoint_flags_without_an_external_oracle(
+    flag, game_file, tmp_path, capsys
+):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", game_file, "--axis", "alpha", "--values", "0.1", "--episodes", "2",
+        "--oracle", "consistency_noise", *flag, "--out", out,
+    )
+    assert code == 2
+    assert f"error: only --oracle external takes {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_reports_failed_cells_and_exits_2(game_file, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = run_cli(
@@ -582,6 +637,9 @@ def oracle_flags(draw):
     return flags, data
 
 
+_ENDPOINT_FLAGS = tuple(flag for flag, _ in _ENDPOINT_ONLY)
+
+
 @given(oracle_flags())
 @settings(max_examples=300, deadline=None)
 def test_oracle_flags_and_oracle_dicts_agree(drawn):
@@ -594,10 +652,15 @@ def test_oracle_flags_and_oracle_dicts_agree(drawn):
         except SystemExit as exc:
             assert exc.code == 2
             from_flags = stderr.getvalue()
-    try:
-        from_dict = json.dumps(oracle_to_dict(oracle_from_dict(data)), sort_keys=True)
-    except ValueError as exc:
-        from_dict = f"error: {exc}\n"
+    # no dict describes endpoint flags given with an internal oracle
+    stray = [f for f in flags if f in _ENDPOINT_FLAGS] if "external" not in data else []
+    if stray:
+        from_dict = f"error: only --oracle external takes {', '.join(stray)}\n"
+    else:
+        try:
+            from_dict = json.dumps(oracle_to_dict(oracle_from_dict(data)), sort_keys=True)
+        except ValueError as exc:
+            from_dict = f"error: {exc}\n"
     assert from_flags == from_dict
 
 

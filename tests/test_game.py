@@ -2,6 +2,7 @@
 
 import json
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,44 @@ def test_value_kernel_matches_per_mask_values(game):
         assert coalition_value_range(game, k) == max(sized) - min(sized)
     assert convergence_bound(game).value_range == max(max(direct), 0.0) - min(min(direct), 0.0)
     assert value_gap_delta(game, max_size=game.n) == brute_delta(game, game.n)
+
+
+@given(random_games())
+@settings(max_examples=40, deadline=None)
+def test_value_gap_delta_matches_enumeration_at_every_size(game):
+    for k in range(game.n + 1):
+        assert value_gap_delta(game, max_size=k) == brute_delta(game, k)
+
+
+@pytest.mark.parametrize("n", [1, 6, 13])  # 13 > BLOCK_BITS: more than one DP block
+def test_tables_are_packed_float64(n):
+    game = generate_game(n, 3, 0.15, 1.3, seed=n)
+    for table in (value_table(game), per_capita_table(game)):
+        assert isinstance(table, array) and table.typecode == "d"
+        assert len(table) == 1 << n
+        assert table.buffer_info()[1] * table.itemsize == 8 << n
+
+
+def test_subset_dp_runs_once_per_game(monkeypatch):
+    import coalitions.game as game_module
+
+    calls = []
+    kernel = game_module._value_blocks
+
+    def counted(game):
+        calls.append(game)
+        return kernel(game)
+
+    monkeypatch.setattr(game_module, "_value_blocks", counted)
+    value_table.cache_clear()
+    per_capita_table.cache_clear()
+    game = generate_game(7, 3, 0.15, 1.3, seed=3)
+    value_table(game)
+    per_capita_table(game)
+    value_gap_delta(game, 4)
+    coalition_value_range(game)
+    convergence_bound(game)
+    assert calls == [game]
 
 
 # ---------------------------------------------------------------------------

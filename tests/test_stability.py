@@ -171,6 +171,19 @@ def test_deviation_plan_rejects_masks_that_are_not_a_partition():
             deviation_plan(masks)
 
 
+def test_deviation_checks_reject_masks_that_are_not_a_partition():
+    for masks in [(0b11, 0b01), (0b100,), (0b101,), (0b1, 0b1)]:
+        with pytest.raises(ValueError, match="do not partition"):
+            list(iter_deviation_checks(masks))
+        with pytest.raises(ValueError, match="do not partition"):
+            list(iter_deviation_checks(masks, (0,)))
+
+
+def test_deviation_checks_reject_an_agent_outside_the_partition():
+    with pytest.raises(ValueError, match="agent 3 is not in the partition"):
+        list(iter_deviation_checks((0b011, 0b100), (0, 3)))
+
+
 def test_behavioral_verification_with_perfect_oracle(six_mixed):
     from coalitions.preferences import OracleKind, OracleSpec
 
