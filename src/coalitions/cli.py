@@ -62,6 +62,13 @@ def _emit(data: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
+def _reason(exc: Exception) -> str:
+    """An error line's account of `exc`: a `KeyError` names the missing key."""
+    if isinstance(exc, KeyError) and exc.args:
+        return f"missing key {exc.args[0]!r}"
+    return str(exc)
+
+
 def _read_or_exit(read, path: str, what: str, *args):
     """`read(path, *args)`; a missing or malformed file exits 2 with an error line."""
     try:
@@ -69,7 +76,7 @@ def _read_or_exit(read, path: str, what: str, *args):
     except FileNotFoundError:
         print(f"error: {what} not found: {path}", file=sys.stderr)
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse {what}: {exc}", file=sys.stderr)
+        print(f"error: cannot parse {what}: {_reason(exc)}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
 
 
@@ -196,7 +203,7 @@ def cmd_run(args) -> int:
     try:
         written = run_manifest(manifest, jobs=jobs)
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot run manifest: {exc}", file=sys.stderr)
+        print(f"error: cannot run manifest: {_reason(exc)}", file=sys.stderr)
         return EXIT_USAGE
     _emit({name: str(path) for name, path in written.items()}, args.json)
     return EXIT_OK

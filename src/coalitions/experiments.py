@@ -16,13 +16,12 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -192,63 +191,52 @@ def run_condition(
     divided by the agent count.  The consistency figure is
     `measure_consistency`'s agreement over CONSISTENCY_QUERIES sampled
     queries.  Both CI bounds are left NaN: `bootstrap_ci` over the
-    `stable_flags` of several results fills them in one batch.
+    `stable_flags` of several results fills them in one batch.  Each
+    episode is folded into the aggregates as it returns; its log is kept
+    only with `keep_logs`.
     """
     n = game.n
     logs: list[EpisodeLog] = []
+    stable_flags: list[float] = []
+    welfare: list[float] = []
     conv_mean = conv_sd = consistency = None
     n_errors = 0
     if condition.sample_only:
-        stable_flags = []
-        welfare = []
         for idx in range(condition.episodes):
-            partition = random_partition(
-                n, derived_rng("sample", condition.seed_base, idx)
-            )
-            stable_flags.append(
-                1.0 if is_nash_stable_masks(game, partition.masks) else 0.0
-            )
+            partition = random_partition(n, derived_rng("sample", condition.seed_base, idx))
+            stable_flags.append(1.0 if is_nash_stable_masks(game, partition.masks) else 0.0)
             welfare.append(potential(game, partition) / n)
         gt_rate = sum(stable_flags) / len(stable_flags)
     else:
         oracle = condition.effective_oracle()
         assert oracle is not None
-        configs = [
+        configs = (
             EpisodeConfig(
-                game=game,
-                oracles=(oracle,) * n,
-                initial=condition.initial,
-                max_rounds=condition.max_rounds,
-                rule=condition.rule,
-                seed=condition.seed_base + idx,
-                episode_id=idx,
-                record_queries=False,
+                game=game, oracles=(oracle,) * n, initial=condition.initial,
+                max_rounds=condition.max_rounds, rule=condition.rule,
+                seed=condition.seed_base + idx, episode_id=idx, record_queries=False,
             )
             for idx in range(condition.episodes)
-        ]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                logs = list(pool.map(run_episode, configs, chunksize=16))
-        else:
-            logs = [run_episode(c) for c in configs]
-
-        stable_flags = [
-            1.0 if log.outcome is EpisodeOutcome.NASH_STABLE else 0.0 for log in logs
-        ]
-        conv_rounds = [
-            float(log.round_count)
-            for log in logs
-            if log.outcome is EpisodeOutcome.NASH_STABLE
-        ]
+        )
+        conv_rounds = []
+        gt_count = 0
+        for log in _run_episodes(configs, jobs):
+            stable = log.outcome is EpisodeOutcome.NASH_STABLE
+            stable_flags.append(1.0 if stable else 0.0)
+            if stable:
+                conv_rounds.append(float(log.round_count))
+            welfare.append(log.summary.phi_terminal / n)
+            gt_count += log.summary.ground_truth_stable
+            n_errors += log.outcome is EpisodeOutcome.ERROR
+            if keep_logs:
+                logs.append(log)
         if conv_rounds:
             conv_mean, conv_sd = _mean_sd(conv_rounds)
-        welfare = [log.summary.phi_terminal / n for log in logs]
         if oracle.kind is not OracleKind.EXTERNAL:
             queries = sample_queries(game, CONSISTENCY_QUERIES, condition.seed_base)
             if queries:
                 consistency = measure_consistency(oracle, game, queries)
-        gt_rate = sum(log.summary.ground_truth_stable for log in logs) / len(logs)
-        n_errors = sum(log.outcome is EpisodeOutcome.ERROR for log in logs)
+        gt_rate = gt_count / len(stable_flags)
     w_mean, w_sd = _mean_sd(welfare)
     return ConditionResult(
         name=condition.name,
@@ -263,9 +251,21 @@ def run_condition(
         consistency=consistency,
         ground_truth_rate=gt_rate,
         n_errors=n_errors,
-        logs=tuple(logs) if keep_logs else (),
+        logs=tuple(logs),
         stable_flags=tuple(stable_flags),
     )
+
+
+def _run_episodes(configs: Iterable[EpisodeConfig], jobs: int) -> Iterator[EpisodeLog]:
+    """The log of each config's episode, in order, on `jobs` processes."""
+    if jobs <= 1:
+        yield from map(run_episode, configs)
+        return
+    # deferred: the process pool pulls in multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(run_episode, configs, chunksize=16)
 
 
 def _with_intervals(
@@ -280,7 +280,7 @@ def _with_intervals(
 # ---------------------------------------------------------------------------
 # statistics
 
-_BOOTSTRAP_CHUNK = 1 << 18
+_BOOTSTRAP_CHUNK = 1 << 15
 
 
 def bootstrap_ci(
@@ -320,8 +320,8 @@ def bootstrap_ci(
         )
         means = np.empty((len(members), iterations))
         # Generator.integers yields the same stream in any chunking; a chunk
-        # of about 2**18 indices keeps the index matrix and each gather near
-        # 2 MB
+        # of about 2**15 indices keeps the index matrix and each gather near
+        # 256 KB, within cache
         chunk = max(1, min(iterations, _BOOTSTRAP_CHUNK // n))
         done = 0
         while done < iterations:

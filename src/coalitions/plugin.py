@@ -37,8 +37,6 @@ import re
 import select
 import subprocess
 import time
-import urllib.error
-import urllib.request
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
@@ -426,6 +424,10 @@ class HttpEndpoint:
     def exchange(
         self, query: OracleWireQuery | WireLine, timeout_s: float
     ) -> OracleWireAnswer:
+        # deferred: urllib.request pulls in ssl, http.client and email
+        import urllib.error
+        import urllib.request
+
         req = urllib.request.Request(
             self.url,
             data=query.to_json_line().encode("utf-8"),

@@ -24,7 +24,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -160,6 +160,7 @@ def _uniform(key: bytes) -> float:
     return int.from_bytes(digest, "big") / 2.0**64
 
 
+@lru_cache(maxsize=1024)
 def draw_threshold(p: float) -> bytes:
     """The 8-byte big-endian T with `digest < T` exactly when the draw
     `int.from_bytes(digest, "big") / 2.0**64` of `_uniform` is below p.
@@ -168,6 +169,7 @@ def draw_threshold(p: float) -> bytes:
     bisection over that same float expression, so the byte comparison
     agrees with the float one wherever int-to-float rounding lands,
     p = 1.0 included (T = 2**64 - 2**10, whose draw rounds to 1.0).
+    Cached by p: a replayed episode builds one spec per agent.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"draw probabilities lie in [0, 1], got {p}")

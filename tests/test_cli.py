@@ -418,6 +418,28 @@ def test_run_missing_game(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("inspect", {"agents": []}, "error: cannot parse game file: missing key 'd'"),
+        ("replay", {"type": "header"}, "error: cannot parse log: missing key 'config'"),
+        ("run", {"conditions": []}, "error: cannot parse manifest: missing key 'game'"),
+        (
+            "run", {"game": None, "conditions": [{"episodes": 2}]},
+            "error: cannot run manifest: missing key 'name'",
+        ),
+    ],
+    ids=["game-file", "log", "manifest", "manifest-condition"],
+)
+def test_a_missing_key_is_named(command, content, message, tmp_path, game_file, capsys):
+    if "game" in content:
+        content = {**content, "game": str(game_file), "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content) + "\n")
+    assert run_cli(command, path) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize(
     "manifest, message",
     [
         ({"conditions": [{"name": "mystery"}]}, "needs an oracle or sample_only"),

@@ -12,7 +12,9 @@ from brute_force import brute_episode, brute_header_line, brute_partitions, brut
 from coalitions.game import (
     TIE_EPS, Coalition, GameSpec, Partition, check_potential_alignment, mask_members,
 )
-from coalitions.preferences import ExternalEndpointSpec, OracleKind, OracleSpec, Verdict
+from coalitions.preferences import (
+    ExternalEndpointSpec, OracleKind, OracleSpec, Verdict, draw_threshold,
+)
 from coalitions.stability import verify_nash
 from coalitions.dynamics import (
     ConvergenceBound,
@@ -605,6 +607,16 @@ def test_replay_is_byte_identical(six_mixed):
     report = replay_lines(episode_log_lines(log))
     assert report.identical
     assert report.version_warning is None
+
+
+def test_replay_bisects_each_draw_threshold_once(six_mixed):
+    # replay builds one spec per agent; each asks for both thresholds
+    oracle = OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, p_critical=0.8, seed=5)
+    log = run_episode(EpisodeConfig(game=six_mixed, oracles=(oracle,) * 6, seed=5))
+    draw_threshold.cache_clear()
+    assert replay_lines(episode_log_lines(log)).identical
+    info = draw_threshold.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * 6 - 2)
 
 
 def test_replay_detects_tampering(six_mixed):

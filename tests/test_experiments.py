@@ -15,6 +15,7 @@ from brute_force import brute_bootstrap_ci
 from coalitions.game import GameSpec, check_potential_alignment
 from coalitions.preferences import OracleKind, OracleSpec, derived_rng
 from coalitions.stability import bell_number, find_nash_stable
+from coalitions import experiments
 from coalitions.dynamics import InitialPartition
 from coalitions.experiments import (
     Condition,
@@ -98,6 +99,15 @@ def test_run_condition_without_iterations_leaves_the_interval_to_its_flags(six_m
     assert replace(bare, ci_low=full.ci_low, ci_high=full.ci_high) == full
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_condition_without_logs_aggregates_as_with_them(six_mixed, jobs):
+    cond = Condition(name="c", oracle=noisy(0.7), episodes=60, seed_base=9)
+    kept = run_condition(cond, six_mixed, jobs=jobs, keep_logs=True)
+    bare = run_condition(cond, six_mixed, jobs=jobs, keep_logs=False)
+    assert len(kept.logs) == 60 and bare.logs == ()
+    assert replace(kept, logs=()) == bare
+
+
 def test_rate_monotone_in_consistency_with_matched_seeds(six_mixed):
     rates = []
     for p in (0.64, 0.86):
@@ -149,9 +159,19 @@ def test_welfare_of_mixed_profiles_beats_weakest_clone(six_mixed):
 def test_bootstrap_ci_matches_one_chunk_reference(n):
     rng = derived_rng("chunks", n)
     samples = [rng.random() for _ in range(n)]
-    # 2000 resamples span several chunks for every n above 131
+    # 2000 resamples span several chunks for every n above 16
     assert bootstrap_ci([samples], iterations=2000, seed=n) == [
         brute_bootstrap_ci(samples, iterations=2000, level=0.95, seed=n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 37])
+def test_bootstrap_ci_in_one_resample_chunks_matches_the_reference(n, monkeypatch):
+    monkeypatch.setattr(experiments, "_BOOTSTRAP_CHUNK", 1)
+    rng = derived_rng("chunks", n)
+    samples = [rng.random() for _ in range(n)]
+    assert bootstrap_ci([samples, samples[::-1]], iterations=300, seed=n) == [
+        brute_bootstrap_ci(s, iterations=300, level=0.95, seed=n) for s in (samples, samples[::-1])
     ]
 
 
