@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import shlex
 import sys
 from pathlib import Path
@@ -199,9 +198,8 @@ def cmd_run(args) -> int:
     if not manifest.game_path.exists():
         print(f"error: game file not found: {manifest.game_path}", file=sys.stderr)
         return EXIT_USAGE
-    jobs = args.jobs if args.jobs else manifest.jobs
     try:
-        written = run_manifest(manifest, jobs=jobs)
+        written = run_manifest(manifest)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot run manifest: {_reason(exc)}", file=sys.stderr)
         return EXIT_USAGE
@@ -297,25 +295,15 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_regress(args) -> int:
-    import csv as _csv
+def _read_points(path: str) -> list[tuple[float, float]]:
+    import csv
 
-    try:
-        with open(args.points, newline="", encoding="utf-8") as fh:
-            reader = _csv.DictReader(fh)
-            points = [
-                (float(row["consistency"]), float(row["nash_rate"])) for row in reader
-            ]
-    except FileNotFoundError:
-        print(f"error: points file not found: {args.points}", file=sys.stderr)
-        return EXIT_USAGE
-    except (KeyError, ValueError) as exc:
-        print(
-            "error: points CSV needs consistency,nash_rate columns "
-            f"({exc})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [(float(row["consistency"]), float(row["nash_rate"])) for row in csv.DictReader(fh)]
+
+
+def cmd_regress(args) -> int:
+    points = _read_or_exit(_read_points, args.points, "points file")
     try:
         fit = consistency_regression(points)
     except ValueError as exc:
@@ -334,10 +322,7 @@ def cmd_sweep(args) -> int:
         print("error: --values must be a comma-separated list of numbers", file=sys.stderr)
         return EXIT_USAGE
     options = {} if args.episodes is None else {"episodes": args.episodes}
-    cells = sweep(
-        game, SweepAxis(args.axis), values, oracle, seed_base=args.seed,
-        jobs=args.jobs or 1, **options,
-    )
+    cells = sweep(game, SweepAxis(args.axis), values, oracle, seed_base=args.seed, **options)
     out = Path(args.out) if args.out else Path(f"sweep_{args.axis}.csv")
     write_sweep_csv(cells, out)
     _emit({"written": str(out), "cells": len(cells)}, args.json)
@@ -385,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute an experiment manifest")
     p.add_argument("manifest")
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("COALITIONS_JOBS", "0")) or None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--json", action="store_true")
@@ -424,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated numbers")
     p.add_argument("--episodes", type=int)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("COALITIONS_JOBS", "0")) or None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     _add_oracle_args(p)
@@ -455,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -180,7 +180,6 @@ def run_condition(
     condition: Condition,
     game: GameSpec,
     *,
-    jobs: int = 1,
     keep_logs: bool = True,
 ) -> ConditionResult:
     """Run every episode of a condition and aggregate the outcomes.
@@ -210,17 +209,16 @@ def run_condition(
     else:
         oracle = condition.effective_oracle()
         assert oracle is not None
-        configs = (
-            EpisodeConfig(
-                game=game, oracles=(oracle,) * n, initial=condition.initial,
-                max_rounds=condition.max_rounds, rule=condition.rule,
-                seed=condition.seed_base + idx, episode_id=idx, record_queries=False,
-            )
-            for idx in range(condition.episodes)
-        )
         conv_rounds = []
         gt_count = 0
-        for log in _run_episodes(configs, jobs):
+        for idx in range(condition.episodes):
+            log = run_episode(
+                EpisodeConfig(
+                    game=game, oracles=(oracle,) * n, initial=condition.initial,
+                    max_rounds=condition.max_rounds, rule=condition.rule,
+                    seed=condition.seed_base + idx, episode_id=idx, record_queries=False,
+                )
+            )
             stable = log.outcome is EpisodeOutcome.NASH_STABLE
             stable_flags.append(1.0 if stable else 0.0)
             if stable:
@@ -254,18 +252,6 @@ def run_condition(
         logs=tuple(logs),
         stable_flags=tuple(stable_flags),
     )
-
-
-def _run_episodes(configs: Iterable[EpisodeConfig], jobs: int) -> Iterator[EpisodeLog]:
-    """The log of each config's episode, in order, on `jobs` processes."""
-    if jobs <= 1:
-        yield from map(run_episode, configs)
-        return
-    # deferred: the process pool pulls in multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(run_episode, configs, chunksize=16)
 
 
 def _with_intervals(
@@ -394,7 +380,6 @@ def sweep(
     episodes: int = 200,
     seed_base: int = 0,
     max_rounds: int = Condition.max_rounds,
-    jobs: int = 1,
 ) -> list[SweepCell]:
     """Rerun one condition across an axis; per-cell failures do not abort.
 
@@ -434,7 +419,7 @@ def sweep(
                 seed_base=seed_base,
                 max_rounds=max_rounds,
             )
-            result = run_condition(condition, cell_game, jobs=jobs, keep_logs=False)
+            result = run_condition(condition, cell_game, keep_logs=False)
             delta = value_gap_delta(cell_game, max_size=min(cell_game.n, 4))
         except Exception as exc:  # record the failure, keep sweeping
             result = ConditionResult(
@@ -556,14 +541,22 @@ def condition_from_spec(spec: dict, *, episodes: int, seed_base: int) -> Conditi
     )
 
 
+def _check_serial(jobs: int) -> None:
+    if jobs != 1:
+        raise ValueError(f"runs are serial: jobs must be 1, got {jobs}")
+
+
 @dataclass(frozen=True)
 class Manifest:
     game_path: Path
     output_dir: Path
     seed: int
-    jobs: int
+    jobs: int  # always 1: runs are serial
     conditions: tuple[dict, ...]
     sweeps: tuple[dict, ...]
+
+    def __post_init__(self) -> None:
+        _check_serial(self.jobs)
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -588,14 +581,15 @@ def load_manifest(path: str | Path) -> Manifest:
     )
 
 
-def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]:
+def run_manifest(manifest: Manifest, jobs: int = 1) -> dict[str, Path]:
     """Execute a manifest: per-condition logs, results.csv, sweep CSVs.
 
     Every condition, sweep axis and sweep oracle is built before anything
-    is written, so a manifest entry they reject leaves no output.
+    is written, so a manifest entry they reject leaves no output.  Runs are
+    serial: `jobs` must be 1.
     """
+    _check_serial(jobs)
     game = load_game(manifest.game_path)
-    jobs = manifest.jobs if jobs is None else jobs
     conditions = [
         condition_from_spec(spec, episodes=400, seed_base=manifest.seed)
         for spec in manifest.conditions
@@ -604,12 +598,7 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
         (
             SweepAxis(spec["axis"]),
             spec["values"],
-            oracle_from_dict(
-                spec.get(
-                    "oracle",
-                    {"kind": "consistency_noise", "p_critical": 0.86, "critical_gap": 0.3},
-                )
-            ),
+            oracle_from_dict(spec.get("oracle", {"kind": "consistency_noise"})),
             {
                 "seed_base": int(spec.get("seed_base", manifest.seed)),
                 **{key: int(spec[key]) for key in ("episodes", "max_rounds") if key in spec},
@@ -645,7 +634,7 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
     results = []
     seeds = []
     for condition in conditions:
-        result = run_condition(condition, game, jobs=jobs, keep_logs=True)
+        result = run_condition(condition, game, keep_logs=True)
         log_path = out / f"episodes_{condition.name}.jsonl"
         with atomic_write(log_path) as fh:
             for log in result.logs:
@@ -660,7 +649,7 @@ def run_manifest(manifest: Manifest, jobs: int | None = None) -> dict[str, Path]
         written["results"] = results_path
 
     for axis, values, oracle, options in sweeps:
-        cells = sweep(game, axis, values, oracle, jobs=jobs, **options)
+        cells = sweep(game, axis, values, oracle, **options)
         sweep_path = out / f"sweep_{axis.value}.csv"
         write_sweep_csv(cells, sweep_path)
         written[f"sweep_{axis.value}"] = sweep_path

@@ -7,8 +7,8 @@ verdict with a consistency probability (lower on close calls than on clear
 ones), or an external plugin process.
 
 All randomness is counter-based: each draw hashes (oracle seed, stream
-coordinates, repeat index), so answers are replay-deterministic and
-independent episodes can run in parallel without perturbing each other.
+coordinates, repeat index), so answers are replay-deterministic and one
+episode's draws do not depend on any other episode's.
 
 `decide` writes out each internal model for one draw.  The episode scan in
 `dynamics.run_episode` answers the same models inline, drawing the same
@@ -103,7 +103,7 @@ class OracleSpec:
     def draw_thresholds(self) -> tuple[bytes, bytes]:
         """`(draw_threshold(p_critical), draw_threshold(p_easy))`: an episode
         draw is correct when its digest falls below the threshold of the
-        query's criticality.  Made once per spec; bytes pickle as they are."""
+        query's criticality.  Made once per spec."""
         return draw_threshold(self.p_critical), draw_threshold(self.p_easy)
 
 

@@ -318,7 +318,8 @@ def find_nash_stable(game: GameSpec) -> list[Partition]:
         raise EnumerationBudgetError(
             f"exhaustive search supports at most {MAX_ENUM_AGENTS} agents"
         )
-    pc = per_capita_table(game)  # once: a cached lookup still hashes the game
+    # once, as a list: each index into the array('d') would box a new float
+    pc = per_capita_table(game).tolist()
     return [
         Partition.from_masks(game.n, blocks)
         for blocks in iter_partition_blocks(game.n)

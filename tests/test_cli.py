@@ -323,6 +323,22 @@ def test_regress_command(tmp_path, capsys):
     assert fit["r_squared"] >= 0.98
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "error: points file not found: "),
+        ("consistency,rate\n0.71,0.521\n", "error: cannot parse points file: missing key 'nash_rate'"),
+    ],
+    ids=["missing-file", "missing-column"],
+)
+def test_regress_unreadable_points_exit_2(content, message, tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    if content is not None:
+        points.write_text(content)
+    assert run_cli("regress", points) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_estimate_epsilon_command(tmp_path, capsys):
     oracle = OracleSpec(kind=OracleKind.LOGIT, epsilon=0.15, seed=1)
     rng = derived_rng("cli-log", 1)
@@ -450,6 +466,10 @@ def test_a_missing_key_is_named(command, content, message, tmp_path, game_file, 
         ),
         ([{"name": "staged"}], "a manifest is a JSON object"),
         ({"conditions": 5}, "cannot parse manifest"),
+        (
+            {"conditions": [{"name": "staged", "episodes": 2}], "jobs": 2},
+            "error: cannot parse manifest: runs are serial: jobs must be 1, got 2",
+        ),
     ],
 )
 def test_run_bad_manifest_exits_2_and_writes_nothing(manifest, message, tmp_path, game_file, capsys):
@@ -466,6 +486,56 @@ def test_run_bad_manifest_exits_2_and_writes_nothing(manifest, message, tmp_path
 
 def test_run_missing_manifest(tmp_path):
     assert run_cli("run", tmp_path / "none.json") == 2
+
+
+def test_run_has_no_jobs_flag(tmp_path, game_file, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"game": str(game_file), "conditions": []}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", manifest, "--jobs", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_coalitions_jobs_does_not_change_a_run(tmp_path, game_file, monkeypatch):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"game": str(game_file), "conditions": [{"name": "staged", "episodes": 15}]})
+    )
+    assert run_cli("run", manifest, "--output-dir", tmp_path / "serial") == 0
+    monkeypatch.setenv("COALITIONS_JOBS", "2")
+    assert run_cli("run", manifest, "--output-dir", tmp_path / "env") == 0
+    csv_bytes = [(tmp_path / d / "results.csv").read_bytes() for d in ("serial", "env")]
+    assert csv_bytes[0] == csv_bytes[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("inspect", "{dir}"),
+        ("replay", "{dir}"),
+        ("regress", "{dir}"),
+        ("run", "{dir}"),
+        ("bounds", "--params", "{dir}"),
+        ("estimate-epsilon", "{dir}"),
+        ("sweep", "{game}", "--axis", "alpha", "--values", "0.1", "--episodes", "2",
+         "--out", "{dir}"),
+        ("run", "{manifest}", "--output-dir", "{game}"),
+    ],
+    ids=[
+        "inspect", "replay", "regress", "run", "bounds-params", "estimate-epsilon",
+        "sweep-out-dir", "run-output-dir-is-a-file",
+    ],
+)
+def test_an_os_error_exits_2_with_an_error_line(argv, tmp_path, game_file, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"game": str(game_file), "conditions": [{"name": "staged", "episodes": 2}]})
+    )
+    paths = {"dir": tmp_path, "game": game_file, "manifest": manifest}
+    assert run_cli(*(a.format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,10 @@ def test_run_condition_without_iterations_leaves_the_interval_to_its_flags(six_m
     assert replace(bare, ci_low=full.ci_low, ci_high=full.ci_high) == full
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_run_condition_without_logs_aggregates_as_with_them(six_mixed, jobs):
+def test_run_condition_without_logs_aggregates_as_with_them(six_mixed):
     cond = Condition(name="c", oracle=noisy(0.7), episodes=60, seed_base=9)
-    kept = run_condition(cond, six_mixed, jobs=jobs, keep_logs=True)
-    bare = run_condition(cond, six_mixed, jobs=jobs, keep_logs=False)
+    kept = run_condition(cond, six_mixed, keep_logs=True)
+    bare = run_condition(cond, six_mixed, keep_logs=False)
     assert len(kept.logs) == 60 and bare.logs == ()
     assert replace(kept, logs=()) == bare
 
@@ -119,18 +118,6 @@ def test_rate_monotone_in_consistency_with_matched_seeds(six_mixed):
         rates.append(result.nash_rate)
     se = math.sqrt(0.25 / 150)
     assert rates[1] > rates[0] - 2 * se
-
-
-def test_parallel_execution_matches_serial(six_mixed):
-    cond = Condition(
-        name="par", oracle=noisy(0.8, seed=0), episodes=40, seed_base=77,
-        initial=InitialPartition(kind="random"),
-    )
-    serial = run_condition(cond, six_mixed, jobs=1)
-    parallel = run_condition(cond, six_mixed, jobs=4)
-    assert serial.nash_rate == parallel.nash_rate
-    assert serial.welfare_mean == parallel.welfare_mean
-    assert [l.outcome for l in serial.logs] == [l.outcome for l in parallel.logs]
 
 
 def test_welfare_of_mixed_profiles_beats_weakest_clone(six_mixed):
@@ -477,6 +464,20 @@ def test_paper_shaped_manifest_bytes_are_pinned(tmp_path):
         if key != "metadata"
     }
     assert digests == PAPER_SHAPED_DIGESTS
+
+
+def test_runs_are_serial(tmp_path):
+    from coalitions.experiments import Manifest
+
+    fields = dict(
+        game_path=tmp_path / "game.json", output_dir=tmp_path / "out", seed=0,
+        conditions=(), sweeps=(),
+    )
+    with pytest.raises(ValueError, match="runs are serial: jobs must be 1, got 2"):
+        Manifest(jobs=2, **fields)
+    with pytest.raises(ValueError, match="runs are serial: jobs must be 1, got 2"):
+        run_manifest(Manifest(jobs=1, **fields), jobs=2)
+    assert not (tmp_path / "out").exists()
 
 
 def test_builtin_condition_table_round_trip():
