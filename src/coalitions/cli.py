@@ -43,6 +43,7 @@ from .bounds import (
 from .experiments import (
     SweepAxis,
     load_manifest,
+    output_file,
     run_manifest,
     sweep,
     write_sweep_csv,
@@ -321,9 +322,9 @@ def cmd_sweep(args) -> int:
     except ValueError:
         print("error: --values must be a comma-separated list of numbers", file=sys.stderr)
         return EXIT_USAGE
+    out = output_file(args.out or f"sweep_{args.axis}.csv")
     options = {} if args.episodes is None else {"episodes": args.episodes}
     cells = sweep(game, SweepAxis(args.axis), values, oracle, seed_base=args.seed, **options)
-    out = Path(args.out) if args.out else Path(f"sweep_{args.axis}.csv")
     write_sweep_csv(cells, out)
     _emit({"written": str(out), "cells": len(cells)}, args.json)
     # the CSV row has no room for the cause; a failed cell's name holds it

@@ -10,7 +10,9 @@ out (timeout, counted as unstable).
 Every round is logged with the potential before and after, the issued
 queries, and whether each answer matched the ground-truth comparison, so a
 log can be replayed byte-for-byte from its embedded config and audited for
-consistency after the fact.
+consistency after the fact.  Recorded queries come from a per-game pool, so
+the logs of a run hold one record object per distinct query, and each
+record's JSON text is built once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import IO, NamedTuple, Sequence
 
 from ._version import ENGINE_VERSION
 from .game import (
-    Coalition,
     GameSpec,
     Partition,
     TIE_EPS,
@@ -33,6 +34,7 @@ from .game import (
     game_from_dict,
     game_to_dict,
     deviation_plan,
+    mask_coalition,
     mask_members,
     per_capita_table,
     value_gap_delta,
@@ -134,6 +136,10 @@ class EpisodeConfig:
 # per round by the episode loop at a fraction of a frozen dataclass's cost.
 
 class QueryRecord(NamedTuple):
+    """One issued query and its answer.  Recorded episodes take their
+    records from a per-game pool (`_query_pool`): equal records may be one
+    shared object, so identity carries no meaning."""
+
     agent: int
     target_mask: int  # 0 = solo move
     delta_v: float
@@ -143,6 +149,10 @@ class QueryRecord(NamedTuple):
 
 
 class DeviationEvent(NamedTuple):
+    """One applied move.  Episodes take their events from a bounded cache
+    (`_deviation_event`): equal events may be one shared object, so
+    identity carries no meaning."""
+
     agent: int
     from_mask: int  # the agent's block before the move
     to_mask: int  # the agent's block after the move (its singleton when solo)
@@ -201,6 +211,31 @@ class EpisodeLog:
 # call each, fields in declaration order.
 _query_record = partial(tuple.__new__, QueryRecord)
 _round_record = partial(tuple.__new__, RoundRecord)
+# One event per (agent, from, to) while cached.
+_deviation_event = lru_cache(maxsize=1 << 10)(DeviationEvent)
+
+# A game's pool is emptied when it reaches this many records.
+_QUERY_POOL_CAP = 1 << 16
+
+
+@lru_cache(maxsize=8)
+def _query_pool(game: "_Same") -> dict:
+    """The recorded queries of the game that `game` wraps, one record per
+    key `(own, joined, verdict, critical, matched)`.  Within one game the
+    key fixes the record: `joined & own` is the agent's bit, `joined` less
+    that bit is the target, and the delta is read from the game's per-capita
+    table.  The delta is never part of a key: 0.0 == -0.0, yet they print
+    differently."""
+    return {}
+
+
+def _pooled(pool: dict, key: tuple, fields: tuple) -> QueryRecord:
+    """Put the record of `fields` into `pool` under `key`, emptying a full
+    pool first."""
+    if len(pool) >= _QUERY_POOL_CAP:
+        pool.clear()
+    record = pool[key] = _query_record(fields)
+    return record
 
 
 def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
@@ -228,7 +263,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
     indifferent = Verdict.INDIFFERENT
     noise, logit = OracleKind.CONSISTENCY_NOISE, OracleKind.LOGIT
     from_bytes = int.from_bytes
-    new_query = _query_record
+    pool = _query_pool(_Same(game)) if record else None
 
     blocks = config.initial.block_masks(n, config.seed, config.episode_id)
     phi = sum(vals[b] for b in blocks)
@@ -268,7 +303,10 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                     if joined == own:
                         # going solo while already alone: structural tie
                         if record:
-                            queries.append(new_query((agent, 0, 0.0, indifferent, False, None)))
+                            key = (own, own, indifferent, False, None)
+                            queries.append(pool.get(key) or _pooled(
+                                pool, key, (agent, 0, 0.0, indifferent, False, None)
+                            ))
                         continue
                     delta = pc[joined] - pc_own
                     size = -delta if delta < 0 else delta
@@ -332,7 +370,10 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                             easy_total += 1
                             easy_match += matched
                     if record:
-                        queries.append(new_query((agent, target, delta, verdict, critical, matched)))
+                        key = (own, joined, verdict, critical, matched)
+                        queries.append(pool.get(key) or _pooled(
+                            pool, key, (agent, target, delta, verdict, critical, matched)
+                        ))
                     if verdict is candidate:
                         if first_wins:
                             chosen = (agent, own, target, joined)
@@ -365,7 +406,7 @@ def run_episode(config: EpisodeConfig, external=None) -> EpisodeLog:
                         round_index,
                         masks_before,
                         ordinal,
-                        DeviationEvent(agent, own, joined),
+                        _deviation_event(agent, own, joined),
                         phi,
                         phi_after,
                         tuple(queries),
@@ -457,7 +498,9 @@ def _external_decider(oracle: OracleSpec, config: EpisodeConfig, agent: int, ext
     def decide_external(delta, round_index, ordinal, own, target):
         if external is None or oracle.external not in external:
             raise RuntimeError("external oracle requires an open plugin session")
-        q = PreferenceQuery(agent=agent, current=Coalition(own), candidate=Coalition(target))
+        q = PreferenceQuery(
+            agent=agent, current=mask_coalition(own), candidate=mask_coalition(target)
+        )
         return answer_majority(
             oracle, config.game, q,
             ctx=(config.episode_id, round_index, ordinal),
@@ -591,8 +634,17 @@ def config_to_dict(config: EpisodeConfig) -> dict:
     }
 
 
+@lru_cache(maxsize=8)
+def _game_from_json(text: str) -> GameSpec:
+    """The game of a game dict's canonical JSON, shared: the episodes of one
+    log replay against one GameSpec, so the caches keyed by game identity
+    hit.  Dicts with equal canonical text encode identically; `0.0` and
+    `-0.0` give two texts, and two games."""
+    return game_from_dict(json.loads(text))
+
+
 def config_from_dict(data: dict) -> EpisodeConfig:
-    game = game_from_dict(data["game"])
+    game = _game_from_json(_canonical(data["game"]))
     return EpisodeConfig(
         game=game,
         oracles=tuple(oracle_from_dict(o) for o in data["oracles"]),
@@ -649,6 +701,21 @@ def _verification_json(game: "_Same", masks: tuple[int, ...]) -> str:
     return _canonical(verify_nash(game.obj, Partition.from_masks(game.obj.n, masks)).to_dict())
 
 
+@lru_cache(maxsize=1 << 10)
+def _query_json(q: "_Same") -> str:
+    """The JSON text of the query record that `q` wraps.  Keyed by identity:
+    records that compare equal can print differently (0.0 and -0.0)."""
+    q = q.obj
+    return _QUERY % (
+        q.agent,
+        _members_json(q.target_mask),
+        _float_json(q.delta_v),
+        q.verdict.value,
+        q.critical,
+        _MATCHED_JSON[q.matched],
+    )
+
+
 def _round_line(r: RoundRecord, record_queries: bool, phi_before: str, phi_after: str) -> str:
     """One round as canonical JSON (sorted keys, no spaces), built from text
     fragments instead of a dict passed through json.dumps; `phi_before`
@@ -665,17 +732,7 @@ def _round_line(r: RoundRecord, record_queries: bool, phi_before: str, phi_after
         phi_before,
     )
     if record_queries:
-        line += ',"queries":[%s]' % ",".join(
-            _QUERY % (
-                q.agent,
-                _members_json(q.target_mask),
-                _float_json(q.delta_v),
-                q.verdict.value,
-                q.critical,
-                _MATCHED_JSON[q.matched],
-            )
-            for q in r.queries
-        )
+        line += ',"queries":[%s]' % ",".join(map(_query_json, map(_Same, r.queries)))
     return line + ',"type":"round"}'
 
 

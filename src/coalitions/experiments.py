@@ -11,6 +11,7 @@ manifest always produces byte-identical outputs.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -26,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .game import (
-    Coalition,
     GameSpec,
     iter_deviation_checks,
     load_game,
+    mask_coalition,
     potential,
     value_gap_delta,
 )
@@ -171,7 +172,9 @@ def sample_queries(
             continue
         own, target = moves[rng.randrange(len(moves))]
         queries.append(
-            PreferenceQuery(agent=agent, current=Coalition(own), candidate=Coalition(target))
+            PreferenceQuery(
+                agent=agent, current=mask_coalition(own), candidate=mask_coalition(target)
+            )
         )
     return queries
 
@@ -449,14 +452,24 @@ def sweep(
 # ---------------------------------------------------------------------------
 # output files
 
+def output_file(path: str | Path) -> Path:
+    """`path` as a Path, checked before anything is written: an existing
+    directory there raises IsADirectoryError naming it."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return path
+
+
 @contextmanager
 def atomic_write(path: str | Path):
     """Write to a temp file in the target directory, then rename into place.
 
     The file gets the mode open() would give it (0o666 less the umask), not
-    the 0o600 of mkstemp.
+    the 0o600 of mkstemp.  An existing directory at `path` is refused before
+    the temp file is made.
     """
-    path = Path(path)
+    path = output_file(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:

@@ -210,6 +210,16 @@ class Coalition:
 EMPTY_COALITION = Coalition(0)
 
 
+@lru_cache(maxsize=1 << 12, typed=True)
+def mask_coalition(mask: int) -> Coalition:
+    """The Coalition of a bitmask, shared: while its entry is cached, equal
+    masks give the same object (typed: `True` and `1` give two).  Partitions
+    and the engine's per-query comparisons take their coalitions from here,
+    so a run holds one object per distinct block.  A negative mask raises,
+    and the error is not cached."""
+    return Coalition(mask)
+
+
 @dataclass(frozen=True)
 class Partition:
     """An exclusive coalition structure over agents 0..n-1.
@@ -240,7 +250,10 @@ class Partition:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "Partition":
-        return cls(n, tuple(Coalition(m) for m in masks))
+        """The partition of the given block masks.  Its coalitions come from
+        `mask_coalition`: equal blocks may be one shared object, so identity
+        carries no meaning."""
+        return cls(n, tuple(map(mask_coalition, masks)))
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":

@@ -25,7 +25,6 @@ from itertools import combinations
 from typing import Iterator, Sequence, TYPE_CHECKING
 
 from .game import (
-    Coalition,
     EnumerationBudgetError,
     GameSpec,
     Partition,
@@ -33,6 +32,7 @@ from .game import (
     bell_number,
     iter_deviation_checks,
     iter_partition_blocks,
+    mask_coalition,
     mask_members,
     per_capita_table,
 )
@@ -191,7 +191,7 @@ def verify_nash(
             improves = pc[joined] - pc[own] > TIE_EPS
         else:
             q = PreferenceQuery(
-                agent=agent, current=Coalition(own), candidate=Coalition(target)
+                agent=agent, current=mask_coalition(own), candidate=mask_coalition(target)
             )
             verdict = answer_majority(
                 oracle,

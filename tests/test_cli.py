@@ -538,6 +538,33 @@ def test_an_os_error_exits_2_with_an_error_line(argv, tmp_path, game_file, capsy
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_sweep_into_a_directory_fails_before_any_cell_runs(
+    tmp_path, game_file, monkeypatch, capsys
+):
+    from coalitions import experiments
+
+    calls = []
+    real = experiments.run_condition
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_condition", counted)
+    out = tmp_path / "cells"
+    out.mkdir()
+    code = run_cli(
+        "sweep", game_file, "--axis", "agents", "--values", "4,6", "--episodes", "4",
+        "--out", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert ".cells." not in err
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".cells.")]
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -434,8 +434,132 @@ def test_engine_caches_are_bounded():
         dynamics._partition_json,
         dynamics._verification_json,
         dynamics._successor,
+        dynamics._query_pool,
+        dynamics._query_json,
+        dynamics._deviation_event,
+        dynamics._game_from_json,
+        game.mask_coalition,
     ):
         assert cached.cache_info().maxsize is not None, cached.__name__
+
+
+def test_records_of_equal_queries_are_one_object(six_mixed):
+    # a query is the agent's block and the block it would join, with the
+    # answer: across the episodes of one game, each has one record object
+    logs = [
+        run_episode(EpisodeConfig(
+            game=six_mixed,
+            oracles=(OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, p_critical=0.7, seed=seed),),
+            initial=InitialPartition(kind="random"),
+            seed=seed,
+        ))
+        for seed in (1, 2)
+    ]
+    objects: dict[tuple, set] = {}
+    episodes: dict[tuple, set] = {}
+    for i, log in enumerate(logs):
+        for r in log.rounds:
+            for q in r.queries:
+                own = next(m for m in r.masks_before if m >> q.agent & 1)
+                query = (own, q.target_mask | 1 << q.agent, q.verdict, q.critical, q.matched)
+                objects.setdefault(query, set()).add(id(q))
+                episodes.setdefault(query, set()).add(i)
+        assert episode_log_lines(log) == brute_episode(log.config)
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert any(len(seen) == 2 for seen in episodes.values())
+    events = [r.deviation for log in logs for r in log.rounds if r.deviation]
+    for x in events:
+        assert all(x is y for y in events if x == y)
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_records_that_differ_only_in_the_sign_of_zero_print_apart(zeros):
+    game = GameSpec.from_profiles([[0.5], [1.0]])
+    config = EpisodeConfig(game=game, oracles=(PERFECT,), max_rounds=2)
+    rounds = tuple(
+        RoundRecord(
+            index=i + 1,
+            masks_before=(0b01, 0b10),
+            n_queries=1,
+            deviation=None,
+            phi_before=0.0,
+            phi_after=0.0,
+            queries=(QueryRecord(0, 0b10, zero, Verdict.INDIFFERENT, True, None),),
+        )
+        for i, zero in enumerate(zeros)
+    )
+    assert rounds[0].queries == rounds[1].queries
+    log = EpisodeLog(
+        config=config,
+        rounds=rounds,
+        outcome=EpisodeOutcome.TIMEOUT,
+        terminal_partition=Partition.from_masks(2, (0b01, 0b10)),
+        round_count=2,
+        deviation_count=0,
+        summary=EpisodeSummary(0, 0, 0, 0, 0, True, True, 0.0, 0.0),
+    )
+    for _ in range(2):  # a second pass reads the cached texts
+        deltas = [json.loads(ln)["queries"][0][2] for ln in episode_log_lines(log)[1:3]]
+        assert [math.copysign(1, d) for d in deltas] == [math.copysign(1, z) for z in zeros]
+
+
+def test_the_record_pool_stays_within_its_cap(monkeypatch):
+    from coalitions import dynamics
+
+    from coalitions.preferences import derived_rng
+
+    rng = derived_rng("pool-cap", 0)
+    profiles = [[rng.random() for _ in range(3)] for _ in range(14)]
+    game = GameSpec.from_profiles(profiles, alpha=0.05)
+    oracle = OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, p_critical=0.6, p_easy=0.9, seed=5)
+    config = EpisodeConfig(
+        game=game, oracles=(oracle,), initial=InitialPartition(kind="random"), seed=5,
+        rule=DeviationRule.BEST_IMPROVING,  # every round scans every query
+    )
+    pool = dynamics._query_pool(dynamics._Same(game))
+    pool.clear()
+    lines = episode_log_lines(run_episode(config))
+    distinct = len(pool)
+    assert 100 < distinct <= dynamics._QUERY_POOL_CAP
+
+    # a small cap empties the pool mid-episode; the log stays the same
+    pool.clear()
+    monkeypatch.setattr(dynamics, "_QUERY_POOL_CAP", distinct // 4)
+    assert episode_log_lines(run_episode(config)) == lines
+    assert 0 < len(pool) <= distinct // 4
+
+    # nothing recorded, no pool built
+    dynamics._query_pool.cache_clear()
+    run_episode(EpisodeConfig(game=game, oracles=(oracle,), record_queries=False))
+    assert dynamics._query_pool.cache_info().currsize == 0
+
+
+def test_replayed_episodes_of_one_log_share_one_game(six_mixed, monkeypatch):
+    from coalitions import dynamics
+
+    built = []
+    real = dynamics.game_from_dict
+
+    def counted(data):
+        built.append(data)
+        return real(data)
+
+    monkeypatch.setattr(dynamics, "game_from_dict", counted)
+    dynamics._game_from_json.cache_clear()
+    report = replay_lines(condition_log_lines(six_mixed, 2))
+    assert report.identical
+    assert len(built) == 1
+
+    # equal games whose texts differ are built apart
+    data = [
+        config_to_dict(perfect_config(GameSpec.from_profiles([[zero, 0.5], [1.0, 0.25]])))
+        for zero in (0.0, -0.0)
+    ]
+    games = [config_from_dict(d).game for d in data]
+    assert games[0] == games[1] and games[0] is not games[1]
+    assert len(built) == 3
+    assert config_from_dict(data[1]).game is games[1]
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("n", range(1, 7))

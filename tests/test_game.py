@@ -362,6 +362,20 @@ def test_partition_invariants():
         Partition(3, (Coalition.of([0, 1, 2]), Coalition(0)))
 
 
+def test_partitions_from_masks_share_coalitions_and_keep_their_checks():
+    a = Partition.from_masks(4, (0b0101, 0b1010))
+    b = Partition.from_masks(4, (0b1010, 0b0101))
+    assert a == b
+    assert all(x is y for x, y in zip(a.coalitions, b.coalitions))
+    with pytest.raises(ValueError, match="non-negative"):
+        Partition.from_masks(3, (0b011, -4))
+    with pytest.raises(ValueError, match="disjoint"):
+        Partition.from_masks(3, (0b011, 0b110))
+    # a rejected mask is not cached: it raises every time
+    with pytest.raises(ValueError, match="non-negative"):
+        Partition.from_masks(3, (-4, 0b011))
+
+
 def test_partition_canonical_order():
     a = Partition.from_blocks(4, [[3, 1], [0, 2]])
     b = Partition.from_blocks(4, [[2, 0], [1, 3]])
