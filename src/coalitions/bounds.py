@@ -22,7 +22,7 @@ from .game import (
     GameSpec,
     Partition,
     check_potential_alignment,
-    iter_deviation_checks,
+    deviation_plan,
     per_capita_table,
     value_gap_delta,
 )
@@ -98,11 +98,13 @@ def count_critical_decisions(
     threshold = 2.0 * epsilon
     k_n = 0
     k_eff = 0
-    for _, own, _, joined in iter_deviation_checks(partition.masks):
-        k_n += 1
-        delta = 0.0 if joined == own else pc[joined] - pc[own]
-        if abs(delta) < threshold:
-            k_eff += 1
+    for agent, own, targets in deviation_plan(partition.masks):
+        for target in targets:
+            k_n += 1
+            joined = target | 1 << agent
+            delta = 0.0 if joined == own else pc[joined] - pc[own]
+            if abs(delta) < threshold:
+                k_eff += 1
     return k_eff, k_n
 
 
@@ -166,7 +168,7 @@ def measure_bound_inputs(
     gamma = min(max(gamma, 1e-9), 1.0)
     p = min(max(p, 1e-9), 1.0)
     p_easy = min(max(p_easy, 1e-9), 1.0)
-    delta = value_gap_delta(game, max_size=min(game.n, 4))
+    delta = value_gap_delta(game)
     if math.isinf(delta):
         delta = epsilon  # degenerate game: gap plays no role in the formula
     return BoundInputs(

@@ -146,7 +146,11 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_inspect(args) -> int:
     game = _load_game_or_exit(args.game)
-    delta = value_gap_delta(game, max_size=args.max_size)
+    try:
+        delta = value_gap_delta(game, max_size=args.max_size)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     report = {
         "n": game.n,
         "d": game.d,
@@ -212,6 +216,9 @@ def cmd_verify(args) -> int:
     game = _load_game_or_exit(args.game)
     partition = _load_partition_or_exit(args.partition, game.n)
     concept = StabilityConcept(args.concept)
+    if args.max_block_size is not None and concept is not StabilityConcept.CORE:
+        print("error: only --concept core takes --max-block-size", file=sys.stderr)
+        return EXIT_USAGE
     oracle = _oracle_from_args(args)
     behavioral = oracle.kind is not OracleKind.PERFECT
     if behavioral and concept is not StabilityConcept.NASH:
@@ -224,7 +231,11 @@ def cmd_verify(args) -> int:
     if concept is StabilityConcept.INDIVIDUAL:
         report = verify_individual(game, partition)
     elif concept is StabilityConcept.CORE:
-        report = verify_core(game, partition, max_block_size=args.max_block_size)
+        try:
+            report = verify_core(game, partition, max_block_size=args.max_block_size)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     elif not behavioral:
         report = verify_nash(game, partition)
     elif oracle.kind is OracleKind.EXTERNAL:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .game import (
     GameSpec,
-    iter_deviation_checks,
+    deviation_plan,
     load_game,
     mask_coalition,
     potential,
@@ -166,11 +166,11 @@ def sample_queries(
     while len(queries) < count:
         partition = random_partition(game.n, rng)
         agent = rng.randrange(game.n)
-        checks = iter_deviation_checks(partition.masks, (agent,))
-        moves = [(own, target) for _, own, target, joined in checks if joined != own]
+        _, own, targets = deviation_plan(partition.masks)[agent]
+        moves = [target for target in targets if target | 1 << agent != own]
         if not moves:
             continue
-        own, target = moves[rng.randrange(len(moves))]
+        target = moves[rng.randrange(len(moves))]
         queries.append(
             PreferenceQuery(
                 agent=agent, current=mask_coalition(own), candidate=mask_coalition(target)
@@ -423,7 +423,7 @@ def sweep(
                 max_rounds=max_rounds,
             )
             result = run_condition(condition, cell_game, keep_logs=False)
-            delta = value_gap_delta(cell_game, max_size=min(cell_game.n, 4))
+            delta = value_gap_delta(cell_game)
         except Exception as exc:  # record the failure, keep sweeping
             result = ConditionResult(
                 name=f"{axis.value}={value:g} [failed: {exc}]",

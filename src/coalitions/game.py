@@ -402,8 +402,11 @@ def value_gap_delta(game: GameSpec, max_size: int = 4) -> float:
     by a multiple of g / (d * k) whatever alpha is.  Hence delta <=
     g / (d * max_size) as soon as two such coalitions of size max_size that
     share an agent differ by one grid step in their summed capabilities; on
-    six_mixed (g = 0.01, d = 3) delta is 1/1200 at every alpha.
+    six_mixed (g = 0.01, d = 3) delta is 1/1200 at every alpha.  A max_size
+    below 1 raises ValueError: no coalition would be seen.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     sizes = _mask_sizes(game.n)
     masks = np.flatnonzero((sizes > 0) & (sizes <= max_size))
     per_capita = np.frombuffer(per_capita_table(game))[masks]
@@ -416,19 +419,15 @@ def value_gap_delta(game: GameSpec, max_size: int = 4) -> float:
     return best
 
 
-def coalition_value_bounds(
-    game: GameSpec, max_size: int | None = None
-) -> tuple[float, float]:
-    """(min v(S), max v(S)) over nonempty coalitions of size <= max_size."""
+def coalition_value_bounds(game: GameSpec) -> tuple[float, float]:
+    """(min v(S), max v(S)) over nonempty coalitions."""
     values = np.frombuffer(value_table(game))[1:]
-    if max_size is not None and max_size < game.n:
-        values = values[_mask_sizes(game.n)[1:] <= max_size]
-    return float(values.min(initial=math.inf)), float(values.max(initial=-math.inf))
+    return float(values.min()), float(values.max())
 
 
-def coalition_value_range(game: GameSpec, max_size: int | None = None) -> float:
-    """max v(S) - min v(S) over nonempty coalitions of size <= max_size."""
-    lo, hi = coalition_value_bounds(game, max_size)
+def coalition_value_range(game: GameSpec) -> float:
+    """max v(S) - min v(S) over nonempty coalitions."""
+    lo, hi = coalition_value_bounds(game)
     return hi - lo
 
 
@@ -497,10 +496,11 @@ def deviation_plan(masks: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, .
     move; all members of a block share one targets tuple.  The solo move of
     an agent already alone is a self-comparison (`target | 1 << agent ==
     own`); it stays in the plan so every scan makes exactly n * |partition|
-    checks.  Cached for the episode loop: improving dynamics keep returning
-    to the same partitions (about 89 % of the paper manifest's ~93k scans
-    hit a cache of this size; 91 % at four times the size).  One-shot scans
-    use `iter_deviation_checks`, which builds no plan.
+    checks.  Every scan but `stability._nash_stable` walks it, as
+    `for agent, own, targets in plan: for target in targets`.  Cached for
+    the episode loop: improving dynamics keep returning to the same
+    partitions (about 89 % of the paper manifest's ~93k scans hit a cache of
+    this size; 91 % at four times the size).
     """
     entries: list = [None] * _partition_size(masks)
     for i, own in enumerate(masks):
@@ -508,32 +508,6 @@ def deviation_plan(masks: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, .
         for agent in mask_members(own):
             entries[agent] = (agent, own, targets)
     return tuple(entries)
-
-
-def iter_deviation_checks(
-    masks: Sequence[int], agents: Iterable[int] | None = None
-) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (agent, own, target, joined) for every deviation comparison.
-
-    The checks of `deviation_plan(masks)`, in the same order: `joined` is
-    `target | 1 << agent`.  Agents come in `agents` order (default:
-    ascending ids); each agent's targets are the other blocks in the given
-    order, then the solo move (target 0).  Builds no plan, for one-shot
-    callers that visit each partition once, often for one agent.
-    """
-    masks = tuple(masks)
-    n = _partition_size(masks)
-    targets = masks + (0,)
-    for agent in range(n) if agents is None else agents:
-        bit = 1 << agent
-        for own in masks:
-            if own & bit:
-                break
-        else:
-            raise ValueError(f"agent {agent} is not in the partition {masks}")
-        for target in targets:
-            if target != own:
-                yield agent, own, target, target | bit
 
 
 #: the most partitions check_potential_alignment exhausts: Bell(10) =
@@ -563,35 +537,37 @@ def check_potential_alignment(game: GameSpec) -> AlignmentReport:
     for blocks in iter_partition_blocks(n):
         partitions += 1
         phi = sum(vals[b] for b in blocks)
-        for agent, own, target, joined in iter_deviation_checks(blocks):
-            if joined == own:
-                continue
-            deviations += 1
-            if pc[joined] <= pc[own] + TIE_EPS:
-                continue
+        for agent, own, targets in deviation_plan(blocks):
             rest = own & ~(1 << agent)
-            phi_new = (
-                phi
-                - vals[own]
-                - (vals[target] if target else 0.0)
-                + vals[joined]
-                + (vals[rest] if rest else 0.0)
-            )
-            if phi_new <= phi + TIE_EPS:
-                return AlignmentReport(
-                    passed=False,
-                    partitions_checked=partitions,
-                    deviations_checked=deviations,
-                    witness=AlignmentWitness(
-                        partition=Partition.from_masks(n, blocks),
-                        agent=agent,
-                        target_members=mask_members(target),
-                        per_capita_before=pc[own],
-                        per_capita_after=pc[joined],
-                        potential_before=phi,
-                        potential_after=phi_new,
-                    ),
+            for target in targets:
+                joined = target | 1 << agent
+                if joined == own:
+                    continue
+                deviations += 1
+                if pc[joined] - pc[own] <= TIE_EPS:
+                    continue
+                phi_new = (
+                    phi
+                    - vals[own]
+                    - (vals[target] if target else 0.0)
+                    + vals[joined]
+                    + (vals[rest] if rest else 0.0)
                 )
+                if phi_new <= phi + TIE_EPS:
+                    return AlignmentReport(
+                        passed=False,
+                        partitions_checked=partitions,
+                        deviations_checked=deviations,
+                        witness=AlignmentWitness(
+                            partition=Partition.from_masks(n, blocks),
+                            agent=agent,
+                            target_members=mask_members(target),
+                            per_capita_before=pc[own],
+                            per_capita_after=pc[joined],
+                            potential_before=phi,
+                            potential_after=phi_new,
+                        ),
+                    )
     return AlignmentReport(
         passed=True, partitions_checked=partitions, deviations_checked=deviations
     )

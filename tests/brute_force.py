@@ -136,7 +136,7 @@ def brute_alignment(game: GameSpec) -> tuple[bool, int, int, tuple | None]:
                 if joined == own:
                     continue
                 deviations += 1
-                if pc(joined) <= pc(own) + TIE_EPS:
+                if pc(joined) - pc(own) <= TIE_EPS:
                     continue
                 rest = own & ~(1 << agent)
                 phi_new = (

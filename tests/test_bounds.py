@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from brute_force import brute_deviation_checks
+
 from coalitions.game import GameSpec, Partition, per_capita_table
 from coalitions.preferences import OracleKind, OracleSpec
-from coalitions.stability import iter_deviation_checks
 from coalitions.dynamics import EpisodeConfig, EpisodeOutcome, InitialPartition, run_episode
 from coalitions.bounds import (
     BoundInputs,
@@ -86,7 +87,7 @@ def test_bound_input_validation():
 def brute_counts(game, partition, epsilon):
     pc = per_capita_table(game)
     k_eff = k_n = 0
-    for agent, own, target, joined in iter_deviation_checks(partition.masks):
+    for agent, own, target, joined in brute_deviation_checks(list(partition.masks)):
         k_n += 1
         gap = abs(pc[joined] - pc[own]) if joined != own else 0.0
         k_eff += gap < 2 * epsilon

@@ -78,6 +78,14 @@ def test_inspect_single_agent(tmp_path, solo_game, capsys):
     assert report["gate"] == "PASS"
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_inspect_rejects_a_max_size_below_one(size, game_file, capsys):
+    assert run_cli("inspect", game_file, "--max-size", size, "--json") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: max_size must be >= 1, got {size}\n"
+    assert captured.out == ""
+
+
 def test_inspect_missing_file(tmp_path, capsys):
     assert run_cli("inspect", tmp_path / "nope.json") == 2
 
@@ -142,6 +150,34 @@ def test_verify_core_is_fast(game_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 1  # everyone prefers solo work here
     assert report["concept"] == "core"
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_verify_core_rejects_a_block_size_below_one(size, game_file, tmp_path, capsys):
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    assert run_cli("verify", game_file, "--partition", part, "--concept", "core") == 1
+    assert json.loads(capsys.readouterr().out)["witness"]["blocking_set"] == [0]
+    code = run_cli(
+        "verify", game_file, "--partition", part, "--concept", "core", "--max-block-size", size
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: max_block_size must be >= 1, got {size}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("concept", ["nash", "individual"])
+def test_verify_refuses_a_block_size_without_the_core_concept(
+    concept, game_file, tmp_path, capsys
+):
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    code = run_cli(
+        "verify", game_file, "--partition", part, "--concept", concept, "--max-block-size", "2"
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: only --concept core takes --max-block-size\n"
+    assert captured.out == ""
 
 
 def test_verify_individual_concept(duo_file, tmp_path, capsys):

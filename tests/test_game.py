@@ -137,9 +137,7 @@ def test_value_kernel_matches_per_mask_values(game):
     assert list(values[1:]) == direct
     assert [coalition_value(game, m) for m in masks] == direct
     assert list(per_capita[1:]) == [v / m.bit_count() for m, v in zip(masks, direct)]
-    for k in range(1, game.n + 1):
-        sized = [v for m, v in zip(masks, direct) if m.bit_count() <= k]
-        assert coalition_value_range(game, k) == max(sized) - min(sized)
+    assert coalition_value_range(game) == max(direct) - min(direct)
     assert convergence_bound(game).value_range == max(max(direct), 0.0) - min(min(direct), 0.0)
     assert value_gap_delta(game, max_size=game.n) == brute_delta(game, game.n)
 
@@ -147,8 +145,10 @@ def test_value_kernel_matches_per_mask_values(game):
 @given(random_games())
 @settings(max_examples=40, deadline=None)
 def test_value_gap_delta_matches_enumeration_at_every_size(game):
-    for k in range(game.n + 1):
+    for k in range(1, game.n + 1):
         assert value_gap_delta(game, max_size=k) == brute_delta(game, k)
+    with pytest.raises(ValueError, match="max_size must be >= 1"):
+        value_gap_delta(game, max_size=0)
 
 
 @pytest.mark.parametrize("n", [1, 6, 13])  # 13 > BLOCK_BITS: more than one DP block

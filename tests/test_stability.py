@@ -8,16 +8,23 @@ from hypothesis import given, settings, strategies as st
 
 from brute_force import brute_deviation_checks, brute_partitions
 
-from coalitions.game import Coalition, GameSpec, Partition, deviation_plan, per_capita_table
+from coalitions.game import (
+    TIE_EPS,
+    Coalition,
+    GameSpec,
+    Partition,
+    deviation_plan,
+    per_capita_table,
+)
 from coalitions.preferences import derived_rng
 from coalitions.stability import (
     BlockingSetWitness,
     StabilityConcept,
+    _nash_stable,
     bell_number,
     enumerate_partitions,
     find_nash_stable,
     is_nash_stable_masks,
-    iter_deviation_checks,
     random_partition,
     verify_core,
     verify_individual,
@@ -36,9 +43,22 @@ def brute_nash_reversed(game: GameSpec, partition: Partition) -> bool:
         targets = [0] + [m for m in reversed(masks) if m != own]
         for target in targets:
             joined = target | 1 << agent
-            if joined != own and pc[joined] > pc[own] + 1e-12:
+            if joined != own and pc[joined] - pc[own] > 1e-12:
                 return False
     return True
+
+
+def plan_checks(masks, agents=None) -> list[tuple[int, int, int, int]]:
+    """The checks of `deviation_plan(masks)` flattened to (agent, own,
+    target, joined), its entries taken in `agents` order (default: the
+    plan's own), as the random-improving scan indexes them."""
+    plan = deviation_plan(tuple(masks))
+    entries = plan if agents is None else [plan[agent] for agent in agents]
+    return [
+        (agent, own, target, target | 1 << agent)
+        for agent, own, targets in entries
+        for target in targets
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +146,19 @@ def test_query_count_property_and_order_independence(seed):
     assert report.stable == brute_nash_reversed(game, partition)
     assert is_nash_stable_masks(game, partition.masks) == report.stable
     masks = list(partition.masks)
-    assert list(iter_deviation_checks(masks)) == brute_deviation_checks(masks)
+    assert plan_checks(masks) == brute_deviation_checks(masks)
     shuffled = list(range(game.n))
     derived_rng("agents", seed).shuffle(shuffled)
-    assert list(iter_deviation_checks(masks, shuffled)) == brute_deviation_checks(
-        masks, shuffled
-    )
+    assert plan_checks(masks, shuffled) == brute_deviation_checks(masks, shuffled)
 
 
 def test_deviation_checks_match_reference_on_every_small_partition():
     for n in range(1, 7):
         for masks in brute_partitions(n):
-            assert list(iter_deviation_checks(masks)) == brute_deviation_checks(masks)
+            assert plan_checks(masks) == brute_deviation_checks(masks)
             # blocks in a non-canonical order keep that order as targets
             backwards = masks[::-1]
-            assert list(iter_deviation_checks(backwards)) == brute_deviation_checks(backwards)
+            assert plan_checks(backwards) == brute_deviation_checks(backwards)
 
 
 @given(st.data())
@@ -150,7 +168,7 @@ def test_deviation_checks_match_reference_in_drawn_orders(data):
     order = data.draw(
         st.permutations(range(n)) | st.lists(st.integers(min_value=0, max_value=n - 1))
     )
-    assert list(iter_deviation_checks(masks, order)) == brute_deviation_checks(masks, order)
+    assert plan_checks(masks, order) == brute_deviation_checks(masks, order)
 
 
 def test_plan_entries_share_one_targets_tuple_per_block():
@@ -169,19 +187,6 @@ def test_deviation_plan_rejects_masks_that_are_not_a_partition():
     for masks in [(0b11, 0b01), (0b100,), (0b101,), (0b1, 0b1)]:
         with pytest.raises(ValueError, match="do not partition"):
             deviation_plan(masks)
-
-
-def test_deviation_checks_reject_masks_that_are_not_a_partition():
-    for masks in [(0b11, 0b01), (0b100,), (0b101,), (0b1, 0b1)]:
-        with pytest.raises(ValueError, match="do not partition"):
-            list(iter_deviation_checks(masks))
-        with pytest.raises(ValueError, match="do not partition"):
-            list(iter_deviation_checks(masks, (0,)))
-
-
-def test_deviation_checks_reject_an_agent_outside_the_partition():
-    with pytest.raises(ValueError, match="agent 3 is not in the partition"):
-        list(iter_deviation_checks((0b011, 0b100), (0, 3)))
 
 
 def test_behavioral_verification_with_perfect_oracle(six_mixed):
@@ -257,6 +262,13 @@ def test_core_respects_max_block_size(parasite_game):
     assert not verify_core(parasite_game, partition).stable
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_core_rejects_a_block_size_below_one(parasite_game, size):
+    partition = Partition.from_blocks(3, [[0, 2], [1]])
+    with pytest.raises(ValueError, match="max_block_size must be >= 1"):
+        verify_core(parasite_game, partition, max_block_size=size)
+
+
 def brute_core(game: GameSpec, partition: Partition) -> bool:
     pc = per_capita_table(game)
     current = {
@@ -265,7 +277,7 @@ def brute_core(game: GameSpec, partition: Partition) -> bool:
     for size in range(1, game.n + 1):
         for combo in combinations(range(game.n), size):
             mask = sum(1 << i for i in combo)
-            if all(pc[mask] > current[i] + 1e-12 for i in combo):
+            if all(pc[mask] - current[i] > 1e-12 for i in combo):
                 return False
     return True
 
@@ -287,6 +299,15 @@ def test_no_stable_partition_in_counterexample(dominated_pair):
 def test_six_agent_game_has_stable_partition(six_mixed):
     stable = find_nash_stable(six_mixed)
     assert stable == [Partition.singletons(6)]
+
+
+def test_nash_predicate_uses_the_difference_form_at_the_tie_bound():
+    # pc[0b11] - pc[0b01] exceeds TIE_EPS, though pc[0b11] > pc[0b01] + TIE_EPS
+    # does not hold in floats: agent 0 strictly prefers joining agent 1
+    b, a = -0.009129825816118098, -0.009129825815118097
+    assert a - b > TIE_EPS and not a > b + TIE_EPS
+    pc = [math.nan, b, 10.0, a]
+    assert not _nash_stable(pc, (0b01, 0b10))
 
 
 def test_single_agent_search(solo_game):
