@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .game import (
+    AlignmentReport,
     GameSpec,
     Partition,
-    check_potential_alignment,
     deviation_plan,
     per_capita_table,
     value_gap_delta,
@@ -234,21 +234,12 @@ class PreconditionReport:
     aligned: bool
     reasons: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "met": self.met,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "gap_ok": self.gap_ok,
-            "aligned": self.aligned,
-            "reasons": list(self.reasons),
-        }
-
 
 def deterministic_preconditions_met(
-    game: GameSpec, epsilon: float, max_size: int = 4
+    delta: float, alignment: AlignmentReport, epsilon: float
 ) -> PreconditionReport:
-    """Gate for the deterministic convergence guarantee.
+    """Gate for the deterministic convergence guarantee, given the game's
+    `value_gap_delta` and its `check_potential_alignment` report.
 
     Met exactly when epsilon < delta / 2 and potential alignment holds.
     Capability monotonicity, the third sufficient condition (Bogomolnaia &
@@ -259,21 +250,19 @@ def deterministic_preconditions_met(
     the same size cost; and correctly rounded IEEE arithmetic is monotone
     in each operand.  tests/test_game.py checks this as a property.
     """
-    delta = value_gap_delta(game, max_size=max_size)
     gap_ok = epsilon < delta / 2
-    aligned = check_potential_alignment(game)
     reasons = []
     if not gap_ok:
         reasons.append(
             f"epsilon >= delta/2 (epsilon={epsilon:.6g}, delta/2={delta / 2:.6g})"
         )
-    if not aligned.passed:
+    if not alignment.passed:
         reasons.append("potential alignment fails")
     return PreconditionReport(
-        met=gap_ok and aligned.passed,
+        met=gap_ok and alignment.passed,
         epsilon=epsilon,
         delta=delta,
         gap_ok=gap_ok,
-        aligned=aligned.passed,
+        aligned=alignment.passed,
         reasons=tuple(reasons),
     )

@@ -91,7 +91,7 @@ def _load_partition_or_exit(path: str, n: int) -> Partition:
 #: oracle flags that are passed on only when given, by their oracle_from_dict key
 _ORACLE_FLAGS = ("epsilon", "p_critical", "p_easy", "critical_gap", "majority_k")
 #: the endpoint flags, which only an external oracle takes
-_ENDPOINT_FLAGS = ("--oracle-cmd", "--oracle-url", "--oracle-timeout-ms", "--protocol")
+_ENDPOINT_FLAGS = ("--oracle-cmd", "--oracle-timeout-ms", "--protocol")
 
 
 def _oracle_from_args(args) -> OracleSpec:
@@ -107,7 +107,7 @@ def _oracle_from_args(args) -> OracleSpec:
     )
     given = [f for f in _ENDPOINT_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
     if args.oracle == OracleKind.EXTERNAL.value:
-        endpoint = {"command": args.oracle_cmd, "url": args.oracle_url, "protocol": args.protocol}
+        endpoint = {"command": args.oracle_cmd, "protocol": args.protocol}
         if args.oracle_timeout_ms is not None:
             endpoint["timeout_s"] = args.oracle_timeout_ms / 1000.0
         data["external"] = {key: v for key, v in endpoint.items() if v is not None}
@@ -139,7 +139,6 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
         metavar="COMMAND",
         help="plugin command line as one shell-quoted string",
     )
-    parser.add_argument("--oracle-url")
     parser.add_argument("--oracle-timeout-ms", type=float)
     parser.add_argument("--protocol", choices=["standard", "cot", "staged"])
 
@@ -147,7 +146,11 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
 def cmd_inspect(args) -> int:
     game = _load_game_or_exit(args.game)
     try:
-        delta = value_gap_delta(game, max_size=args.max_size)
+        delta = (
+            value_gap_delta(game)
+            if args.max_size is None
+            else value_gap_delta(game, max_size=args.max_size)
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -162,7 +165,11 @@ def cmd_inspect(args) -> int:
     }
     try:
         aligned = check_potential_alignment(game)
-        gate = deterministic_preconditions_met(game, args.epsilon, max_size=args.max_size)
+    except EnumerationBudgetError as exc:
+        report.update({"alignment": None, "gate": None,
+                       "note": f"structural checks skipped: {exc}"})
+    else:
+        gate = deterministic_preconditions_met(delta, aligned, args.epsilon)
         report.update(
             {
                 "alignment": "pass" if aligned.passed else "FAIL",
@@ -186,9 +193,6 @@ def cmd_inspect(args) -> int:
                 "gate_reasons": list(gate.reasons),
             }
         )
-    except EnumerationBudgetError as exc:
-        report.update({"alignment": None, "gate": None,
-                       "note": f"structural checks skipped: {exc}"})
     _emit(report, args.json)
     return EXIT_OK
 
@@ -375,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="structural report for a game file")
     p.add_argument("game")
-    p.add_argument("--epsilon", type=float, default=0.15)
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--epsilon", type=float, default=OracleSpec.epsilon)
+    p.add_argument("--max-size", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)
 
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="JSON with p, p_easy, k_eff, k_n, gamma, delta, epsilon_bar")
     p.add_argument("--game", default=None)
     p.add_argument("--partition", default=None)
-    p.add_argument("--epsilon", type=float, default=0.15)
+    p.add_argument("--epsilon", type=float, default=OracleSpec.epsilon)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("regress", help="fit stability rate on consistency")

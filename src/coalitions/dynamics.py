@@ -574,8 +574,7 @@ def oracle_to_dict(oracle: OracleSpec) -> dict:
     }
     if oracle.external is not None:
         out["external"] = {
-            "command": list(oracle.external.command) if oracle.external.command else None,
-            "url": oracle.external.url,
+            "command": list(oracle.external.command),
             "timeout_s": oracle.external.timeout_s,
             "protocol": oracle.external.protocol,
         }
@@ -593,7 +592,7 @@ _ORACLE_KEYS = {
     "seed": int,
     "majority_k": int,
 }
-_ENDPOINT_KEYS = {"url": None, "timeout_s": float, "protocol": None}
+_ENDPOINT_KEYS = {"timeout_s": float, "protocol": None}
 
 
 def _given(data: dict, keys: dict) -> dict:
@@ -614,10 +613,15 @@ def oracle_from_dict(data: dict) -> OracleSpec:
     fields = _given(data, _ORACLE_KEYS)
     e = data.get("external")
     if e is not None:
-        endpoint = _given(e, _ENDPOINT_KEYS)
-        if e.get("command"):
-            endpoint["command"] = tuple(e["command"])
-        fields["external"] = ExternalEndpointSpec(**endpoint)
+        if not isinstance(e, dict):
+            raise ValueError(f"an external oracle's endpoint must be an object, got {e!r}")
+        if e.get("url") is not None:  # older headers write "url": null
+            raise ValueError(
+                "HTTP endpoints were removed: an external oracle needs a plugin command"
+            )
+        fields["external"] = ExternalEndpointSpec(
+            command=tuple(e.get("command") or ()), **_given(e, _ENDPOINT_KEYS)
+        )
     return OracleSpec(kind=OracleKind(data["kind"]), **fields)
 
 

@@ -1,10 +1,10 @@
 """External preference-oracle plugin boundary.
 
 Renders prompt templates for a deviation query, speaks a line-delimited JSON
-protocol to a child process (or POSTs to an HTTP endpoint), and parses the
-final preference declaration out of free-form completions.  The engine never
-knows what is on the other side; anything that answers the wire format can
-act as an oracle.
+protocol to a child process, and parses the final preference declaration
+out of free-form completions.  The engine never knows what is on the other
+side; any program that answers the wire format on its stdout can act as an
+oracle.
 
 Wire format, one JSON object per line, UTF-8:
 
@@ -17,7 +17,7 @@ Wire format, one JSON object per line, UTF-8:
 engine reads only `verdict` and `raw`; a `verdict` that is present must be
 a string.  The prompt still asks for a confidence, and plugins may send one.
 
-A stdio plugin has one query in flight at a time.  The endpoint reads the
+A plugin has one query in flight at a time.  The endpoint reads the
 child's stdout itself, with no reader thread: after writing a query it polls
 the pipe until an answer line arrives or the query's deadline passes, so it
 needs POSIX pipes that `select.poll` can wait on.  A query that timed out is
@@ -25,7 +25,7 @@ not answered twice: its late answer, if one comes, is dropped, and the next
 query is matched with its own answer.  A session caches the JSON-escaped
 prompt fragments of the game it is asked about, a bounded number per kind,
 and assembles each query line from them; the bytes are those of
-`OracleWireQuery.to_json_line()` on both transports.
+`OracleWireQuery.to_json_line()`.
 """
 
 from __future__ import annotations
@@ -274,8 +274,8 @@ class OracleWireAnswer:
 
 class WireLine(NamedTuple):
     """A query ready to send: its id and its line, which is the
-    `OracleWireQuery.to_json_line()` of the same query.  The endpoints take
-    either type; they read only `query_id` and `to_json_line()`."""
+    `OracleWireQuery.to_json_line()` of the same query.  The endpoint takes
+    either type; it reads only `query_id` and `to_json_line()`."""
 
     query_id: str
     line: str
@@ -300,8 +300,8 @@ class StdioEndpoint:
     def __init__(self, command: Sequence[str]):
         if not hasattr(select, "poll"):
             raise OracleWireError(
-                "stdio plugins need pipes that select.poll can wait on, which "
-                "this platform lacks; serve the plugin over HTTP instead"
+                "external oracles need POSIX pipes that select.poll can wait "
+                "on, which this platform lacks"
             )
         try:
             self._proc = subprocess.Popen(
@@ -415,45 +415,6 @@ class StdioEndpoint:
         self._proc.stdout.close()
 
 
-class HttpEndpoint:
-    """POSTs each query as JSON and reads a JSON answer body."""
-
-    def __init__(self, url: str):
-        self.url = url
-
-    def exchange(
-        self, query: OracleWireQuery | WireLine, timeout_s: float
-    ) -> OracleWireAnswer:
-        # deferred: urllib.request pulls in ssl, http.client and email
-        import urllib.error
-        import urllib.request
-
-        req = urllib.request.Request(
-            self.url,
-            data=query.to_json_line().encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-                body = resp.read().decode("utf-8")
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, TimeoutError):
-                raise OracleTimeoutError(str(exc)) from exc
-            raise OracleWireError(f"HTTP exchange failed: {exc}") from exc
-        except TimeoutError as exc:
-            raise OracleTimeoutError(str(exc)) from exc
-        answer = OracleWireAnswer.from_json(body)
-        if answer.query_id != query.query_id:
-            raise OracleIdMismatchError(
-                f"expected answer to {query.query_id}, got {answer.query_id}"
-            )
-        return answer
-
-    def close(self) -> None:
-        pass
-
-
 # A query line, as `OracleWireQuery.to_json_line()` writes it.  Its prompt is
 # cut where the current block, the candidate block and the closing block
 # (task and protocol) begin.  The part before the cuts depends only on the
@@ -492,11 +453,7 @@ class ExternalSession:
 
     def __init__(self, endpoint: ExternalEndpointSpec):
         self.spec = endpoint
-        if endpoint.command is not None:
-            self._endpoint = StdioEndpoint(endpoint.command)
-        else:
-            assert endpoint.url is not None
-            self._endpoint = HttpEndpoint(endpoint.url)
+        self._endpoint = StdioEndpoint(endpoint.command)
         self.queries_sent = 0
         self._game: GameSpec | None = None
         self._closing = ""

@@ -56,16 +56,20 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class ExternalEndpointSpec:
-    """Where an external preference plugin lives and how to prompt it."""
+    """How to start an external preference plugin and how to prompt it.
 
-    command: tuple[str, ...] | None = None
-    url: str | None = None
+    A plugin is a child process, started from `command`, that speaks the
+    line protocol of `coalitions.plugin` on its stdin and stdout.  The
+    engine waits on its pipes with `select.poll`, so it needs POSIX pipes.
+    """
+
+    command: tuple[str, ...]
     timeout_s: float = 10.0
     protocol: str = "staged"
 
     def __post_init__(self) -> None:
-        if (self.command is None) == (self.url is None):
-            raise ValueError("exactly one of command or url must be set")
+        if not self.command:
+            raise ValueError("an external oracle needs a plugin command")
 
 
 @dataclass(frozen=True)

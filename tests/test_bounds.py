@@ -6,7 +6,13 @@ import pytest
 
 from brute_force import brute_deviation_checks
 
-from coalitions.game import GameSpec, Partition, per_capita_table
+from coalitions.game import (
+    GameSpec,
+    Partition,
+    check_potential_alignment,
+    per_capita_table,
+    value_gap_delta,
+)
 from coalitions.preferences import OracleKind, OracleSpec
 from coalitions.dynamics import EpisodeConfig, EpisodeOutcome, InitialPartition, run_episode
 from coalitions.bounds import (
@@ -231,21 +237,27 @@ def test_regression_degenerate_errors():
 # ---------------------------------------------------------------------------
 # deterministic gate
 
+def gate(game: GameSpec, epsilon: float):
+    return deterministic_preconditions_met(
+        value_gap_delta(game), check_potential_alignment(game), epsilon
+    )
+
+
 def test_gate_fails_on_reference_game_for_realistic_epsilon(six_mixed):
-    report = deterministic_preconditions_met(six_mixed, 0.15)
+    report = gate(six_mixed, 0.15)
     assert not report.met
     assert not report.gap_ok
     assert any("epsilon >= delta/2" in r for r in report.reasons)
 
 
 def test_gate_fails_on_counterexample_via_alignment(dominated_pair):
-    report = deterministic_preconditions_met(dominated_pair, 0.01)
+    report = gate(dominated_pair, 0.01)
     assert not report.met
     assert not report.aligned
     assert report.gap_ok  # 0.01 < 0.0653 / 2
 
 
 def test_gate_passes_for_single_agent(solo_game):
-    report = deterministic_preconditions_met(solo_game, 0.15)
+    report = gate(solo_game, 0.15)
     assert report.met
     assert math.isinf(report.delta)

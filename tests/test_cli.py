@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and file formats."""
 
+import collections
 import contextlib
 import io
 import json
@@ -10,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coalitions.game
 from coalitions.cli import _oracle_from_args, build_parser, main
 from coalitions.game import save_game
 from coalitions.preferences import (
@@ -84,6 +86,31 @@ def test_inspect_rejects_a_max_size_below_one(size, game_file, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: max_size must be >= 1, got {size}\n"
     assert captured.out == ""
+
+
+def test_inspect_runs_each_structural_check_once(game_file, monkeypatch, capsys):
+    calls = collections.Counter()
+    for name in ("check_potential_alignment", "value_gap_delta"):
+        original = getattr(coalitions.game, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("coalitions") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert run_cli("inspect", game_file, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["gate"] == "FAIL"
+    assert calls == {"check_potential_alignment": 1, "value_gap_delta": 1}
+
+
+def test_inspect_defaults_are_the_field_defaults(game_file, capsys):
+    assert run_cli("inspect", game_file, "--json") == 0
+    bare = capsys.readouterr().out
+    assert run_cli("inspect", game_file, "--epsilon", "0.15", "--max-size", "4", "--json") == 0
+    assert capsys.readouterr().out == bare
+    assert json.loads(bare)["epsilon"] == 0.15
 
 
 def test_inspect_missing_file(tmp_path, capsys):
@@ -655,7 +682,7 @@ def test_verify_with_dead_oracle_plugin_exits_2(game_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (("--oracle", "external"), "exactly one of command or url must be set"),
+        (("--oracle", "external"), "an external oracle needs a plugin command"),
         (("--oracle", "logit", "--epsilon", "0"), "logit oracles require epsilon > 0"),
     ],
 )
@@ -665,6 +692,64 @@ def test_verify_with_impossible_oracle_flags_exits_2(flags, message, game_file, 
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
     assert captured.out == ""
+
+
+_URL = "http://127.0.0.1:1/oracle"
+_STUB = [sys.executable, "-m", "coalitions.oracle_stub"]
+_NO_COMMAND = "an external oracle needs a plugin command"
+_NO_HTTP = "HTTP endpoints were removed: " + _NO_COMMAND
+
+
+@pytest.mark.parametrize(
+    "command, given, message",
+    [
+        ("verify", ("--oracle", "external", "--oracle-cmd", ""), _NO_COMMAND),
+        ("verify", ("--oracle", "external", "--oracle-url", _URL), "unrecognized arguments"),
+        ("run", {"url": _URL}, _NO_HTTP),
+        ("run", {"command": _STUB, "url": _URL}, _NO_HTTP),
+        ("run", {}, _NO_COMMAND),
+        ("run", {"command": []}, _NO_COMMAND),
+        ("run", {"command": None, "url": None}, _NO_COMMAND),  # a null url is still read
+        ("run", "plugin", "an external oracle's endpoint must be an object, got 'plugin'"),
+        ("replay", {"command": _STUB, "url": _URL}, _NO_HTTP),
+    ],
+    ids=[
+        "verify-empty-command", "verify-url-flag",
+        "run-url", "run-url-and-command", "run-no-command", "run-empty-command",
+        "run-null-url", "run-endpoint-not-an-object", "replay-url",
+    ],
+)
+def test_old_and_incomplete_endpoints_exit_2(
+    command, given, message, game_file, six_mixed, tmp_path, capsys
+):
+    path = tmp_path / "input.json"
+    if command == "verify":
+        part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+        argv = ["verify", game_file, "--partition", part, *given]
+    elif command == "run":
+        oracle = {"kind": "external", "external": given}
+        path.write_text(json.dumps({
+            "game": str(game_file), "output_dir": str(tmp_path / "out"),
+            "conditions": [{"name": "plugin", "episodes": 2, "oracle": oracle}],
+        }))
+        argv = ["run", path]
+    else:
+        log = run_episode(EpisodeConfig(game=six_mixed, oracles=(PERFECT,)))
+        write_episode_log(log, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"]["oracles"] = [{"kind": "external", "external": given}]
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        argv = ["replay", path]
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse refuses an unknown flag itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_with_impossible_oracle_flags_exits_2(game_file, tmp_path, capsys):
@@ -695,7 +780,6 @@ def test_sweep_values_may_start_with_a_negative_number(spelling, game_file, tmp_
 
 _ENDPOINT_ONLY = [
     ("--oracle-cmd", "/no/such/plugin"),
-    ("--oracle-url", "http://127.0.0.1:1/oracle"),
     ("--oracle-timeout-ms", "5"),
     ("--protocol", "cot"),
 ]
@@ -703,8 +787,17 @@ _ENDPOINT_ONLY = [
 
 @pytest.mark.parametrize(
     "flags, named",
-    [(flag, flag[0]) for flag in _ENDPOINT_ONLY]
-    + [(("--oracle-cmd", "/no/such/plugin", "--protocol", "cot"), "--oracle-cmd, --protocol")],
+    [
+        (_ENDPOINT_ONLY[0], "--oracle-cmd"),
+        # the error names the flags in one order, whatever order they came in
+        (
+            ("--oracle-timeout-ms", "5", "--oracle-cmd", "/no/such/plugin"),
+            "--oracle-cmd, --oracle-timeout-ms",
+        ),
+        (_ENDPOINT_ONLY[1], "--oracle-timeout-ms"),
+        (_ENDPOINT_ONLY[2], "--protocol"),
+        (("--oracle-cmd", "/no/such/plugin", "--protocol", "cot"), "--oracle-cmd, --protocol"),
+    ],
 )
 @pytest.mark.parametrize(
     "oracle", [(), ("--oracle", "perfect"), ("--oracle", "logit", "--epsilon", "0.1")]
@@ -774,12 +867,9 @@ def oracle_flags(draw):
             flags += ["--" + key.replace("_", "-"), str(data[key])]
     endpoint = {}
     if draw(st.booleans()):
-        command = draw(st.sampled_from(["plugin", "python3 -m plugin --mode 'a b'"]))
+        command = draw(st.sampled_from(["plugin", "python3 -m plugin --mode 'a b'", ""]))
         flags += ["--oracle-cmd", command]
         endpoint["command"] = shlex.split(command)
-    if draw(st.booleans()):
-        endpoint["url"] = "http://127.0.0.1:1/oracle"
-        flags += ["--oracle-url", endpoint["url"]]
     if draw(st.booleans()):
         ms = draw(st.one_of(st.sampled_from([1000, 2500]), st.floats(1.0, 1e5, **_finite)))
         flags += ["--oracle-timeout-ms", str(ms)]

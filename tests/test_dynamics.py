@@ -264,7 +264,7 @@ ENDPOINTS = st.builds(
     command=st.lists(st.text(max_size=6), min_size=1, max_size=3).map(tuple),
     timeout_s=st.floats(min_value=0.1, max_value=60.0),
     protocol=st.sampled_from(["standard", "cot", "staged"]),
-) | st.builds(ExternalEndpointSpec, url=st.text(min_size=1, max_size=12))
+) | st.builds(ExternalEndpointSpec, command=st.just(("plugin",)))
 ORACLES = st.builds(
     OracleSpec,
     kind=st.sampled_from([OracleKind.PERFECT, OracleKind.LOGIT, OracleKind.CONSISTENCY_NOISE]),

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from brute_force import brute_alignment, brute_delta, brute_value
 
+import coalitions
 from coalitions.dynamics import convergence_bound
 from coalitions.experiments import generate_game
 from coalitions.preferences import derived_rng
@@ -381,6 +386,37 @@ def test_partition_canonical_order():
     b = Partition.from_blocks(4, [[2, 0], [1, 3]])
     assert a == b
     assert a.coalitions[0].members == (0, 2)
+
+
+_PICKLE_GAME = """
+import pickle, sys
+from coalitions.game import GameSpec
+
+game = GameSpec.from_profiles([[0.9, 0.1], [0.2, 0.8]], labels=["coder", "writer"])
+if sys.argv[1] == "dump":
+    hash(game)  # caches the hash under this interpreter's PYTHONHASHSEED
+    sys.stdout.buffer.write(pickle.dumps(game))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    assert loaded == game and hash(loaded) == hash(game)
+    assert {game: "found"}[loaded] == "found"
+"""
+
+
+def test_a_pickled_game_hashes_under_the_loading_hash_seed():
+    """The cached hash does not travel: string labels hash per PYTHONHASHSEED."""
+    src = str(Path(coalitions.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(seed: str, mode: str, data: bytes = b"") -> bytes:
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", _PICKLE_GAME, mode], input=data, capture_output=True, env=env
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    run("2", "load", run("1", "dump"))
 
 
 def test_game_json_round_trip(six_mixed):

@@ -6,7 +6,6 @@ import sys
 import textwrap
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -423,8 +422,8 @@ class RecordingEndpoint:
 
 
 def recording_session(protocol: str = "standard", inner=None) -> ExternalSession:
-    # an HTTP spec opens no connection until the first exchange
-    session = ExternalSession(ExternalEndpointSpec(url="http://127.0.0.1:9/", protocol=protocol))
+    session = ExternalSession(ExternalEndpointSpec(command=STUB, protocol=protocol))
+    session._endpoint.close()  # the recorder takes the spawned stub's place
     session._endpoint = RecordingEndpoint(inner)
     return session
 
@@ -485,56 +484,6 @@ def test_stdio_plugin_receives_the_reference_bytes(tmp_path, trio):
     assert recorder.sent[-1] == reference_line(
         "staged", trio, q, f"q-1-2-0-{session.queries_sent - 1}"
     )
-
-
-# ---------------------------------------------------------------------------
-# HTTP transport
-
-class _Handler(BaseHTTPRequestHandler):
-    bodies: list[bytes] = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = self.rfile.read(length)
-        self.bodies.append(body)
-        query = json.loads(body)
-        body = json.dumps(
-            {"query_id": query["query_id"], "verdict": "CANDIDATE", "raw": ""}
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-def test_http_endpoint_round_trip(trio):
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        url = f"http://127.0.0.1:{server.server_port}/"
-        spec = ExternalEndpointSpec(url=url, timeout_s=5.0)
-        _Handler.bodies.clear()
-        with open_sessions(
-            [OracleSpec(kind=OracleKind.EXTERNAL, external=spec)]
-        ) as sessions:
-            ans = sessions[spec].ask(trio, worked_query(), ctx=(9,))
-            assert ans is Verdict.PREFER_CANDIDATE
-            queries = list(all_queries(trio))[:8]
-            for q in queries:
-                sessions[spec].ask(trio, q, ctx=(9,))
-        expected = [reference_line(spec.protocol, trio, worked_query(), "q-9-0-0")] + [
-            reference_line(spec.protocol, trio, q, f"q-9-0-{i + 1}") for i, q in enumerate(queries)
-        ]
-        assert _Handler.bodies == [line.encode("utf-8") for line in expected]
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=2)
 
 
 # ---------------------------------------------------------------------------
