@@ -619,8 +619,13 @@ def oracle_from_dict(data: dict) -> OracleSpec:
             raise ValueError(
                 "HTTP endpoints were removed: an external oracle needs a plugin command"
             )
+        command = e.get("command") or ()
+        if isinstance(command, str):  # tuple() would split it into characters
+            raise ValueError(
+                f"an external oracle's plugin command is a list of arguments, got {command!r}"
+            )
         fields["external"] = ExternalEndpointSpec(
-            command=tuple(e.get("command") or ()), **_given(e, _ENDPOINT_KEYS)
+            command=tuple(command), **_given(e, _ENDPOINT_KEYS)
         )
     return OracleSpec(kind=OracleKind(data["kind"]), **fields)
 

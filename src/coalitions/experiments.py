@@ -598,8 +598,9 @@ def run_manifest(manifest: Manifest, jobs: int = 1) -> dict[str, Path]:
     """Execute a manifest: per-condition logs, results.csv, sweep CSVs.
 
     Every condition, sweep axis and sweep oracle is built before anything
-    is written, so a manifest entry they reject leaves no output.  Runs are
-    serial: `jobs` must be 1.
+    is written, so a manifest entry they reject leaves no output.  An external
+    oracle is refused there too: a manifest opens no plugin session.  Runs
+    are serial: `jobs` must be 1.
     """
     _check_serial(jobs)
     game = load_game(manifest.game_path)
@@ -619,6 +620,14 @@ def run_manifest(manifest: Manifest, jobs: int = 1) -> dict[str, Path]:
         )
         for spec in manifest.sweeps
     ]
+    oracles = [(f"condition {c.name!r}", c.oracle) for c in conditions]
+    oracles += [(f"sweep {axis.value!r}", oracle) for axis, _, oracle, _ in sweeps]
+    external = [name for name, oracle in oracles if oracle and oracle.kind is OracleKind.EXTERNAL]
+    if external:
+        raise ValueError(
+            f"{', '.join(external)}: an external oracle needs a plugin session, "
+            "and manifests do not open one"
+        )
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}

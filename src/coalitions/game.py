@@ -496,7 +496,7 @@ def deviation_plan(masks: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, .
     move; all members of a block share one targets tuple.  The solo move of
     an agent already alone is a self-comparison (`target | 1 << agent ==
     own`); it stays in the plan so every scan makes exactly n * |partition|
-    checks.  Every scan but `stability._nash_stable` walks it, as
+    checks.  Every scan walks it, as
     `for agent, own, targets in plan: for target in targets`.  Cached for
     the episode loop: improving dynamics keep returning to the same
     partitions (about 89 % of the paper manifest's ~93k scans hit a cache of

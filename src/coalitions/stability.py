@@ -7,10 +7,8 @@ the solo move, which makes exactly n * |partition| checks.  One scan serves
 every user: `game.deviation_plan`, a per-agent list of those checks, which
 `dynamics.run_episode`, `verify_nash` (both modes), `verify_individual`,
 `bounds.count_critical_decisions`, `experiments.sample_queries` and
-`game.check_potential_alignment` walk through its cache.  The early-exit
-`_nash_stable` predicate keeps its own loop: `find_nash_stable` visits
-115,975 distinct partitions at n = 10 and mostly exits after a few checks,
-so building a plan for each would cost more (see there).  Every site states
+`game.check_potential_alignment` and the early-exit `_nash_stable` walk
+through its cache.  Every site states
 "strictly prefers" in one form, `pc[x] - pc[y] > TIE_EPS`, the only form
 `preferences.decide`, which sees just the difference, can share.
 """
@@ -299,37 +297,54 @@ def is_nash_stable_masks(game: GameSpec, masks: Sequence[int]) -> bool:
 
 
 def _nash_stable(pc: Sequence[float], masks: Sequence[int]) -> bool:
-    # Its own loop, not the deviation plan: it exits at the first improving
-    # move and builds no agent -> block map.  find_nash_stable visits each
-    # of the 115,975 partitions of n = 10 once, so a plan would only be
-    # built and evicted: walking plans took 0.82-0.96 s there against
-    # 0.29-0.38 s for this loop (CPU, one pinned CPU).
-    for own in masks:
-        bits = own
-        while bits:
-            agent_bit = bits & -bits
-            bits &= bits - 1
-            pc_own = pc[own]
-            for target in masks:
-                if target == own:
-                    continue
-                if pc[target | agent_bit] - pc_own > TIE_EPS:
-                    return False
-            if own != agent_bit and pc[agent_bit] - pc_own > TIE_EPS:
+    for agent, own, targets in deviation_plan(tuple(masks)):
+        for target in targets:
+            if pc[target | 1 << agent] - pc[own] > TIE_EPS:
                 return False
     return True
 
 
+def _content(pc: Sequence[float], own: int, target: int) -> bool:
+    """No member of block `own` strictly prefers joining `target` (0: going solo)."""
+    return not any(pc[target | 1 << a] - pc[own] > TIE_EPS for a in mask_members(own))
+
+
+def _stable_blocks(pc: Sequence[float], n: int) -> list[tuple[int, ...]]:
+    """The blocks of each Nash-stable partition of 0..n-1 (see find_nash_stable)."""
+
+    def place(placed: tuple[int, ...], rest: int) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield placed
+        low = rest & -rest
+        block = rest
+        while block:  # each subset of the unplaced agents that holds the lowest
+            if block & low and _content(pc, block, 0) and all(
+                _content(pc, block, other) and _content(pc, other, block) for other in placed
+            ):
+                yield from place(placed + (block,), rest ^ block)
+            block = (block - 1) & rest
+
+    def growth_string(blocks: tuple[int, ...]) -> list[int]:  # iter_partition_blocks' order
+        return [i for a in range(n) for i, b in enumerate(blocks) if b >> a & 1]
+
+    return sorted(place((), (1 << n) - 1), key=growth_string)
+
+
 def find_nash_stable(game: GameSpec) -> list[Partition]:
-    """All ground-truth Nash-stable partitions; may be empty."""
+    """All ground-truth Nash-stable partitions, in `iter_partition_blocks` order.
+
+    Nash stability is a test on pairs of blocks (Bogomolnaia & Jackson 2002):
+    no member of either strictly prefers joining the other, and none going
+    solo.  So the search places one block at a time and prunes at the first
+    failing pair.  Deciding whether any exists is NP-complete for general
+    hedonic games (Ballester 2004), so the search is exponential in the
+    worst case.  MAX_ENUM_AGENTS stays: when every coalition ties (agent i's
+    profile e_i, d = n, beta = 1), all Bell(n) partitions are stable.
+    """
     if game.n > MAX_ENUM_AGENTS:
         raise EnumerationBudgetError(
             f"exhaustive search supports at most {MAX_ENUM_AGENTS} agents"
         )
     # once, as a list: each index into the array('d') would box a new float
     pc = per_capita_table(game).tolist()
-    return [
-        Partition.from_masks(game.n, blocks)
-        for blocks in iter_partition_blocks(game.n)
-        if _nash_stable(pc, blocks)
-    ]
+    return [Partition.from_masks(game.n, blocks) for blocks in _stable_blocks(pc, game.n)]

@@ -518,6 +518,13 @@ def test_a_missing_key_is_named(command, content, message, tmp_path, game_file, 
     assert capsys.readouterr().err.strip() == message
 
 
+# a valid plugin endpoint, which no manifest run may start
+_EXTERNAL = {
+    "kind": "external",
+    "external": {"command": [sys.executable, "-m", "coalitions.oracle_stub"]},
+}
+
+
 @pytest.mark.parametrize(
     "manifest, message",
     [
@@ -532,6 +539,16 @@ def test_a_missing_key_is_named(command, content, message, tmp_path, game_file, 
         (
             {"conditions": [{"name": "staged", "episodes": 2}], "jobs": 2},
             "error: cannot parse manifest: runs are serial: jobs must be 1, got 2",
+        ),
+        (
+            {"conditions": [{"name": "plugin", "episodes": 2, "oracle": _EXTERNAL}]},
+            "error: cannot run manifest: condition 'plugin': an external oracle needs a "
+            "plugin session, and manifests do not open one",
+        ),
+        (
+            {"sweeps": [{"axis": "alpha", "values": [0.1], "episodes": 2, "oracle": _EXTERNAL}]},
+            "error: cannot run manifest: sweep 'alpha': an external oracle needs a "
+            "plugin session, and manifests do not open one",
         ),
     ],
 )
@@ -698,6 +715,7 @@ _URL = "http://127.0.0.1:1/oracle"
 _STUB = [sys.executable, "-m", "coalitions.oracle_stub"]
 _NO_COMMAND = "an external oracle needs a plugin command"
 _NO_HTTP = "HTTP endpoints were removed: " + _NO_COMMAND
+_STRING_COMMAND = "an external oracle's plugin command is a list of arguments, got 'plugin --x'"
 
 
 @pytest.mark.parametrize(
@@ -711,12 +729,15 @@ _NO_HTTP = "HTTP endpoints were removed: " + _NO_COMMAND
         ("run", {"command": []}, _NO_COMMAND),
         ("run", {"command": None, "url": None}, _NO_COMMAND),  # a null url is still read
         ("run", "plugin", "an external oracle's endpoint must be an object, got 'plugin'"),
+        ("run", {"command": "plugin --x"}, _STRING_COMMAND),
         ("replay", {"command": _STUB, "url": _URL}, _NO_HTTP),
+        ("replay", {"command": "plugin --x"}, _STRING_COMMAND),
     ],
     ids=[
         "verify-empty-command", "verify-url-flag",
         "run-url", "run-url-and-command", "run-no-command", "run-empty-command",
-        "run-null-url", "run-endpoint-not-an-object", "replay-url",
+        "run-null-url", "run-endpoint-not-an-object", "run-string-command", "replay-url",
+        "replay-string-command",
     ],
 )
 def test_old_and_incomplete_endpoints_exit_2(

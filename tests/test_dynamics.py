@@ -592,6 +592,13 @@ def test_random_initial_partitions_are_the_seeded_draws(six_mixed):
         assert initial.block_masks(6, 7, episode) == expected.masks
 
 
+def test_a_bare_oracle_is_shared_by_every_agent(six_mixed):
+    bare = EpisodeConfig(game=six_mixed, oracles=PERFECT, seed=4)
+    assert bare.oracles == (PERFECT,) * six_mixed.n
+    assert bare == perfect_config(six_mixed, seed=4)
+    assert run_episode(bare) == run_episode(perfect_config(six_mixed, seed=4))
+
+
 def test_explicit_initial_partition(six_mixed):
     start = Partition.from_blocks(6, [[0, 1, 2], [3, 4, 5]])
     log = run_episode(

@@ -12,7 +12,7 @@ import pytest
 
 from brute_force import brute_bootstrap_ci
 
-from coalitions.game import GameSpec, check_potential_alignment
+from coalitions.game import GameSpec, check_potential_alignment, value_gap_delta
 from coalitions.preferences import OracleKind, OracleSpec, derived_rng
 from coalitions.stability import bell_number, find_nash_stable
 from coalitions import experiments
@@ -324,6 +324,23 @@ def test_sweep_keeps_a_cell_whose_value_the_game_rejects(six_mixed, axis, bad, g
     assert cells[1] == alone[0]
 
 
+def test_beta_sweep_runs_each_cell_on_the_game_at_that_beta(six_mixed):
+    oracle = noisy(0.86)
+    cells = sweep(six_mixed, SweepAxis.BETA, [1.0, 1.6], oracle, episodes=20, seed_base=3)
+    for cell in cells:
+        game = six_mixed.with_params(beta=cell.value)
+        result = run_condition(
+            Condition(name=f"beta={cell.value:g}", oracle=oracle, episodes=20, seed_base=3),
+            game,
+            keep_logs=False,
+        )
+        [(lo, hi)] = bootstrap_ci([result.stable_flags], seed=3)
+        assert cell.result == replace(result, ci_low=lo, ci_high=hi)
+        assert cell.delta == value_gap_delta(game)
+    # the two betas give the cells different games
+    assert cells[0].result.welfare_mean != cells[1].result.welfare_mean
+
+
 def test_dimension_sweep_runs(six_mixed):
     cells = sweep(
         six_mixed, SweepAxis.DIMENSION, [2, 3], noisy(0.86), episodes=20, seed_base=4
@@ -498,6 +515,17 @@ def test_builtin_condition_table_round_trip():
     assert greedy.rule is DeviationRule.BEST_IMPROVING
     rand = condition_from_spec({"name": "random"}, episodes=50, seed_base=9)
     assert rand.sample_only
+
+
+def test_condition_spec_sets_the_initial_partition_and_round_budget():
+    spec = {"name": "staged", "initial": "singletons", "max_rounds": "7"}
+    condition = condition_from_spec(spec, episodes=50, seed_base=9)
+    assert condition.initial == InitialPartition(kind="singletons")
+    assert condition.max_rounds == 7
+    default = condition_from_spec({"name": "staged"}, episodes=50, seed_base=9)
+    assert (default.initial.kind, default.max_rounds) == ("random", 30)
+    with pytest.raises(ValueError, match="unknown initial partition kind 'grand'"):
+        condition_from_spec({"name": "staged", "initial": "grand"}, episodes=50, seed_base=9)
 
 
 # each builtin condition's oracle as oracle_to_dict JSON, pinned: the table's

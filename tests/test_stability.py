@@ -21,6 +21,7 @@ from coalitions.stability import (
     BlockingSetWitness,
     StabilityConcept,
     _nash_stable,
+    _stable_blocks,
     bell_number,
     enumerate_partitions,
     find_nash_stable,
@@ -308,6 +309,46 @@ def test_nash_predicate_uses_the_difference_form_at_the_tie_bound():
     assert a - b > TIE_EPS and not a > b + TIE_EPS
     pc = [math.nan, b, 10.0, a]
     assert not _nash_stable(pc, (0b01, 0b10))
+
+
+def test_search_uses_the_difference_form_at_the_tie_bound():
+    # the tie-bound floats above: the singletons fail on agent 0, the pair on agent 1
+    b, a = -0.009129825816118098, -0.009129825815118097
+    assert _stable_blocks([math.nan, b, 10.0, a], 2) == []
+
+
+def brute_nash_stable(game: GameSpec) -> list[Partition]:
+    return [p for p in enumerate_partitions(game.n) if verify_nash(game, p).stable]
+
+
+SCORES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def search_games(draw) -> GameSpec:
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 3))
+    profiles = draw(st.lists(st.lists(SCORES, min_size=d, max_size=d), min_size=n, max_size=n))
+    alpha = draw(st.just(math.ulp(0.0)) | st.floats(0.0, 2.0, exclude_min=True))
+    beta = draw(st.just(1.0) | st.floats(1.0, 3.0))
+    return GameSpec.from_profiles(profiles, alpha=alpha, beta=beta)
+
+
+@given(search_games())
+@settings(max_examples=60, deadline=None)
+def test_search_matches_the_brute_filter(game):
+    assert find_nash_stable(game) == brute_nash_stable(game)
+
+
+def test_search_returns_every_partition_when_all_coalitions_tie():
+    # agent i holds skill i alone: every coalition S is worth |S| / n - alpha * |S|
+    n = 6
+    game = GameSpec.from_profiles(
+        [[float(i == j) for j in range(n)] for i in range(n)], alpha=0.05, beta=1.0
+    )
+    stable = find_nash_stable(game)
+    assert len(stable) == bell_number(n) == 203
+    assert stable == list(enumerate_partitions(n)) == brute_nash_stable(game)
 
 
 def test_single_agent_search(solo_game):
