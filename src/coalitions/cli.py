@@ -339,7 +339,11 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     out = output_file(args.out or f"sweep_{args.axis}.csv")
     options = {} if args.episodes is None else {"episodes": args.episodes}
-    cells = sweep(game, SweepAxis(args.axis), values, oracle, seed_base=args.seed, **options)
+    try:
+        cells = sweep(game, SweepAxis(args.axis), values, oracle, seed_base=args.seed, **options)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     write_sweep_csv(cells, out)
     _emit({"written": str(out), "cells": len(cells)}, args.json)
     # the CSV row has no room for the cause; a failed cell's name holds it

@@ -20,9 +20,10 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -121,7 +122,6 @@ class ConditionResult:
     consistency: float | None
     ground_truth_rate: float
     n_errors: int
-    logs: tuple[EpisodeLog, ...] = ()
     # per episode, in order: 1.0 if it ended Nash-stable, else 0.0
     stable_flags: tuple[float, ...] = ()
 
@@ -183,7 +183,7 @@ def run_condition(
     condition: Condition,
     game: GameSpec,
     *,
-    keep_logs: bool = True,
+    on_log: Callable[[EpisodeLog], object] | None = None,
 ) -> ConditionResult:
     """Run every episode of a condition and aggregate the outcomes.
 
@@ -194,11 +194,12 @@ def run_condition(
     `measure_consistency`'s agreement over CONSISTENCY_QUERIES sampled
     queries.  Both CI bounds are left NaN: `bootstrap_ci` over the
     `stable_flags` of several results fills them in one batch.  Each
-    episode is folded into the aggregates as it returns; its log is kept
-    only with `keep_logs`.
+    episode is folded into the aggregates as it returns, its log is handed
+    to `on_log` (in episode order) and then dropped, so the memory a
+    condition holds does not grow with its episode count.  A sample-only
+    condition runs no episode and never calls `on_log`.
     """
     n = game.n
-    logs: list[EpisodeLog] = []
     stable_flags: list[float] = []
     welfare: list[float] = []
     conv_mean = conv_sd = consistency = None
@@ -229,8 +230,8 @@ def run_condition(
             welfare.append(log.summary.phi_terminal / n)
             gt_count += log.summary.ground_truth_stable
             n_errors += log.outcome is EpisodeOutcome.ERROR
-            if keep_logs:
-                logs.append(log)
+            if on_log is not None:
+                on_log(log)
         if conv_rounds:
             conv_mean, conv_sd = _mean_sd(conv_rounds)
         if oracle.kind is not OracleKind.EXTERNAL:
@@ -252,7 +253,6 @@ def run_condition(
         consistency=consistency,
         ground_truth_rate=gt_rate,
         n_errors=n_errors,
-        logs=tuple(logs),
         stable_flags=tuple(stable_flags),
     )
 
@@ -320,8 +320,33 @@ def bootstrap_ci(
                 row[done : done + take] = arr[idx].mean(axis=1)
             done += take
         for i, row in zip(members, means):
-            lo, hi = np.quantile(row, [alpha / 2, 1 - alpha / 2])
-            out[i] = (float(lo), float(hi))
+            out[i] = tuple(_quantiles(row, (alpha / 2, 1 - alpha / 2)))
+    return out
+
+
+def _quantiles(row: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """`np.quantile(row, qs)` under its default "linear" method, bit for bit.
+
+    `np.quantile` picks its partition points through `np.unique`, whose
+    first call imports `numpy.ma` (~1.3 MB), so this repeats numpy's steps
+    without it: virtual index `(n - 1) * q` for q in [0, 1], the order
+    statistics at its floor and the next index (clamped to the row) from
+    one `np.partition`, and numpy's two-sided lerp.  A row holding a NaN
+    gives NaN.
+    """
+    if np.isnan(row).any():
+        return [math.nan] * len(qs)
+    top = len(row) - 1
+    points = []
+    for q in qs:
+        virtual = top * q
+        below = math.floor(virtual)
+        points.append((virtual - below, below, min(below + 1, top)))
+    ranked = np.partition(row, sorted({k for _, lo, hi in points for k in (lo, hi)}))
+    out = []
+    for t, lo, hi in points:
+        a, b = float(ranked[lo]), float(ranked[hi])
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return out
 
 
@@ -353,6 +378,17 @@ def generate_game(
         [lo + (hi - lo) * rng.random() for _ in range(d)] for _ in range(rows)
     ]
     return GameSpec.from_profiles(profiles[:n], alpha=alpha, beta=beta)
+
+
+def _refuse_external(oracles: Sequence[tuple[str, OracleSpec | None]], runner: str) -> None:
+    """Raise ValueError naming each `(name, oracle)` whose oracle is
+    external: `runner` opens no plugin session for it."""
+    external = [name for name, oracle in oracles if oracle and oracle.kind is OracleKind.EXTERNAL]
+    if external:
+        raise ValueError(
+            f"{', '.join(external)}: an external oracle needs a plugin session, "
+            f"and {runner} do not open one"
+        )
 
 
 class SweepAxis(Enum):
@@ -392,7 +428,10 @@ def sweep(
     reparameterizes the oracle's rationality bound (and with it the
     critical-gap threshold).  The CIs of
     the cells that ran come from one `bootstrap_ci` call after the last cell.
+    An external oracle is refused before any cell runs: a sweep opens no
+    plugin session.
     """
+    _refuse_external([(f"sweep {axis.value!r}", oracle)], "sweeps")
     cells = []
     for value in values:
         # a value the cell's game or oracle rejects fails only that cell
@@ -422,7 +461,7 @@ def sweep(
                 seed_base=seed_base,
                 max_rounds=max_rounds,
             )
-            result = run_condition(condition, cell_game, keep_logs=False)
+            result = run_condition(condition, cell_game)
             delta = value_gap_delta(cell_game)
         except Exception as exc:  # record the failure, keep sweeping
             result = ConditionResult(
@@ -600,7 +639,10 @@ def run_manifest(manifest: Manifest, jobs: int = 1) -> dict[str, Path]:
     Every condition, sweep axis and sweep oracle is built before anything
     is written, so a manifest entry they reject leaves no output.  An external
     oracle is refused there too: a manifest opens no plugin session.  Runs
-    are serial: `jobs` must be 1.
+    are serial: `jobs` must be 1.  Each condition's episodes stream into
+    its open `episodes_<name>.jsonl` as they finish, so a run's memory does
+    not depend on the episode count; a condition that raises leaves no log
+    file, because `atomic_write` removes its temp file.
     """
     _check_serial(jobs)
     game = load_game(manifest.game_path)
@@ -622,12 +664,7 @@ def run_manifest(manifest: Manifest, jobs: int = 1) -> dict[str, Path]:
     ]
     oracles = [(f"condition {c.name!r}", c.oracle) for c in conditions]
     oracles += [(f"sweep {axis.value!r}", oracle) for axis, _, oracle, _ in sweeps]
-    external = [name for name, oracle in oracles if oracle and oracle.kind is OracleKind.EXTERNAL]
-    if external:
-        raise ValueError(
-            f"{', '.join(external)}: an external oracle needs a plugin session, "
-            "and manifests do not open one"
-        )
+    _refuse_external(oracles, "manifests")
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -656,13 +693,11 @@ def run_manifest(manifest: Manifest, jobs: int = 1) -> dict[str, Path]:
     results = []
     seeds = []
     for condition in conditions:
-        result = run_condition(condition, game, keep_logs=True)
         log_path = out / f"episodes_{condition.name}.jsonl"
         with atomic_write(log_path) as fh:
-            for log in result.logs:
-                write_episode_log(log, fh)
-        # only the rows are read from here on; the logs are on disk
-        results.append(replace(result, logs=()))
+            results.append(
+                run_condition(condition, game, on_log=partial(write_episode_log, target=fh))
+            )
         seeds.append(condition.seed_base)
         written[f"episodes_{condition.name}"] = log_path
     if results:

@@ -391,14 +391,16 @@ def _is_irrational(delta: float, verdict: Verdict) -> bool:
 
 
 def _crossing(centers: Sequence[float], rates: Sequence[float], threshold: float) -> float | None:
+    """Where the rates first fall below `threshold`, interpolated between
+    the centers of the bins either side: 0.0 if the first bin is already
+    below, None if no bin is.  The bin before the first one below is not
+    below (a NaN rate is never below), so the two rates differ."""
     for idx, rate in enumerate(rates):
         if rate < threshold:
             if idx == 0:
                 return 0.0
             r0, r1 = rates[idx - 1], rate
             c0, c1 = centers[idx - 1], centers[idx]
-            if r0 == r1:
-                return c1
             return c0 + (r0 - threshold) / (r0 - r1) * (c1 - c0)
     return None
 

@@ -266,9 +266,10 @@ def test_c07_consistency_to_stability(six_mixed):
                 name=f"p={p}", oracle=noisy(p), episodes=400, seed_base=seed_base,
                 initial=InitialPartition(kind="random"),
             )
-            result = run_condition(cond, six_mixed)
+            logs = []
+            result = run_condition(cond, six_mixed, on_log=logs.append)
             rates.append(result.nash_rate)
-            measured = measure_bound_inputs(six_mixed, result.logs, cond.effective_oracle())
+            measured = measure_bound_inputs(six_mixed, logs, cond.effective_oracle())
             bound = stability_lower_bound(measured).lower_bound
             assert result.nash_rate >= bound, (
                 f"rate {result.nash_rate:.3f} below measured bound {bound:.3f} at p={p}"

@@ -1,6 +1,7 @@
 """Bound calculators, critical-decision accounting, gamma, regression, gate."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -182,6 +183,36 @@ def test_gamma_undefined_without_consistent_episodes(six_mixed):
         pytest.skip("flip storm unexpectedly produced a consistent episode")
     with pytest.raises(ValueError, match="no consistent episodes"):
         estimate_gamma(logs)
+
+
+def test_gamma_without_consistent_episodes_replays_their_starts_under_a_perfect_oracle(
+    six_mixed, monkeypatch
+):
+    from coalitions import bounds
+
+    oracle = OracleSpec(
+        kind=OracleKind.CONSISTENCY_NOISE, p_critical=0.51, p_easy=0.51,
+        critical_gap=10.0, seed=31,
+    )
+    logs = run_batch(six_mixed, oracle, 30, seed_base=31)
+    assert not any(l.summary.consistent for l in logs)
+    # the flip storm leaves 1 of 30 episodes stable; from the same starts
+    # a perfect oracle stabilizes every one
+    assert sum(l.outcome is EpisodeOutcome.NASH_STABLE for l in logs) == 1
+    replayed = []
+    real = bounds.run_episode
+
+    def recorded(config):
+        replayed.append(config)
+        return real(config)
+
+    monkeypatch.setattr(bounds, "run_episode", recorded)
+    measured = measure_bound_inputs(six_mixed, logs, oracle)
+    assert measured.gamma == 1.0
+    perfect = OracleSpec(kind=OracleKind.PERFECT, epsilon=oracle.epsilon, seed=oracle.seed)
+    assert replayed == [
+        replace(l.config, oracles=(perfect,) * six_mixed.n, record_queries=False) for l in logs
+    ]
 
 
 def test_measured_inputs_reflect_oracle(six_mixed):

@@ -847,6 +847,36 @@ def test_sweep_refuses_endpoint_flags_without_an_external_oracle(
     assert not out.exists()
 
 
+def test_sweep_refuses_an_external_oracle_before_any_cell_runs(
+    game_file, tmp_path, monkeypatch, capsys
+):
+    from coalitions import experiments
+
+    calls = []
+    real = experiments.run_condition
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_condition", counted)
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", game_file, "--axis", "alpha", "--values", "0.1", "--episodes", "2",
+        "--oracle", "external", "--oracle-cmd", f"{sys.executable} -m coalitions.oracle_stub",
+        "--out", out,
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: sweep 'alpha': an external oracle needs a plugin session, "
+        "and sweeps do not open one\n"
+    )
+    assert captured.out == ""
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [game_file]
+
+
 def test_sweep_reports_failed_cells_and_exits_2(game_file, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = run_cli(

@@ -8,6 +8,7 @@ import os
 import stat
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from brute_force import brute_bootstrap_ci
@@ -16,7 +17,7 @@ from coalitions.game import GameSpec, check_potential_alignment, value_gap_delta
 from coalitions.preferences import OracleKind, OracleSpec, derived_rng
 from coalitions.stability import bell_number, find_nash_stable
 from coalitions import experiments
-from coalitions.dynamics import InitialPartition
+from coalitions.dynamics import EpisodeConfig, InitialPartition, run_episode
 from coalitions.experiments import (
     Condition,
     RESULT_COLUMNS,
@@ -65,7 +66,7 @@ def test_perfect_oracle_always_stabilizes():
         seed_base=7,
         initial=InitialPartition(kind="random"),
     )
-    result = run_condition(cond, game, keep_logs=False)
+    result = run_condition(cond, game)
     assert result.nash_rate == 1.0
     assert result.ground_truth_rate == 1.0
     assert result.consistency == 1.0
@@ -101,10 +102,36 @@ def test_run_condition_without_iterations_leaves_the_interval_to_its_flags(six_m
 
 def test_run_condition_without_logs_aggregates_as_with_them(six_mixed):
     cond = Condition(name="c", oracle=noisy(0.7), episodes=60, seed_base=9)
-    kept = run_condition(cond, six_mixed, keep_logs=True)
-    bare = run_condition(cond, six_mixed, keep_logs=False)
-    assert len(kept.logs) == 60 and bare.logs == ()
-    assert replace(kept, logs=()) == bare
+    logs = []
+    kept = run_condition(cond, six_mixed, on_log=logs.append)
+    bare = run_condition(cond, six_mixed)
+    assert len(logs) == 60
+    assert kept == bare
+
+
+def test_on_log_gets_each_log_in_episode_order_as_run_episode_gives_it(six_mixed):
+    cond = Condition(name="c", oracle=noisy(0.7), episodes=12, seed_base=4)
+    logs = []
+    run_condition(cond, six_mixed, on_log=logs.append)
+    direct = [
+        run_episode(
+            EpisodeConfig(
+                game=six_mixed, oracles=(cond.effective_oracle(),) * six_mixed.n,
+                initial=cond.initial, max_rounds=cond.max_rounds, rule=cond.rule,
+                seed=cond.seed_base + i, episode_id=i, record_queries=False,
+            )
+        )
+        for i in range(cond.episodes)
+    ]
+    assert [log.config.episode_id for log in logs] == list(range(12))
+    assert logs == direct
+
+
+def test_sample_only_condition_hands_no_log(six_mixed):
+    logs = []
+    cond = Condition(name="random", oracle=None, episodes=5, seed_base=1, sample_only=True)
+    run_condition(cond, six_mixed, on_log=logs.append)
+    assert logs == []
 
 
 def test_rate_monotone_in_consistency_with_matched_seeds(six_mixed):
@@ -114,7 +141,7 @@ def test_rate_monotone_in_consistency_with_matched_seeds(six_mixed):
             name=f"p{p}", oracle=noisy(p), episodes=150, seed_base=500,
             initial=InitialPartition(kind="random"),
         )
-        result = run_condition(cond, six_mixed, keep_logs=False)
+        result = run_condition(cond, six_mixed)
         rates.append(result.nash_rate)
     se = math.sqrt(0.25 / 150)
     assert rates[1] > rates[0] - 2 * se
@@ -129,7 +156,7 @@ def test_welfare_of_mixed_profiles_beats_weakest_clone(six_mixed):
             name="w", oracle=noisy(0.86, seed=0), episodes=80, seed_base=11,
             initial=InitialPartition(kind="random"),
         )
-        return run_condition(cond, game, keep_logs=False).welfare_mean
+        return run_condition(cond, game).welfare_mean
 
     mixed = welfare(six_mixed)
     clones = []
@@ -182,6 +209,31 @@ def test_batched_bootstrap_equals_lone_calls(iterations):
         bootstrap_ci([s], iterations=50, seed=9)[0] for s in sets[:3]
     ]
     assert bootstrap_ci([]) == []
+
+
+_QUANTILE_SIZES = list(range(1, 130)) + [199, 400, 401, 999, 1000, 1001, 4096, 9999, 10_000]
+
+
+@pytest.mark.parametrize("rows", ["floats", "flags", "ties", "nan"])
+def test_quantile_helper_equals_np_quantile(rows):
+    rng = np.random.default_rng(7)
+    alpha = 1 - 0.95
+    qs = (alpha / 2, 1 - alpha / 2, 0.0, 0.5, 1.0, 0.3)
+    for n in _QUANTILE_SIZES:
+        if rows == "floats":
+            row = rng.random(n)
+        elif rows == "flags":
+            row = (rng.random(n) < 0.6).astype(float)
+        else:
+            row = rng.integers(0, 4, n) / 7
+        if rows == "nan":
+            row[rng.integers(0, n)] = np.nan
+        got = experiments._quantiles(row, qs)
+        want = np.quantile(row, qs).tolist()
+        if rows == "nan":
+            assert all(math.isnan(x) for x in got + want), n
+        else:
+            assert got == want, n
 
 
 def test_bootstrap_rejects_empty_sets_and_unmatched_parameters():
@@ -297,7 +349,6 @@ def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, mo
                 seed_base=6,
             ),
             six_mixed,
-            keep_logs=False,
         )
         [(lo, hi)] = bootstrap_ci([result.stable_flags], seed=6)
         alone.append(replace(result, ci_low=lo, ci_high=hi))
@@ -332,7 +383,6 @@ def test_beta_sweep_runs_each_cell_on_the_game_at_that_beta(six_mixed):
         result = run_condition(
             Condition(name=f"beta={cell.value:g}", oracle=oracle, episodes=20, seed_base=3),
             game,
-            keep_logs=False,
         )
         [(lo, hi)] = bootstrap_ci([result.stable_flags], seed=3)
         assert cell.result == replace(result, ci_low=lo, ci_high=hi)
@@ -356,7 +406,7 @@ def test_results_csv_schema(tmp_path, six_mixed):
         name="tiny", oracle=noisy(0.86), episodes=10, seed_base=1,
         initial=InitialPartition(kind="random"),
     )
-    result = run_condition(cond, six_mixed, keep_logs=False)
+    result = run_condition(cond, six_mixed)
     [(lo, hi)] = bootstrap_ci([result.stable_flags], iterations=100, seed=1)
     result = replace(result, ci_low=lo, ci_high=hi)
     path = tmp_path / "results.csv"
@@ -481,6 +531,75 @@ def test_paper_shaped_manifest_bytes_are_pinned(tmp_path):
         if key != "metadata"
     }
     assert digests == PAPER_SHAPED_DIGESTS
+
+
+_PAPER_SHAPED_RUN = """
+import sys
+from importlib import resources
+from pathlib import Path
+from coalitions.experiments import Manifest, run_manifest
+conditions = ("random", "greedy", "standard", "cot", "self_consistency", "staged")
+run_manifest(Manifest(
+    game_path=Path(str(resources.files("coalitions.data").joinpath("six_mixed.json"))),
+    output_dir=Path(sys.argv[1]), seed=0, jobs=1,
+    conditions=tuple({"name": c, "episodes": 20} for c in conditions),
+    sweeps=(
+        {"axis": "agents", "values": [4, 6], "episodes": 20},
+        {"axis": "alpha", "values": [0.10, 0.20], "episodes": 20},
+    ),
+))
+print(*sys.modules, sep="\\n")
+"""
+
+
+def test_a_paper_shaped_run_imports_no_numpy_ma(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PAPER_SHAPED_RUN, str(tmp_path)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = set(done.stdout.split())
+    assert "numpy" in loaded and (tmp_path / "results.csv").is_file()
+    assert "numpy.ma" not in loaded
+
+
+def test_a_condition_that_raises_leaves_no_log_file(tmp_path, monkeypatch, six_mixed):
+    from coalitions.experiments import Manifest
+    from coalitions.game import save_game
+
+    save_game(six_mixed, tmp_path / "game.json")
+    real_run, real_write = experiments.run_episode, experiments.write_episode_log
+    seen, written = [], []
+
+    def failing(config):
+        # each earlier episode's log went to the file as it returned
+        assert written == seen
+        if config.episode_id == 5:
+            raise RuntimeError("forced failure")
+        seen.append(config.episode_id)
+        return real_run(config)
+
+    def write(log, target):
+        written.append(log.config.episode_id)
+        real_write(log, target)
+
+    monkeypatch.setattr(experiments, "run_episode", failing)
+    monkeypatch.setattr(experiments, "write_episode_log", write)
+    out = tmp_path / "out"
+    manifest = Manifest(
+        game_path=tmp_path / "game.json", output_dir=out, seed=0, jobs=1,
+        conditions=({"name": "staged", "episodes": 20},), sweeps=(),
+    )
+    with pytest.raises(RuntimeError, match="forced failure"):
+        run_manifest(manifest)
+    # five episodes were written to the temp file before the failure
+    assert seen == written == [0, 1, 2, 3, 4]
+    assert sorted(p.name for p in out.iterdir()) == ["run_metadata.json"]
 
 
 def test_runs_are_serial(tmp_path):

@@ -20,6 +20,7 @@ from coalitions.preferences import (
     answer,
     answer_majority,
     _COUNTERS,
+    _crossing,
     _key_bytes,
     decide,
     derived_rng,
@@ -282,6 +283,34 @@ def test_epsilon_binning_matches_loop_reference(log):
     est = estimate_epsilon(rows, bootstrap_iterations=0)
     centers, rates, crossing = brute_epsilon_bins(rows)
     assert (est.bin_centers, est.bin_rates, est.estimate) == (centers, rates, crossing)
+
+
+def test_crossing_at_a_bin_rate_equal_to_the_threshold_is_that_bins_center():
+    centers = (0.05, 0.15, 0.25, 0.35)
+    assert _crossing(centers, [0.5, 0.3, 0.1, 0.0], 0.3) == 0.15
+    assert _crossing(centers, [0.5, 0.4, 0.2, 0.0], 0.3) == pytest.approx(0.2)
+    assert _crossing(centers, [0.2, 0.4, 0.5, 0.5], 0.3) == 0.0
+    assert _crossing(centers, [0.5, 0.4, 0.3, 0.3], 0.3) is None
+
+
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, math.nan]) | st.floats(0, 1),
+             min_size=1, max_size=8),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1),
+)
+def test_crossing_lies_between_the_centers_either_side(rates, threshold):
+    centers = tuple((b + 0.5) / len(rates) for b in range(len(rates)))
+    got = _crossing(centers, rates, threshold)
+    below = [i for i, r in enumerate(rates) if r < threshold]
+    if not below:
+        assert got is None
+    elif below[0] == 0:
+        assert got == 0.0
+    elif math.isnan(rates[below[0] - 1]):
+        assert math.isnan(got)
+    else:
+        i = below[0]
+        assert centers[i - 1] - 1e-12 <= got <= centers[i] + 1e-12
 
 
 def test_epsilon_of_perfect_log_is_zero():
