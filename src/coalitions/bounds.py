@@ -239,7 +239,9 @@ def deterministic_preconditions_met(
     delta: float, alignment: AlignmentReport, epsilon: float
 ) -> PreconditionReport:
     """Gate for the deterministic convergence guarantee, given the game's
-    `value_gap_delta` and its `check_potential_alignment` report.
+    `value_gap_delta` and its `check_potential_alignment` report.  That
+    check raises `EnumerationBudgetError` above MAX_ENUM_AGENTS (12) agents,
+    so the gate is decided for n <= 12 only; `inspect` reports null beyond.
 
     Met exactly when epsilon < delta / 2 and potential alignment holds.
     Capability monotonicity, the third sufficient condition (Bogomolnaia &

@@ -40,6 +40,7 @@ from .preferences import (
     OracleKind,
     OracleSpec,
     PreferenceQuery,
+    _quantiles,
     derived_rng,
     measure_consistency,
 )
@@ -321,32 +322,6 @@ def bootstrap_ci(
             done += take
         for i, row in zip(members, means):
             out[i] = tuple(_quantiles(row, (alpha / 2, 1 - alpha / 2)))
-    return out
-
-
-def _quantiles(row: np.ndarray, qs: Sequence[float]) -> list[float]:
-    """`np.quantile(row, qs)` under its default "linear" method, bit for bit.
-
-    `np.quantile` picks its partition points through `np.unique`, whose
-    first call imports `numpy.ma` (~1.3 MB), so this repeats numpy's steps
-    without it: virtual index `(n - 1) * q` for q in [0, 1], the order
-    statistics at its floor and the next index (clamped to the row) from
-    one `np.partition`, and numpy's two-sided lerp.  A row holding a NaN
-    gives NaN.
-    """
-    if np.isnan(row).any():
-        return [math.nan] * len(qs)
-    top = len(row) - 1
-    points = []
-    for q in qs:
-        virtual = top * q
-        below = math.floor(virtual)
-        points.append((virtual - below, below, min(below + 1, top)))
-    ranked = np.partition(row, sorted({k for _, lo, hi in points for k in (lo, hi)}))
-    out = []
-    for t, lo, hi in points:
-        a, b = float(ranked[lo]), float(ranked[hi])
-        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return out
 
 

@@ -33,6 +33,8 @@ TIE_EPS = 1e-12
 DEDUP_EPS = 1e-9
 # the value table's limit: 2**20 masks, 8 MB per cached table of float64
 MAX_AGENTS = 20
+# the limit of every exhaustive check: Bell(12) partitions, 12 * 3**11 moves
+MAX_ENUM_AGENTS = 12
 DEFAULT_ALPHA = 0.15
 DEFAULT_BETA = 1.3
 
@@ -445,8 +447,6 @@ class AlignmentWitness:
 @dataclass(frozen=True)
 class AlignmentReport:
     passed: bool
-    partitions_checked: int
-    deviations_checked: int
     witness: AlignmentWitness | None = None
 
 
@@ -510,67 +510,55 @@ def deviation_plan(masks: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, .
     return tuple(entries)
 
 
-#: the most partitions check_potential_alignment exhausts: Bell(10) =
-#: 115,975 fit, Bell(11) = 678,570 do not
-ALIGNMENT_PARTITION_CAP = 150_000
-
-
 def check_potential_alignment(game: GameSpec) -> AlignmentReport:
-    """Check that every strictly improving deviation strictly raises Phi.
+    """Check that every strictly improving move strictly raises Phi = sum v.
 
-    Exhausts all partitions; fails with the first witness where an agent's
-    per-capita value improves but the total value does not strictly increase
-    (a zero change counts as a failure).  Self-comparisons are not counted
-    as deviations.
+    Agent i's move from S to T (T empty: going solo) changes Phi by
+    v(T + i) + v(S - i) - v(S) - v(T) in any partition, and every disjoint
+    (S, T) occurs in {S, T} plus singletons.  So the check walks the
+    n * 3**(n-1) triples (i, S, T), not the Bell(n) partitions: for each
+    agent, each S holding it from the largest mask down, each T outside S
+    from the largest down, then going solo.  It fails at the first move
+    with pc[T + i] - pc[S] > TIE_EPS and a change of Phi <= TIE_EPS (zero
+    fails), witnessed in {S, T} plus singletons.  A passing game costs every
+    triple, so MAX_ENUM_AGENTS caps n.
     """
-    bell = bell_number(game.n)
-    if bell > ALIGNMENT_PARTITION_CAP:
-        raise EnumerationBudgetError(
-            f"alignment check over {bell} partitions exceeds the cap of "
-            f"{ALIGNMENT_PARTITION_CAP}"
-        )
-    vals = value_table(game)
-    pc = per_capita_table(game)
     n = game.n
-    partitions = 0
-    deviations = 0
-    for blocks in iter_partition_blocks(n):
-        partitions += 1
-        phi = sum(vals[b] for b in blocks)
-        for agent, own, targets in deviation_plan(blocks):
-            rest = own & ~(1 << agent)
-            for target in targets:
-                joined = target | 1 << agent
-                if joined == own:
-                    continue
-                deviations += 1
-                if pc[joined] - pc[own] <= TIE_EPS:
-                    continue
-                phi_new = (
-                    phi
-                    - vals[own]
-                    - (vals[target] if target else 0.0)
-                    + vals[joined]
-                    + (vals[rest] if rest else 0.0)
-                )
-                if phi_new <= phi + TIE_EPS:
-                    return AlignmentReport(
-                        passed=False,
-                        partitions_checked=partitions,
-                        deviations_checked=deviations,
-                        witness=AlignmentWitness(
-                            partition=Partition.from_masks(n, blocks),
-                            agent=agent,
-                            target_members=mask_members(target),
-                            per_capita_before=pc[own],
-                            per_capita_after=pc[joined],
-                            potential_before=phi,
-                            potential_after=phi_new,
-                        ),
-                    )
-    return AlignmentReport(
-        passed=True, partitions_checked=partitions, deviations_checked=deviations
-    )
+    if n > MAX_ENUM_AGENTS:
+        raise EnumerationBudgetError(f"alignment check supports at most {MAX_ENUM_AGENTS} agents")
+    vals = np.frombuffer(value_table(game)).copy()
+    vals[0] = 0.0  # the empty side of a move (S - i or T) adds nothing
+    pc = np.frombuffer(per_capita_table(game))
+    for agent in range(n):
+        # S - i and T over the other agents: each in S, in T or in neither
+        rest = target = np.zeros(1, dtype=np.int64)
+        for b in (1 << j for j in range(n) if j != agent):
+            rest = np.concatenate((rest, rest | b, rest))
+            target = np.concatenate((target, target, target | b))
+        own, joined = rest | 1 << agent, target | 1 << agent
+        failing = np.flatnonzero(
+            (pc[joined] - pc[own] > TIE_EPS)
+            & (vals[joined] + vals[rest] - vals[own] - vals[target] <= TIE_EPS)
+        )
+        if failing.size:
+            k = failing[np.argmax(own[failing] << n | target[failing])]  # the walk's first
+            s, r, t, j = (int(x[k]) for x in (own, rest, target, joined))
+            singles = [1 << i for i in range(n) if not (s | t) >> i & 1]
+            before = Partition.from_masks(n, [b for b in (s, t) if b] + singles)
+            after = Partition.from_masks(n, [b for b in (j, r) if b] + singles)
+            return AlignmentReport(
+                passed=False,
+                witness=AlignmentWitness(
+                    partition=before,
+                    agent=agent,
+                    target_members=mask_members(t),
+                    per_capita_before=float(pc[s]),
+                    per_capita_after=float(pc[j]),
+                    potential_before=potential(game, before),
+                    potential_after=potential(game, after),
+                ),
+            )
+    return AlignmentReport(passed=True)
 
 
 @lru_cache(maxsize=None)

@@ -357,6 +357,33 @@ def measure_consistency(
 #: Coverage of every bootstrap confidence interval the engine reports.
 CI_LEVEL = 0.95
 
+
+def _quantiles(row: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """`np.quantile(row, qs)` under its default "linear" method, bit for bit.
+
+    `np.quantile` picks its partition points through `np.unique`, whose
+    first call imports `numpy.ma` (~1.3 MB), so this repeats numpy's steps
+    without it: virtual index `(n - 1) * q` for q in [0, 1], the order
+    statistics at its floor and the next index (clamped to the row) from
+    one `np.partition`, and numpy's two-sided lerp.  A row holding a NaN
+    gives NaN.
+    """
+    if np.isnan(row).any():
+        return [math.nan] * len(qs)
+    top = len(row) - 1
+    points = []
+    for q in qs:
+        virtual = top * q
+        below = math.floor(virtual)
+        points.append((virtual - below, below, min(below + 1, top)))
+    ranked = np.partition(row, sorted({k for _, lo, hi in points for k in (lo, hi)}))
+    out = []
+    for t, lo, hi in points:
+        a, b = float(ranked[lo]), float(ranked[hi])
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 #: Irrational-choice rate of a logit chooser at a gap exactly equal to its
 #: rationality bound; the threshold the gap estimator inverts.
 CRITICAL_IRRATIONAL_RATE = 1.0 / (1.0 + math.e)
@@ -427,9 +454,11 @@ def estimate_epsilon(
     gap at which that rate falls through 1/(1+e), the rate a logit chooser
     shows when the gap equals its bound.  The crossing is interpolated
     between bin centers; a percentile bootstrap over log rows gives the
-    CI_LEVEL CI.
-    Returns found=False when the rate never drops below the threshold, as
-    with uniformly random verdicts.
+    CI_LEVEL CI, its percentiles from `_quantiles` as in `bootstrap_ci`.
+    Every bin must hold min_per_bin >= 1 choices, so no rate is NaN; a
+    resample that empties the bin before its crossing counts as having
+    none.  Returns found=False when the rate never drops below the
+    threshold, as with uniformly random verdicts.
 
     Each row is binned once into the key bin * 2 + irrational, so one
     bootstrap resample is one draw of row indices and one bincount.  The
@@ -439,6 +468,8 @@ def estimate_epsilon(
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    if min_per_bin < 1:
+        raise ValueError(f"min_per_bin must be >= 1, got {min_per_bin}")
     records = [
         r if isinstance(r, ChoiceRecord) else ChoiceRecord(float(r[0]), Verdict(r[1]))
         for r in choice_log
@@ -480,14 +511,14 @@ def estimate_epsilon(
         sample = keys[rng.integers(0, m, m)]
         _, rs = _bin_rates(np.bincount(sample, minlength=2 * bins))
         est = _crossing(centers, rs, CRITICAL_IRRATIONAL_RATE)
-        if est is not None:
+        # a crossing read off an emptied bin is NaN: no crossing either
+        if est is not None and not math.isnan(est):
             resampled.append(est)
     ci_low = ci_high = None
     if len(resampled) >= max(20, bootstrap_iterations // 2):
-        resampled.sort()
-        lo_idx = int((1 - CI_LEVEL) / 2 * len(resampled))
-        hi_idx = min(len(resampled) - 1, int((1 + CI_LEVEL) / 2 * len(resampled)))
-        ci_low, ci_high = resampled[lo_idx], resampled[hi_idx]
+        ci_low, ci_high = _quantiles(
+            np.array(resampled), ((1 - CI_LEVEL) / 2, (1 + CI_LEVEL) / 2)
+        )
     return EpsilonEstimate(
         estimate=estimate,
         ci_low=ci_low,

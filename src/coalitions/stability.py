@@ -6,9 +6,10 @@ Each agent is checked against every other coalition of the partition plus
 the solo move, which makes exactly n * |partition| checks.  One scan serves
 every user: `game.deviation_plan`, a per-agent list of those checks, which
 `dynamics.run_episode`, `verify_nash` (both modes), `verify_individual`,
-`bounds.count_critical_decisions`, `experiments.sample_queries` and
-`game.check_potential_alignment` and the early-exit `_nash_stable` walk
-through its cache.  Every site states
+`bounds.count_critical_decisions`, `experiments.sample_queries` and the
+early-exit `_nash_stable` walk through its cache.  (Potential alignment
+is a property of single moves, so `game.check_potential_alignment` walks
+the (agent, S, T) triples instead.)  Every site states
 "strictly prefers" in one form, `pc[x] - pc[y] > TIE_EPS`, the only form
 `preferences.decide`, which sees just the difference, can share.
 """
@@ -23,6 +24,7 @@ from itertools import combinations
 from typing import Iterator, Sequence, TYPE_CHECKING
 
 from .game import (
+    MAX_ENUM_AGENTS,
     EnumerationBudgetError,
     GameSpec,
     Partition,
@@ -37,8 +39,6 @@ from .game import (
 
 if TYPE_CHECKING:
     from .preferences import OracleSpec
-
-MAX_ENUM_AGENTS = 12
 
 
 class StabilityConcept(Enum):

@@ -104,14 +104,11 @@ def brute_partitions(n: int) -> list[list[int]]:
     return out
 
 
-def brute_alignment(game: GameSpec) -> tuple[bool, int, int, tuple | None]:
-    """(passed, partitions checked, deviations checked, witness) of the
-    exact-potential check: over every partition, each agent in ascending id
-    order tries every other block and then going solo; self-comparisons are
-    not counted.  The first strictly improving move that does not strictly
-    raise the total value is the witness (partition masks, agent, target
-    members, per-capita before/after, potential before/after).  The new
-    potential is summed as phi - v(own) - v(target) + v(joined) + v(rest)."""
+def brute_alignment(game: GameSpec) -> bool:
+    """Whether the exact-potential check passes, over every partition: each
+    agent tries every other block and then going solo, and a strictly
+    improving move must strictly raise the total value, summed as
+    phi - v(own) - v(target) + v(joined) + v(rest)."""
 
     memo: dict[int, float] = {}
 
@@ -123,9 +120,7 @@ def brute_alignment(game: GameSpec) -> tuple[bool, int, int, tuple | None]:
     def pc(mask: int) -> float:
         return v(mask) / bin(mask).count("1")
 
-    partitions = deviations = 0
     for blocks in brute_partitions(game.n):
-        partitions += 1
         phi = 0
         for b in blocks:
             phi += v(b)
@@ -133,10 +128,7 @@ def brute_alignment(game: GameSpec) -> tuple[bool, int, int, tuple | None]:
             own = [m for m in blocks if m >> agent & 1][0]
             for target in [m for m in blocks if m != own] + [0]:
                 joined = target | 1 << agent
-                if joined == own:
-                    continue
-                deviations += 1
-                if pc(joined) - pc(own) <= TIE_EPS:
+                if joined == own or pc(joined) - pc(own) <= TIE_EPS:
                     continue
                 rest = own & ~(1 << agent)
                 phi_new = (
@@ -147,12 +139,8 @@ def brute_alignment(game: GameSpec) -> tuple[bool, int, int, tuple | None]:
                     + (v(rest) if rest else 0.0)
                 )
                 if phi_new <= phi + TIE_EPS:
-                    members = tuple(i for i in range(game.n) if target >> i & 1)
-                    witness = (
-                        tuple(blocks), agent, members, pc(own), pc(joined), phi, phi_new
-                    )
-                    return False, partitions, deviations, witness
-    return True, partitions, deviations, None
+                    return False
+    return True
 
 
 def brute_epsilon_bins(

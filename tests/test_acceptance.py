@@ -157,6 +157,10 @@ def test_c04_logit_curve():
 
 
 def test_c05_potential_monotonicity_and_convergence_bound():
+    # Alignment holds only for n <= 3 in this family: of attempts 1-1,499,
+    # n = 2 passes 190 of 214, n = 3 passes 30 of 209 and n = 4-8 pass 0 of
+    # 1,076.  So the filter accepts only two- and three-agent games, though
+    # n is drawn up to 8, and the deterministic gate fails on six_mixed too.
     with criterion(5, "potential monotonicity and convergence bound", 120.0):
         accepted = 0
         attempt = 0

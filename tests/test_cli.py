@@ -4,6 +4,7 @@ import collections
 import contextlib
 import io
 import json
+import math
 import shlex
 import sys
 import time
@@ -13,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 import coalitions.game
 from coalitions.cli import _oracle_from_args, build_parser, main
-from coalitions.game import save_game
+from coalitions.game import MAX_ENUM_AGENTS, GameSpec, save_game
 from coalitions.preferences import (
     ChoiceRecord,
     OracleKind,
     OracleSpec,
+    Verdict,
     decide,
     derived_rng,
     write_choice_log,
@@ -111,6 +113,39 @@ def test_inspect_defaults_are_the_field_defaults(game_file, capsys):
     assert run_cli("inspect", game_file, "--epsilon", "0.15", "--max-size", "4", "--json") == 0
     assert capsys.readouterr().out == bare
     assert json.loads(bare)["epsilon"] == 0.15
+
+
+def all_tie_game_file(tmp_path, n):
+    # agent i holds skill i alone: every coalition ties, so no move improves
+    path = tmp_path / f"tie{n}.json"
+    save_game(GameSpec.from_profiles(
+        [[float(i == j) for j in range(n)] for i in range(n)], alpha=0.05, beta=1.0
+    ), path)
+    return path
+
+
+def test_inspect_reports_alignment_up_to_the_enumeration_cap(tmp_path, capsys):
+    path = all_tie_game_file(tmp_path, MAX_ENUM_AGENTS)
+    start = time.process_time()
+    assert run_cli("inspect", path, "--json") == 0
+    assert time.process_time() - start < 2.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 12
+    assert report["alignment"] == "pass" and report["alignment_witness"] is None
+    # no per-capita gap is nonzero, so delta is inf and the gate holds
+    assert report["delta"] == math.inf
+    assert report["gate"] == "PASS" and report["gate_reasons"] == []
+    assert "note" not in report
+
+
+def test_inspect_skips_alignment_above_the_enumeration_cap(tmp_path, capsys):
+    path = all_tie_game_file(tmp_path, MAX_ENUM_AGENTS + 1)
+    assert run_cli("inspect", path, "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["alignment"] is None and report["gate"] is None
+    assert report["note"] == (
+        "structural checks skipped: alignment check supports at most 12 agents"
+    )
 
 
 def test_inspect_missing_file(tmp_path, capsys):
@@ -427,9 +462,24 @@ def test_estimate_epsilon_without_bins_exits_2(bins, tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_estimate_epsilon_no_threshold(tmp_path):
-    from coalitions.preferences import Verdict
+def test_estimate_epsilon_with_empty_bins_allowed_exits_2(tmp_path, capsys):
+    # bins 1-8 are empty and bin 9 is the first below the threshold, so a
+    # crossing would be read off an empty bin: NaN, which JSON cannot hold
+    up, down = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
+    rows = []
+    for _ in range(20):
+        rows += [ChoiceRecord(0.05, up), ChoiceRecord(0.05, down),
+                 ChoiceRecord(-0.05, down), ChoiceRecord(-0.05, up)]
+        rows += [ChoiceRecord(0.95, up)] * 2 + [ChoiceRecord(-0.95, down)] * 2
+    path = tmp_path / "choices.csv"
+    write_choice_log(rows, path)
+    assert run_cli("estimate-epsilon", path, "--min-per-bin", "0", "--json") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: min_per_bin must be >= 1, got 0\n"
+    assert captured.out == ""
 
+
+def test_estimate_epsilon_no_threshold(tmp_path):
     rng = derived_rng("cli-rand", 1)
     rows = [
         ChoiceRecord(

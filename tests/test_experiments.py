@@ -14,7 +14,7 @@ import pytest
 from brute_force import brute_bootstrap_ci
 
 from coalitions.game import GameSpec, check_potential_alignment, value_gap_delta
-from coalitions.preferences import OracleKind, OracleSpec, derived_rng
+from coalitions.preferences import OracleKind, OracleSpec, _quantiles, derived_rng
 from coalitions.stability import bell_number, find_nash_stable
 from coalitions import experiments
 from coalitions.dynamics import EpisodeConfig, InitialPartition, run_episode
@@ -228,7 +228,7 @@ def test_quantile_helper_equals_np_quantile(rows):
             row = rng.integers(0, 4, n) / 7
         if rows == "nan":
             row[rng.integers(0, n)] = np.nan
-        got = experiments._quantiles(row, qs)
+        got = _quantiles(row, qs)
         want = np.quantile(row, qs).tolist()
         if rows == "nan":
             assert all(math.isnan(x) for x in got + want), n

@@ -340,6 +340,32 @@ def test_epsilon_insufficient_data():
         estimate_epsilon(rows, min_per_bin=30)
 
 
+def test_epsilon_requires_a_choice_in_every_bin():
+    rows = logit_choice_log(0.15, n=2000, seed=1)
+    with pytest.raises(ValueError, match="min_per_bin must be >= 1, got 0"):
+        estimate_epsilon(rows, min_per_bin=0)
+
+
+def test_a_resample_that_empties_the_bin_before_the_crossing_has_none():
+    # three bins: rate 0.5 near zero, one irrational choice in the middle
+    # bin, rational choices at the top; about a third of the resamples drop
+    # the middle choice, and their crossing would read an empty bin (NaN)
+    up, down = Verdict.PREFER_CANDIDATE, Verdict.PREFER_CURRENT
+    rows = [ChoiceRecord(0.5, down)]
+    for _ in range(20):
+        rows += [ChoiceRecord(0.05, up), ChoiceRecord(0.05, down),
+                 ChoiceRecord(-0.05, down), ChoiceRecord(-0.05, up)]
+        rows += [ChoiceRecord(0.95, up)] * 2 + [ChoiceRecord(-0.95, down)] * 2
+    width = 0.95 / 3
+    for seed in range(5):
+        est = estimate_epsilon(rows, bins=3, min_per_bin=1, seed=seed)
+        assert est.bin_rates == (0.5, 1.0, 0.0)
+        assert est.found
+        assert est.estimate == pytest.approx(1.5 * width + (1 - est.threshold) * width)
+        # every resample that keeps the middle choice crosses where the log does
+        assert est.ci_low == est.ci_high == est.estimate
+
+
 def test_choice_log_round_trip(tmp_path):
     rows = logit_choice_log(0.2, n=50, seed=9)
     path = tmp_path / "log.csv"
