@@ -145,6 +145,9 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_inspect(args) -> int:
     game = _load_game_or_exit(args.game)
+    if not 0.0 <= args.epsilon < math.inf:
+        print(f"error: --epsilon must be finite and >= 0, got {args.epsilon}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         delta = (
             value_gap_delta(game)
@@ -160,7 +163,7 @@ def cmd_inspect(args) -> int:
         "alpha": game.alpha,
         "beta": game.beta,
         "bell_n": bell_number(game.n),
-        "delta": delta,
+        "delta": None if math.isinf(delta) else delta,  # JSON has no Infinity
         "value_range": coalition_value_range(game),
     }
     try:
@@ -220,9 +223,6 @@ def cmd_verify(args) -> int:
     game = _load_game_or_exit(args.game)
     partition = _load_partition_or_exit(args.partition, game.n)
     concept = StabilityConcept(args.concept)
-    if args.max_block_size is not None and concept is not StabilityConcept.CORE:
-        print("error: only --concept core takes --max-block-size", file=sys.stderr)
-        return EXIT_USAGE
     oracle = _oracle_from_args(args)
     behavioral = oracle.kind is not OracleKind.PERFECT
     if behavioral and concept is not StabilityConcept.NASH:
@@ -235,11 +235,7 @@ def cmd_verify(args) -> int:
     if concept is StabilityConcept.INDIVIDUAL:
         report = verify_individual(game, partition)
     elif concept is StabilityConcept.CORE:
-        try:
-            report = verify_core(game, partition, max_block_size=args.max_block_size)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        report = verify_core(game, partition)
     elif not behavioral:
         report = verify_nash(game, partition)
     elif oracle.kind is OracleKind.EXTERNAL:
@@ -401,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--concept", default="nash", choices=[c.value for c in StabilityConcept]
     )
-    p.add_argument("--max-block-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_oracle_args(p)
     p.set_defaults(func=cmd_verify)

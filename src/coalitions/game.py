@@ -8,6 +8,12 @@ per-capita share of that value.  This is the engine's only value function.
 Since the cost depends on size alone, an agent whose profile dominates
 another's never adds less value to any coalition (capability monotonicity
 holds by construction; see bounds.deterministic_preconditions_met).
+Nor does a coalition ever pay its best member more than going solo:
+scores are >= 0 (a max is at most the sum) and beta >= 1 (k**beta >= k),
+so v(S) is at most the sum of its members' solo values and its per-capita
+value at most their mean.  So from all singletons no set blocks, and no
+joiner gains unless its host loses: all singletons is core- and
+individually stable in every game (tier-1 checks both, up to TIE_EPS).
 
 Coalitions are bitmasks over agent ids, so set operations are O(1) and every
 structural check below reduces to integer arithmetic over a precomputed

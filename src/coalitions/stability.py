@@ -12,6 +12,12 @@ is a property of single moves, so `game.check_potential_alignment` walks
 the (agent, S, T) triples instead.)  Every site states
 "strictly prefers" in one form, `pc[x] - pc[y] > TIE_EPS`, the only form
 `preferences.decide`, which sees just the difference, can share.
+
+The core is a test on sets: T blocks when pc[T] - cur[i] > TIE_EPS for
+every member i, cur[i] being i's current per-capita value.  Rounded
+subtraction is monotone in the subtrahend, so the least of those
+differences is exactly pc[T] minus the largest cur[i]: `verify_core`
+compares every mask with `game._subset_max` of cur in one numpy pass.
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Sequence, TYPE_CHECKING
+
+import numpy as np
 
 from .game import (
     MAX_ENUM_AGENTS,
@@ -29,6 +37,7 @@ from .game import (
     GameSpec,
     Partition,
     TIE_EPS,
+    _subset_max,
     bell_number,
     deviation_plan,
     iter_partition_blocks,
@@ -243,51 +252,43 @@ def verify_individual(game: GameSpec, partition: Partition) -> StabilityReport:
     )
 
 
-def verify_core(
-    game: GameSpec,
-    partition: Partition,
-    max_block_size: int | None = None,
-) -> StabilityReport:
-    """Certify core stability by brute force over candidate blocking sets.
+def verify_core(game: GameSpec, partition: Partition) -> StabilityReport:
+    """Certify core stability (ground truth) in one pass over all 2**n - 1 sets.
 
     A nonempty set T blocks when every member would earn strictly more in T
-    standing alone than in its current coalition.  At most 2**n - 1 sets,
-    which n <= MAX_AGENTS bounds.  Only sets of up to `max_block_size`
-    members are tried; a size below 1 raises ValueError, since no set
-    could then block.
+    standing alone than in its current coalition (see the module docstring).
+    The witness is the first blocking set in (size, lexicographic) order and
+    queries_used its rank; a stable partition uses all 2**n - 1.
     """
     if partition.n != game.n:
         raise ValueError("partition size does not match the game")
     n = game.n
-    max_block_size = n if max_block_size is None else max_block_size
-    if max_block_size < 1:
-        raise ValueError(f"max_block_size must be >= 1, got {max_block_size}")
     pc = per_capita_table(game)
     current = [0.0] * n
     for c in partition.coalitions:
         for i in c.members:
             current[i] = pc[c.mask]
-    queries = 0
-    for size in range(1, min(max_block_size, n) + 1):
-        for combo in combinations(range(n), size):
-            queries += 1
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            share = pc[mask]
-            if all(share - current[i] > TIE_EPS for i in combo):
-                return StabilityReport(
-                    concept=StabilityConcept.CORE,
-                    stable=False,
-                    queries_used=queries,
-                    witness=BlockingSetWitness(
-                        members=combo,
-                        value_after=share,
-                        values_before=tuple(current[i] for i in combo),
-                    ),
-                )
+    # mask 0: nan - (-inf) is nan, which never blocks
+    blocks = np.frombuffer(pc) - _subset_max(np.array(current)) > TIE_EPS
+    if not blocks.any():
+        return StabilityReport(
+            concept=StabilityConcept.CORE, stable=True, queries_used=(1 << n) - 1
+        )
+    candidates = chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
+    rank, members = next(
+        (rank, combo)
+        for rank, combo in enumerate(candidates, 1)
+        if blocks[sum(1 << i for i in combo)]
+    )
     return StabilityReport(
-        concept=StabilityConcept.CORE, stable=True, queries_used=queries
+        concept=StabilityConcept.CORE,
+        stable=False,
+        queries_used=rank,
+        witness=BlockingSetWitness(
+            members=members,
+            value_after=pc[sum(1 << i for i in members)],
+            values_before=tuple(current[i] for i in members),
+        ),
     )
 
 

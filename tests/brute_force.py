@@ -1,15 +1,16 @@
 """Independent brute-force references for the value function, the δ gap,
-the deviation scan, the potential-alignment check, the binning of choice
-logs, the bootstrap CI of a mean, the oracle decision models, the episode
-coin's draws, whole episodes, and the dict form of an episode's round and
-header lines.
+the deviation scan, the potential-alignment check, core stability, the
+binning of choice logs, the bootstrap CI of a mean, the oracle decision
+models, the episode coin's draws, whole episodes, and the dict form of an
+episode's round and header lines.
 
 These recompute from explicit member lists, the game's profiles and the
 choice rows with plain Python loops, without calling the engine's value,
 gap, scan or binning code, so tests can check the engine against them.
-The episode reference is the exception that proves the rule: it reads the
-engine's value tables and terminal verification, which have references of
-their own, and re-runs only the scan.
+The episode and core references are the exceptions that prove the rule:
+they read the engine's value tables, which have references of their own.
+The episode reference also reads the terminal verification and re-runs
+only the scan; the core reference walks the sets one by one.
 """
 
 import hashlib
@@ -141,6 +142,23 @@ def brute_alignment(game: GameSpec) -> bool:
                 if phi_new <= phi + TIE_EPS:
                     return False
     return True
+
+
+def brute_core(game: GameSpec, partition: Partition) -> tuple[bool, tuple[int, ...] | None, int]:
+    """Core stability by a walk over every nonempty set in (size,
+    lexicographic) order, each member's gain checked on its own:
+    (stable, the first blocking set's members or None, that set's rank, or
+    2**n - 1 when none blocks)."""
+    pc = per_capita_table(game)
+    current = {i: pc[c.mask] for c in partition.coalitions for i in c.members}
+    rank = 0
+    for size in range(1, game.n + 1):
+        for combo in combinations(range(game.n), size):
+            rank += 1
+            mask = sum(1 << i for i in combo)
+            if all(pc[mask] - current[i] > TIE_EPS for i in combo):
+                return False, combo, rank
+    return True, None, rank
 
 
 def brute_epsilon_bins(

@@ -4,7 +4,6 @@ import collections
 import contextlib
 import io
 import json
-import math
 import shlex
 import sys
 import time
@@ -12,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coalitions.cli
 import coalitions.game
 from coalitions.cli import _oracle_from_args, build_parser, main
 from coalitions.game import MAX_ENUM_AGENTS, GameSpec, save_game
@@ -129,13 +129,32 @@ def test_inspect_reports_alignment_up_to_the_enumeration_cap(tmp_path, capsys):
     start = time.process_time()
     assert run_cli("inspect", path, "--json") == 0
     assert time.process_time() - start < 2.0
-    report = json.loads(capsys.readouterr().out)
+    # parse_constant sees only the non-JSON words Infinity, -Infinity and NaN
+    report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
     assert report["n"] == 12
     assert report["alignment"] == "pass" and report["alignment_witness"] is None
-    # no per-capita gap is nonzero, so delta is inf and the gate holds
-    assert report["delta"] == math.inf
+    # no per-capita gap is nonzero, so delta is inf (null in JSON) and the gate holds
+    assert report["delta"] is None
     assert report["gate"] == "PASS" and report["gate_reasons"] == []
     assert "note" not in report
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_inspect_rejects_an_epsilon_that_is_not_finite_or_is_negative(
+    epsilon, game_file, monkeypatch, capsys
+):
+    monkeypatch.setattr(coalitions.cli, "value_gap_delta", pytest.fail)
+    assert run_cli("inspect", game_file, f"--epsilon={epsilon}", "--json") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --epsilon must be finite and >= 0, got {float(epsilon)}\n"
+    assert captured.out == ""
+
+
+def test_inspect_takes_a_zero_epsilon(game_file, capsys):
+    assert run_cli("inspect", game_file, "--epsilon", "0", "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["epsilon"] == 0.0 and report["gate"] == "FAIL"
+    assert report["gate_reasons"] == ["potential alignment fails"]
 
 
 def test_inspect_skips_alignment_above_the_enumeration_cap(tmp_path, capsys):
@@ -212,34 +231,7 @@ def test_verify_core_is_fast(game_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 1  # everyone prefers solo work here
     assert report["concept"] == "core"
-
-
-@pytest.mark.parametrize("size", ["0", "-1"])
-def test_verify_core_rejects_a_block_size_below_one(size, game_file, tmp_path, capsys):
-    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
-    assert run_cli("verify", game_file, "--partition", part, "--concept", "core") == 1
-    assert json.loads(capsys.readouterr().out)["witness"]["blocking_set"] == [0]
-    code = run_cli(
-        "verify", game_file, "--partition", part, "--concept", "core", "--max-block-size", size
-    )
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == f"error: max_block_size must be >= 1, got {size}\n"
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("concept", ["nash", "individual"])
-def test_verify_refuses_a_block_size_without_the_core_concept(
-    concept, game_file, tmp_path, capsys
-):
-    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
-    code = run_cli(
-        "verify", game_file, "--partition", part, "--concept", concept, "--max-block-size", "2"
-    )
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: only --concept core takes --max-block-size\n"
-    assert captured.out == ""
+    assert report["witness"]["blocking_set"] == [0]
 
 
 def test_verify_individual_concept(duo_file, tmp_path, capsys):

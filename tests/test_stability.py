@@ -1,19 +1,21 @@
 """Stability certification, partition enumeration, and search."""
 
 import math
-from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brute_force import brute_deviation_checks, brute_partitions
+from brute_force import brute_core, brute_deviation_checks, brute_partitions
 
 from coalitions.game import (
     TIE_EPS,
+    EnumerationBudgetError,
     Coalition,
     GameSpec,
     Partition,
     deviation_plan,
+    _subset_max,
     per_capita_table,
 )
 from coalitions.preferences import derived_rng
@@ -62,6 +64,19 @@ def plan_checks(masks, agents=None) -> list[tuple[int, int, int, int]]:
     ]
 
 
+SCORES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def small_games(draw) -> GameSpec:
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 3))
+    profiles = draw(st.lists(st.lists(SCORES, min_size=d, max_size=d), min_size=n, max_size=n))
+    alpha = draw(st.just(math.ulp(0.0)) | st.floats(0.0, 2.0, exclude_min=True))
+    beta = draw(st.just(1.0) | st.floats(1.0, 3.0))
+    return GameSpec.from_profiles(profiles, alpha=alpha, beta=beta)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -79,10 +94,21 @@ def test_bell_numbers_match_reference_table():
 
 
 def test_enumeration_cap():
-    from coalitions.game import EnumerationBudgetError
-
     with pytest.raises(EnumerationBudgetError):
         list(enumerate_partitions(13))
+
+
+def test_search_refuses_more_agents_than_the_cap_before_building_a_table():
+    game = GameSpec.from_profiles([[0.5]] * 13)
+    before = per_capita_table.cache_info()
+    with pytest.raises(EnumerationBudgetError, match="at most 12 agents"):
+        find_nash_stable(game)
+    assert per_capita_table.cache_info() == before
+
+
+def test_random_partition_rejects_an_empty_roster():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        random_partition(0, derived_rng("empty", 0))
 
 
 def test_random_partition_is_uniform():
@@ -201,6 +227,12 @@ def test_behavioral_verification_with_perfect_oracle(six_mixed):
     assert behavioral.queries_used == ground.queries_used
 
 
+@pytest.mark.parametrize("verify", [verify_nash, verify_individual, verify_core])
+def test_verifiers_reject_a_partition_of_another_size(verify, six_mixed):
+    with pytest.raises(ValueError, match="partition size does not match the game"):
+        verify(six_mixed, Partition.singletons(5))
+
+
 # ---------------------------------------------------------------------------
 # individual stability
 
@@ -255,39 +287,47 @@ def test_core_and_nash_verdicts_can_disagree(dominated_pair):
     assert not verify_nash(dominated_pair, split).stable
 
 
-def test_core_respects_max_block_size(parasite_game):
-    partition = Partition.from_blocks(3, [[0, 2], [1]])
-    capped = verify_core(parasite_game, partition, max_block_size=1)
-    assert not capped.stable
-    assert capped.queries_used <= 3
-    assert not verify_core(parasite_game, partition).stable
-
-
-@pytest.mark.parametrize("size", [0, -1])
-def test_core_rejects_a_block_size_below_one(parasite_game, size):
-    partition = Partition.from_blocks(3, [[0, 2], [1]])
-    with pytest.raises(ValueError, match="max_block_size must be >= 1"):
-        verify_core(parasite_game, partition, max_block_size=size)
-
-
-def brute_core(game: GameSpec, partition: Partition) -> bool:
-    pc = per_capita_table(game)
-    current = {
-        i: pc[c.mask] for c in partition.coalitions for i in c.members
-    }
-    for size in range(1, game.n + 1):
-        for combo in combinations(range(game.n), size):
-            mask = sum(1 << i for i in combo)
-            if all(pc[mask] - current[i] > 1e-12 for i in combo):
-                return False
-    return True
+def core_report(report) -> tuple:
+    """(stable, witness members or None, queries_used): `brute_core`'s form."""
+    return report.stable, report.witness and report.witness.members, report.queries_used
 
 
 def test_core_matches_brute_force_on_all_six_agent_partitions(six_mixed):
     for partition in enumerate_partitions(6):
-        assert verify_core(six_mixed, partition).stable == brute_core(
-            six_mixed, partition
+        assert core_report(verify_core(six_mixed, partition)) == brute_core(six_mixed, partition)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_core_matches_brute_force_on_random_partitions(data):
+    game = data.draw(small_games())
+    partition = Partition.from_masks(game.n, data.draw(st.sampled_from(brute_partitions(game.n))))
+    report = verify_core(game, partition)
+    assert core_report(report) == brute_core(game, partition)
+    if report.witness is not None:
+        pc = per_capita_table(game)
+        assert report.witness.value_after == pc[Coalition.of(report.witness.members).mask]
+        assert report.witness.values_before == tuple(
+            pc[c.mask] for i in report.witness.members for c in partition.coalitions if i in c
         )
+
+
+@given(small_games())
+@settings(max_examples=100, deadline=None)
+def test_no_coalition_pays_its_best_member_more_than_going_solo(game):
+    pc = np.frombuffer(per_capita_table(game))
+    best_solo = _subset_max(pc[[1 << i for i in range(game.n)]])
+    assert not np.any(pc - best_solo > TIE_EPS)  # mask 0 is nan and never exceeds
+    singletons = Partition.singletons(game.n)
+    assert verify_core(game, singletons).stable
+    assert verify_individual(game, singletons).stable
+
+
+def test_core_certifies_all_singletons_of_a_twenty_agent_game():
+    from coalitions.experiments import generate_game
+
+    report = verify_core(generate_game(20, 3, 0.15, 1.3, seed=0), Partition.singletons(20))
+    assert report.stable and report.queries_used == 2**20 - 1 and report.witness is None
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +361,7 @@ def brute_nash_stable(game: GameSpec) -> list[Partition]:
     return [p for p in enumerate_partitions(game.n) if verify_nash(game, p).stable]
 
 
-SCORES = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
-
-
-@st.composite
-def search_games(draw) -> GameSpec:
-    n = draw(st.integers(1, 7))
-    d = draw(st.integers(1, 3))
-    profiles = draw(st.lists(st.lists(SCORES, min_size=d, max_size=d), min_size=n, max_size=n))
-    alpha = draw(st.just(math.ulp(0.0)) | st.floats(0.0, 2.0, exclude_min=True))
-    beta = draw(st.just(1.0) | st.floats(1.0, 3.0))
-    return GameSpec.from_profiles(profiles, alpha=alpha, beta=beta)
-
-
-@given(search_games())
+@given(small_games())
 @settings(max_examples=60, deadline=None)
 def test_search_matches_the_brute_filter(game):
     assert find_nash_stable(game) == brute_nash_stable(game)
