@@ -88,6 +88,14 @@ def _load_partition_or_exit(path: str, n: int) -> Partition:
     return _read_or_exit(load_partition, path, "partition file", n)
 
 
+def _epsilon_or_exit(epsilon: float) -> float:
+    """`epsilon`, or exit 2 when it is no tolerance: NaN, infinite or below 0."""
+    if not 0.0 <= epsilon < math.inf:
+        print(f"error: --epsilon must be finite and >= 0, got {epsilon}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return epsilon
+
+
 #: oracle flags that are passed on only when given, by their oracle_from_dict key
 _ORACLE_FLAGS = ("epsilon", "p_critical", "p_easy", "critical_gap", "majority_k")
 #: the endpoint flags, which only an external oracle takes
@@ -145,9 +153,7 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_inspect(args) -> int:
     game = _load_game_or_exit(args.game)
-    if not 0.0 <= args.epsilon < math.inf:
-        print(f"error: --epsilon must be finite and >= 0, got {args.epsilon}", file=sys.stderr)
-        return EXIT_USAGE
+    epsilon = _epsilon_or_exit(args.epsilon)
     try:
         delta = (
             value_gap_delta(game)
@@ -172,7 +178,7 @@ def cmd_inspect(args) -> int:
         report.update({"alignment": None, "gate": None,
                        "note": f"structural checks skipped: {exc}"})
     else:
-        gate = deterministic_preconditions_met(delta, aligned, args.epsilon)
+        gate = deterministic_preconditions_met(delta, aligned, epsilon)
         report.update(
             {
                 "alignment": "pass" if aligned.passed else "FAIL",
@@ -191,7 +197,7 @@ def cmd_inspect(args) -> int:
                         aligned.witness.potential_after,
                     ],
                 },
-                "epsilon": args.epsilon,
+                "epsilon": epsilon,
                 "gate": "PASS" if gate.met else "FAIL",
                 "gate_reasons": list(gate.reasons),
             }
@@ -275,6 +281,10 @@ def cmd_bounds(args) -> int:
     if (args.game is None) != (args.partition is None):
         print("error: --game and --partition must be given together", file=sys.stderr)
         return EXIT_USAGE
+    if args.epsilon is not None and args.game is None:
+        print("error: --epsilon needs --game and --partition", file=sys.stderr)
+        return EXIT_USAGE
+    epsilon = OracleSpec.epsilon if args.epsilon is None else _epsilon_or_exit(args.epsilon)
     params = _read_or_exit(
         lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.params, "params file"
     )
@@ -284,7 +294,7 @@ def cmd_bounds(args) -> int:
     if args.game is not None:
         game = _load_game_or_exit(args.game)
         partition = _load_partition_or_exit(args.partition, game.n)
-        k_eff, k_n = count_critical_decisions(game, partition, args.epsilon)
+        k_eff, k_n = count_critical_decisions(game, partition, epsilon)
         params["k_eff"], params["k_n"] = k_eff, k_n
     try:
         inputs = BoundInputs(
@@ -351,10 +361,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_estimate_epsilon(args) -> int:
     records = _read_or_exit(read_choice_log, args.log, "choice log")
+    # the flags given; estimate_epsilon's defaults stand for the rest
+    options = {
+        key: getattr(args, key)
+        for key in ("bins", "min_per_bin", "seed")
+        if getattr(args, key) is not None
+    }
     try:
-        est = estimate_epsilon(
-            records, bins=args.bins, min_per_bin=args.min_per_bin, seed=args.seed
-        )
+        est = estimate_epsilon(records, **options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -410,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="JSON with p, p_easy, k_eff, k_n, gamma, delta, epsilon_bar")
     p.add_argument("--game", default=None)
     p.add_argument("--partition", default=None)
-    p.add_argument("--epsilon", type=float, default=OracleSpec.epsilon)
+    p.add_argument("--epsilon", type=float, help=f"default {OracleSpec.epsilon}; needs --game")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("regress", help="fit stability rate on consistency")
@@ -432,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate-epsilon", help="estimate the rationality bound from a choice log"
     )
     p.add_argument("log", help="CSV choice log (delta_v, verdict, ...)")
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--min-per-bin", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bins", type=int)
+    p.add_argument("--min-per-bin", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate_epsilon)
 

@@ -529,9 +529,7 @@ def convergence_bound(game: GameSpec) -> ConvergenceBound:
     coalition sizes.  An infinite gap means no agent ever sees two distinct
     values, so no strict improvement is possible and the bounds are zero.
     """
-    delta = value_gap_delta(game, max_size=game.n)
-    if delta <= 0:
-        raise ValueError("no value gap: cannot bound convergence")
+    delta = value_gap_delta(game, max_size=game.n)  # > DEDUP_EPS, or inf
     lo, hi = coalition_value_bounds(game)
     spread = max(hi, 0.0) - min(lo, 0.0)
     if math.isinf(delta):

@@ -91,8 +91,8 @@ class Condition:
     episodes: int
     seed_base: int = 0
     initial: InitialPartition = InitialPartition(kind="random")
-    rule: DeviationRule = DeviationRule.FIRST_IMPROVING
-    max_rounds: int = 30
+    rule: DeviationRule = EpisodeConfig.rule
+    max_rounds: int = EpisodeConfig.max_rounds
     sample_only: bool = False
 
     def __post_init__(self) -> None:
@@ -142,8 +142,7 @@ class ConditionResult:
 
 
 def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
-    if not values:
-        return math.nan, math.nan
+    """Mean and sample standard deviation of a non-empty list."""
     m = sum(values) / len(values)
     if len(values) == 1:
         return m, 0.0
@@ -168,9 +167,8 @@ def sample_queries(
         partition = random_partition(game.n, rng)
         agent = rng.randrange(game.n)
         _, own, targets = deviation_plan(partition.masks)[agent]
+        # for n >= 2 an agent always has a move: another block, or going solo
         moves = [target for target in targets if target | 1 << agent != own]
-        if not moves:
-            continue
         target = moves[rng.randrange(len(moves))]
         queries.append(
             PreferenceQuery(
@@ -235,10 +233,11 @@ def run_condition(
                 on_log(log)
         if conv_rounds:
             conv_mean, conv_sd = _mean_sd(conv_rounds)
-        if oracle.kind is not OracleKind.EXTERNAL:
-            queries = sample_queries(game, CONSISTENCY_QUERIES, condition.seed_base)
-            if queries:
-                consistency = measure_consistency(oracle, game, queries)
+        # an external oracle gets here only at n = 1, which samples no query:
+        # otherwise its first query raised, as no plugin session is open
+        queries = sample_queries(game, CONSISTENCY_QUERIES, condition.seed_base)
+        if queries:
+            consistency = measure_consistency(oracle, game, queries)
         gt_rate = gt_count / len(stable_flags)
     w_mean, w_sd = _mean_sd(welfare)
     return ConditionResult(
@@ -263,34 +262,33 @@ def _with_intervals(
 ) -> list[ConditionResult]:
     """The results with the CIs of their stable flags, seeded by `seeds`,
     filled in by one `bootstrap_ci` call."""
-    intervals = bootstrap_ci([r.stable_flags for r in results], seed=seeds)
+    intervals = bootstrap_ci([r.stable_flags for r in results], seeds)
     return [replace(r, ci_low=lo, ci_high=hi) for r, (lo, hi) in zip(results, intervals)]
 
 
 # ---------------------------------------------------------------------------
 # statistics
 
+#: resamples behind each bootstrap CI
+BOOTSTRAP_ITERATIONS = 10_000
 _BOOTSTRAP_CHUNK = 1 << 15
 
 
 def bootstrap_ci(
-    sample_sets: Sequence[Sequence[float]],
-    iterations: int = 10_000,
-    seed: int | Sequence[int] = 0,
+    sample_sets: Sequence[Sequence[float]], seeds: Sequence[int]
 ) -> list[tuple[float, float]]:
     """Seeded CI_LEVEL percentile bootstrap CIs for the means of several
     sample sets.
 
-    Returns one `(lo, hi)` per set, in order.  `seed` is either one seed for
-    every set or a sequence with one seed per set.  A set's resamples are
-    drawn from a numpy generator seeded by `bootstrap:<seed>`, so its
-    interval depends only on its samples, seed and `iterations`:
-    it is the same whether the set comes alone or in a batch.  Sets that
-    share `(seed, len(samples))` share that index stream, which is drawn
-    once per call and gathered by each of them, chunk by chunk.
+    Returns one `(lo, hi)` per set, in order; `seeds` holds one seed per
+    set.  A set's BOOTSTRAP_ITERATIONS resamples are drawn from a numpy
+    generator seeded by `bootstrap:<seed>`, so its interval depends only on
+    its samples and seed: it is the same whether the set comes alone or in
+    a batch.  Sets that share `(seed, len(samples))` share that index
+    stream, which is drawn once per call and gathered by each of them,
+    chunk by chunk.
     """
     count = len(sample_sets)
-    seeds = list(seed) if isinstance(seed, Sequence) else [seed] * count
     if len(seeds) != count:
         raise ValueError("need one seed per sample set")
     streams: dict[tuple[int, int], list[int]] = {}
@@ -299,6 +297,7 @@ def bootstrap_ci(
             raise ValueError("need at least one sample")
         streams.setdefault((seeds[i], len(samples)), []).append(i)
     alpha = 1 - CI_LEVEL
+    iterations = BOOTSTRAP_ITERATIONS
     out: list[tuple[float, float]] = [(math.nan, math.nan)] * count
     for (s, n), members in streams.items():
         arrs = [np.asarray(sample_sets[i], dtype=float) for i in members]
@@ -392,8 +391,8 @@ def sweep(
     oracle: OracleSpec,
     *,
     episodes: int = 200,
-    seed_base: int = 0,
-    max_rounds: int = Condition.max_rounds,
+    seed_base: int,
+    max_rounds: int = EpisodeConfig.max_rounds,
 ) -> list[SweepCell]:
     """Rerun one condition across an axis; per-cell failures do not abort.
 

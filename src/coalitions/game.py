@@ -109,8 +109,18 @@ class GameSpec:
                 )
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
-        if not self.beta >= 1:
-            raise ValueError("beta must be >= 1")
+        if not 1 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 1")
+        # the largest size cost; its overflow is an OverflowError under float **
+        try:
+            cost = self.alpha * n**self.beta
+        except OverflowError:
+            cost = math.inf
+        if not math.isfinite(cost):
+            raise ValueError(
+                f"size cost alpha * n**beta must be finite, got alpha={self.alpha}, "
+                f"beta={self.beta}, n={n}"
+            )
 
     def __hash__(self) -> int:
         # cached: every value_table / per_capita_table lookup hashes the game
@@ -630,16 +640,14 @@ def save_game(game: GameSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(game_to_dict(game), indent=2) + "\n", encoding="utf-8")
 
 
-def partition_from_dict(data: dict, n: int | None = None) -> Partition:
+def partition_from_dict(data: dict, n: int) -> Partition:
+    """The partition of agents 0..n-1 whose blocks `data["coalitions"]` lists."""
     if not isinstance(data, dict):
         raise ValueError('a partition must be a JSON object with a "coalitions" list')
-    blocks = data["coalitions"]
-    if n is None:
-        n = data.get("n") or sum(len(b) for b in blocks)
-    return Partition.from_blocks(int(n), blocks)
+    return Partition.from_blocks(n, data["coalitions"])
 
 
-def load_partition(path: str | Path, n: int | None = None) -> Partition:
+def load_partition(path: str | Path, n: int) -> Partition:
     with open(path, encoding="utf-8") as fh:
         return partition_from_dict(json.load(fh), n=n)
 

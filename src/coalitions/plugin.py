@@ -40,7 +40,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .game import GameSpec
 from .preferences import (
@@ -272,18 +272,6 @@ class OracleWireAnswer:
 # ---------------------------------------------------------------------------
 # transports
 
-class WireLine(NamedTuple):
-    """A query ready to send: its id and its line, which is the
-    `OracleWireQuery.to_json_line()` of the same query.  The endpoint takes
-    either type; it reads only `query_id` and `to_json_line()`."""
-
-    query_id: str
-    line: str
-
-    def to_json_line(self) -> str:
-        return self.line
-
-
 class StdioEndpoint:
     """One child process speaking the line protocol, one query in flight.
 
@@ -326,34 +314,33 @@ class StdioEndpoint:
         self._eof = False
         self._abandoned: set[str] = set()
 
-    def exchange(
-        self, query: OracleWireQuery | WireLine, timeout_s: float
-    ) -> OracleWireAnswer:
+    def exchange(self, query_id: str, line: str, timeout_s: float) -> OracleWireAnswer:
+        """Send the query line `line` (without its newline), whose id is
+        `query_id`, and return the answer that echoes that id."""
         deadline = time.monotonic() + timeout_s
-        data = (query.to_json_line() + "\n").encode("utf-8")
+        data = (line + "\n").encode("utf-8")
         if not self._write(self._unsent + data if self._unsent else data, deadline):
-            self._abandoned.add(query.query_id)
+            self._abandoned.add(query_id)
             raise OracleTimeoutError(
-                f"plugin took no query within {timeout_s:.3f}s; "
-                f"query {query.query_id} abandoned"
+                f"plugin took no query within {timeout_s:.3f}s; query {query_id} abandoned"
             )
         while True:
-            line = self._read_line(deadline)
-            if line is None:
-                self._abandoned.add(query.query_id)
+            answer_line = self._read_line(deadline)
+            if answer_line is None:
+                self._abandoned.add(query_id)
                 raise OracleTimeoutError(
-                    f"no answer within {timeout_s:.3f}s for query {query.query_id}"
+                    f"no answer within {timeout_s:.3f}s for query {query_id}"
                 )
             try:
-                text = line.decode("utf-8")
+                text = answer_line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise OracleWireError(f"malformed answer line: {exc}") from exc
             answer = OracleWireAnswer.from_json(text)
-            if answer.query_id == query.query_id:
+            if answer.query_id == query_id:
                 return answer
             if answer.query_id not in self._abandoned:
                 raise OracleIdMismatchError(
-                    f"expected answer to {query.query_id}, got {answer.query_id}"
+                    f"expected answer to {query_id}, got {answer.query_id}"
                 )
             self._abandoned.discard(answer.query_id)  # a late answer
 
@@ -501,16 +488,12 @@ class ExternalSession:
         )
 
     def ask(
-        self,
-        game: GameSpec,
-        q: PreferenceQuery,
-        ctx: Sequence[int | str] = (),
-        rep: int = 0,
+        self, game: GameSpec, q: PreferenceQuery, ctx: Sequence[int | str], rep: int
     ) -> Verdict:
         query_id = "q-" + "-".join(map(str, ctx)) + f"-{rep}-{self.queries_sent}"
         line = self._wire_line(game, q, query_id)
         self.queries_sent += 1
-        answer = self._endpoint.exchange(WireLine(query_id, line), self.spec.timeout_s)
+        answer = self._endpoint.exchange(query_id, line, self.spec.timeout_s)
         if answer.verdict:
             verdict = _VERDICTS.get(answer.verdict.strip().lower())
             if verdict is not None:

@@ -265,7 +265,7 @@ def answer(
     oracle: OracleSpec,
     game: GameSpec,
     q: PreferenceQuery,
-    ctx: Sequence[int | str] = (),
+    ctx: Sequence[int | str],
     rep: int = 0,
     external=None,
 ) -> Verdict:
@@ -303,8 +303,8 @@ def answer_majority(
     oracle: OracleSpec,
     game: GameSpec,
     q: PreferenceQuery,
-    ctx: Sequence[int | str] = (),
-    external=None,
+    ctx: Sequence[int | str],
+    external,
 ) -> Verdict:
     """Repeat the query majority_k times and return the modal verdict.
 
@@ -324,23 +324,25 @@ def answer_majority(
 # ---------------------------------------------------------------------------
 # consistency measurement
 
+#: times `measure_consistency` asks each query
+CONSISTENCY_REPEATS = 10
+
+
 def measure_consistency(
     oracle: OracleSpec,
     game: GameSpec,
     queries: Sequence[PreferenceQuery],
-    repeats: int = 10,
 ) -> float:
-    """Estimate self-agreement by re-asking each query `repeats` times.
+    """Estimate self-agreement by asking each query CONSISTENCY_REPEATS times.
 
     Returns the pairwise agreement rate averaged over the queries: the
     probability that two independent answers to the same query coincide,
     estimated without bias from all answer pairs.  Repeat `rep` of query
     `qi` is drawn at ctx ("consistency", 0, qi, rep).
     """
-    if repeats < 2:
-        raise ValueError("repeats must be >= 2")
     if not queries:
         raise ValueError("measure_consistency needs at least one query")
+    repeats = CONSISTENCY_REPEATS
     total = 0.0
     for qi, q in enumerate(queries):
         counts: dict[Verdict, int] = {}
@@ -410,11 +412,8 @@ class EpsilonEstimate:
 
 
 def _is_irrational(delta: float, verdict: Verdict) -> bool:
-    if delta > 0:
-        return verdict is Verdict.PREFER_CURRENT
-    if delta < 0:
-        return verdict is Verdict.PREFER_CANDIDATE
-    return False
+    """Whether the verdict contradicts the sign of a gap that is not a tie."""
+    return verdict is (Verdict.PREFER_CURRENT if delta > 0 else Verdict.PREFER_CANDIDATE)
 
 
 def _crossing(centers: Sequence[float], rates: Sequence[float], threshold: float) -> float | None:
@@ -478,9 +477,7 @@ def estimate_epsilon(
     if not any(r.delta_v > 0 for r in records) or not any(r.delta_v < 0 for r in records):
         raise ValueError("choice log must contain gaps of both signs")
     gaps = np.abs([r.delta_v for r in records])
-    width = float(gaps.max()) / bins
-    if width <= 0:
-        raise InsufficientDataError("all gaps are zero")
+    width = float(gaps.max()) / bins  # > 0: every gap kept exceeds TIE_EPS
     irrational = [_is_irrational(r.delta_v, r.verdict) for r in records]
     keys = np.minimum((gaps / width).astype(np.int64), bins - 1) * 2 + irrational
 

@@ -86,6 +86,10 @@ def test_bound_input_validation():
         inputs(k_eff=20)  # exceeds k_n
     with pytest.raises(ValueError):
         inputs(delta=0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        inputs(gamma=0.0)
+    with pytest.raises(ValueError, match="epsilon_bar"):
+        inputs(epsilon_bar=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +235,17 @@ def test_measured_inputs_reflect_oracle(six_mixed):
     assert rate >= bound - 3 * se
 
 
+def test_measured_inputs_need_a_batch_and_stand_in_epsilon_for_an_infinite_gap(solo_game):
+    with pytest.raises(ValueError, match="empty batch"):
+        measure_bound_inputs(solo_game, [], PERFECT)
+    # one agent sees one value: no gap, so the formula takes epsilon instead
+    assert math.isinf(value_gap_delta(solo_game))
+    logs = run_batch(solo_game, PERFECT, 3, seed_base=0)
+    measured = measure_bound_inputs(solo_game, logs, PERFECT)
+    assert measured.delta == measured.epsilon_bar == PERFECT.epsilon
+    assert (measured.k_eff, measured.k_n, measured.gamma) == (1, 1, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # scaling prediction
 
@@ -240,6 +255,8 @@ def test_scaling_values():
     assert scaling_prediction(10) == pytest.approx(0.601, abs=1e-3)
     assert scaling_prediction(1) == 1.0
     assert scaling_prediction(4) == pytest.approx(0.95, abs=1e-12)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        scaling_prediction(0)
 
 
 # ---------------------------------------------------------------------------

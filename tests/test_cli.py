@@ -4,6 +4,7 @@ import collections
 import contextlib
 import io
 import json
+import math
 import shlex
 import sys
 import time
@@ -181,14 +182,25 @@ def test_inspect_rejects_more_agents_than_supported(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+PAIR = [{"id": 0, "profile": [0.5]}, {"id": 1, "profile": [0.3]}]
+
+
 @pytest.mark.parametrize(
     "content",
     [
         [1, 2],
         {"d": 1, "agents": [{"id": 0, "profile": 0.5}]},
         {"d": 1, "agents": [{"id": 0, "profile": [0.5]}], "aggregation": "componentwise_spread"},
+        # JSON files may spell Infinity; a size cost must still be finite
+        {"d": 1, "alpha": math.inf, "agents": PAIR},
+        {"d": 1, "beta": math.inf, "agents": PAIR},
+        {"d": 1, "alpha": 1e308, "beta": 3, "agents": PAIR},
+        {"d": 1, "beta": 1e6, "agents": PAIR},
     ],
-    ids=["bare-list", "scalar-profile", "unknown-aggregation"],
+    ids=[
+        "bare-list", "scalar-profile", "unknown-aggregation",
+        "infinite-alpha", "infinite-beta", "overflowing-cost", "overflowing-power",
+    ],
 )
 def test_inspect_malformed_game_file_exits_2(content, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -237,6 +249,15 @@ def test_verify_core_is_fast(game_file, tmp_path, capsys):
 def test_verify_individual_concept(duo_file, tmp_path, capsys):
     part = write_partition(tmp_path, [[0], [1]])
     assert run_cli("verify", duo_file, "--partition", part, "--concept", "individual") == 0
+
+
+def test_verify_refuses_a_game_whose_size_cost_overflows(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"d": 1, "beta": 1e6, "agents": PAIR}))
+    assert run_cli("verify", path, "--partition", write_partition(tmp_path, [[0], [1]])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot parse game file: size cost alpha * n**beta")
+    assert captured.out == ""
 
 
 def test_verify_bad_partition_file(game_file, tmp_path):
@@ -390,6 +411,10 @@ BOUND_PARAMS = {"p": 0.86, "p_easy": 0.98, "k_eff": 5, "k_n": 15, "gamma": 0.9,
         ({**BOUND_PARAMS, "gamma": "high"}, "error: invalid params: could not convert"),
         ({**BOUND_PARAMS, "delta": None}, "error: invalid params:"),
         (list(BOUND_PARAMS.values()), "error: params must be a JSON object"),
+        (
+            {k: v for k, v in BOUND_PARAMS.items() if k != "gamma"},
+            "error: params missing field 'gamma'",
+        ),
     ],
 )
 def test_bounds_invalid_params_exit_2(params, message, tmp_path, capsys):
@@ -399,6 +424,42 @@ def test_bounds_invalid_params_exit_2(params, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def bounds_argv(tmp_path, game_file, *flags):
+    """A `bounds` command line over the six-agent game in pairs."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(BOUND_PARAMS))
+    part = write_partition(tmp_path, [[0, 1], [2, 3], [4, 5]])
+    return ["bounds", "--params", params, "--game", game_file, "--partition", part, *flags]
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_bounds_rejects_an_epsilon_that_is_not_finite_or_is_negative(
+    epsilon, game_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(coalitions.cli, "count_critical_decisions", pytest.fail)
+    assert run_cli(*bounds_argv(tmp_path, game_file, f"--epsilon={epsilon}")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --epsilon must be finite and >= 0, got {float(epsilon)}\n"
+    assert captured.out == ""
+
+
+def test_bounds_refuses_an_epsilon_without_a_game(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(BOUND_PARAMS))
+    assert run_cli("bounds", "--params", params, "--epsilon", "0.15") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --epsilon needs --game and --partition\n"
+    assert captured.out == ""
+
+
+def test_bounds_counts_at_the_oracle_epsilon_by_default(game_file, tmp_path, capsys):
+    reports = []
+    for flags in ((), ("--epsilon", str(OracleSpec.epsilon)), ("--epsilon", "0")):
+        assert run_cli(*bounds_argv(tmp_path, game_file, *flags)) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1] != reports[2]
 
 
 def test_regress_command(tmp_path, capsys):
@@ -418,8 +479,11 @@ def test_regress_command(tmp_path, capsys):
     [
         (None, "error: points file not found: "),
         ("consistency,rate\n0.71,0.521\n", "error: cannot parse points file: missing key 'nash_rate'"),
+        # read, but no line can be fitted through them
+        ("consistency,nash_rate\n0.71,0.521\n", "error: need at least two points\n"),
+        ("consistency,nash_rate\n0.7,0.5\n0.7,0.6\n", "error: degenerate regression: "),
     ],
-    ids=["missing-file", "missing-column"],
+    ids=["missing-file", "missing-column", "one-point", "equal-consistency"],
 )
 def test_regress_unreadable_points_exit_2(content, message, tmp_path, capsys):
     points = tmp_path / "points.csv"
@@ -469,6 +533,23 @@ def test_estimate_epsilon_with_empty_bins_allowed_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: min_per_bin must be >= 1, got 0\n"
     assert captured.out == ""
+
+
+def test_estimate_epsilon_passes_only_the_flags_given(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def estimate(records, **options):
+        calls.append(options)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(coalitions.cli, "estimate_epsilon", estimate)
+    path = tmp_path / "choices.csv"
+    write_choice_log([ChoiceRecord(0.1, Verdict.PREFER_CANDIDATE)], path)
+    assert run_cli("estimate-epsilon", path) == 2
+    assert run_cli("estimate-epsilon", path, "--bins", "5", "--seed", "3") == 2
+    assert run_cli("estimate-epsilon", path, "--min-per-bin", "7") == 2
+    assert calls == [{}, {"bins": 5, "seed": 3}, {"min_per_bin": 7}]
+    assert capsys.readouterr().err == "error: stop\n" * 3
 
 
 def test_estimate_epsilon_no_threshold(tmp_path):
@@ -824,6 +905,15 @@ def test_sweep_with_impossible_oracle_flags_exits_2(game_file, tmp_path, capsys)
     assert code == 2
     assert "error: logit oracles require epsilon > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_values_that_are_not_numbers_exit_2(game_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", game_file, "--axis", "alpha", "--values", "0.1,high", "--out", out)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --values must be a comma-separated list of numbers\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("spelling", [("--values", "-1,0.2"), ("--values=-1,0.2",)])

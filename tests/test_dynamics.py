@@ -608,6 +608,16 @@ def test_explicit_initial_partition(six_mixed):
     )
     assert tuple(map(mask_members, log.rounds[0].masks_before)) == ((0, 1, 2), (3, 4, 5))
     assert log.outcome is EpisodeOutcome.NASH_STABLE
+    assert InitialPartition(kind="explicit", partition=start).realize(6, 2, 0) is start
+
+
+def test_episode_config_rejects_what_no_episode_can_run(six_mixed):
+    with pytest.raises(ValueError, match="explicit initial partition requires a partition"):
+        InitialPartition(kind="explicit")
+    with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+        perfect_config(six_mixed, max_rounds=0)
+    with pytest.raises(ValueError, match="need one oracle per agent"):
+        perfect_config(six_mixed, oracles=(PERFECT, PERFECT))
 
 
 def test_phi_strictly_increases_under_alignment():
@@ -832,6 +842,9 @@ def test_replay_lines_splits_a_condition_log_as_replay_file_does(six_mixed, tmp_
 def test_replay_file_needs_a_leading_header(six_mixed, tmp_path):
     lines = condition_log_lines(six_mixed, 2)
     path = tmp_path / "log.jsonl"
+    path.write_text("\n  \n")
+    with pytest.raises(ValueError, match="empty episode log"):
+        replay_file(path)
     path.write_text("\n".join(lines[1:]) + "\n")
     with pytest.raises(ValueError, match="must start with a header record"):
         replay_file(path)

@@ -14,7 +14,9 @@ import pytest
 from brute_force import brute_bootstrap_ci
 
 from coalitions.game import GameSpec, check_potential_alignment, value_gap_delta
-from coalitions.preferences import OracleKind, OracleSpec, _quantiles, derived_rng
+from coalitions.preferences import (
+    ExternalEndpointSpec, OracleKind, OracleSpec, _quantiles, derived_rng,
+)
 from coalitions.stability import bell_number, find_nash_stable
 from coalitions import experiments
 from coalitions.dynamics import EpisodeConfig, InitialPartition, run_episode
@@ -73,14 +75,15 @@ def test_perfect_oracle_always_stabilizes():
     assert result.conv_mean is not None and result.conv_mean >= 1.0
 
 
-def test_random_condition_matches_exhaustive_count(six_mixed):
+def test_random_condition_matches_exhaustive_count(six_mixed, monkeypatch):
+    monkeypatch.setattr(experiments, "BOOTSTRAP_ITERATIONS", 500)
     cond = Condition(name="random", oracle=None, episodes=2000, seed_base=3, sample_only=True)
     result = run_condition(cond, six_mixed)
     expected = len(find_nash_stable(six_mixed)) / bell_number(6)
     se = math.sqrt(expected * (1 - expected) / cond.episodes)
     assert result.nash_rate == pytest.approx(expected, abs=3 * se + 1e-9)
     assert result.conv_mean is None
-    [(lo, hi)] = bootstrap_ci([result.stable_flags], iterations=500, seed=3)
+    [(lo, hi)] = bootstrap_ci([result.stable_flags], [3])
     assert lo <= result.nash_rate <= hi
 
 
@@ -94,10 +97,28 @@ def test_run_condition_without_iterations_leaves_the_interval_to_its_flags(six_m
     assert math.isnan(bare.ci_low) and math.isnan(bare.ci_high)
     assert len(bare.stable_flags) == 40
     assert sum(bare.stable_flags) / 40 == bare.nash_rate
-    assert bootstrap_ci([bare.stable_flags], seed=5) == [
+    assert bootstrap_ci([bare.stable_flags], [5]) == [
         (full.ci_low, full.ci_high)
     ]
     assert replace(bare, ci_low=full.ci_low, ci_high=full.ci_high) == full
+
+
+def test_condition_rejects_no_episodes_and_a_missing_oracle():
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        Condition(name="c", oracle=noisy(0.8), episodes=0)
+    with pytest.raises(ValueError, match="dynamics conditions need an oracle"):
+        Condition(name="c", oracle=None, episodes=5)
+
+
+def test_run_condition_asks_an_external_oracle_only_through_a_session(six_mixed, solo_game):
+    oracle = OracleSpec(kind=OracleKind.EXTERNAL, external=ExternalEndpointSpec(command=("stub",)))
+    condition = Condition(name="ext", oracle=oracle, episodes=3)
+    # run_condition opens no session: the first query of the first episode raises
+    with pytest.raises(RuntimeError, match="requires an open plugin session"):
+        run_condition(condition, six_mixed)
+    # a lone agent asks nothing, and no consistency query is sampled
+    result = run_condition(condition, solo_game)
+    assert (result.nash_rate, result.consistency) == (1.0, None)
 
 
 def test_run_condition_without_logs_aggregates_as_with_them(six_mixed):
@@ -170,11 +191,12 @@ def test_welfare_of_mixed_profiles_beats_weakest_clone(six_mixed):
 # bootstrap
 
 @pytest.mark.parametrize("n", [1, 37, 400, 1001])
-def test_bootstrap_ci_matches_one_chunk_reference(n):
+def test_bootstrap_ci_matches_one_chunk_reference(n, monkeypatch):
+    monkeypatch.setattr(experiments, "BOOTSTRAP_ITERATIONS", 2000)
     rng = derived_rng("chunks", n)
     samples = [rng.random() for _ in range(n)]
     # 2000 resamples span several chunks for every n above 16
-    assert bootstrap_ci([samples], iterations=2000, seed=n) == [
+    assert bootstrap_ci([samples], [n]) == [
         brute_bootstrap_ci(samples, iterations=2000, level=0.95, seed=n)
     ]
 
@@ -182,15 +204,17 @@ def test_bootstrap_ci_matches_one_chunk_reference(n):
 @pytest.mark.parametrize("n", [1, 37])
 def test_bootstrap_ci_in_one_resample_chunks_matches_the_reference(n, monkeypatch):
     monkeypatch.setattr(experiments, "_BOOTSTRAP_CHUNK", 1)
+    monkeypatch.setattr(experiments, "BOOTSTRAP_ITERATIONS", 300)
     rng = derived_rng("chunks", n)
     samples = [rng.random() for _ in range(n)]
-    assert bootstrap_ci([samples, samples[::-1]], iterations=300, seed=n) == [
+    assert bootstrap_ci([samples, samples[::-1]], [n, n]) == [
         brute_bootstrap_ci(s, iterations=300, level=0.95, seed=n) for s in (samples, samples[::-1])
     ]
 
 
 @pytest.mark.parametrize("iterations", [1, 7, 1000])
-def test_batched_bootstrap_equals_lone_calls(iterations):
+def test_batched_bootstrap_equals_lone_calls(iterations, monkeypatch):
+    monkeypatch.setattr(experiments, "BOOTSTRAP_ITERATIONS", iterations)
     # mixed lengths (n = 1 included) and seeds, for several iteration
     # counts (1 included); several sets share a stream and one is
     # bootstrapped twice
@@ -198,17 +222,13 @@ def test_batched_bootstrap_equals_lone_calls(iterations):
     sets = [[float(rng.random() < 0.6) for _ in range(n)] for n in (400, 1, 37, 400, 400, 37, 1, 5)]
     sets.append(sets[0])
     seeds = [3, 3, 3, 3, 4, 3, 5, 3, 3]
-    batched = bootstrap_ci(sets, iterations=iterations, seed=seeds)
-    lone = [
-        bootstrap_ci([s], iterations=iterations, seed=sd)[0]
-        for s, sd in zip(sets, seeds)
-    ]
+    batched = bootstrap_ci(sets, seeds)
+    lone = [bootstrap_ci([s], [sd])[0] for s, sd in zip(sets, seeds)]
     assert batched == lone
     assert batched[1] == brute_bootstrap_ci(sets[1], iterations=iterations, level=0.95, seed=3)
-    assert bootstrap_ci(sets[:3], iterations=50, seed=9) == [
-        bootstrap_ci([s], iterations=50, seed=9)[0] for s in sets[:3]
-    ]
-    assert bootstrap_ci([]) == []
+    monkeypatch.setattr(experiments, "BOOTSTRAP_ITERATIONS", 50)
+    assert bootstrap_ci(sets[:3], [9] * 3) == [bootstrap_ci([s], [9])[0] for s in sets[:3]]
+    assert bootstrap_ci([], []) == []
 
 
 _QUANTILE_SIZES = list(range(1, 130)) + [199, 400, 401, 999, 1000, 1001, 4096, 9999, 10_000]
@@ -238,44 +258,43 @@ def test_quantile_helper_equals_np_quantile(rows):
 
 def test_bootstrap_rejects_empty_sets_and_unmatched_parameters():
     with pytest.raises(ValueError, match="at least one sample"):
-        bootstrap_ci([[0.5], []])
+        bootstrap_ci([[0.5], []], [0, 0])
     with pytest.raises(ValueError, match="one seed per sample set"):
-        bootstrap_ci([[0.5], [0.2]], seed=[1])
+        bootstrap_ci([[0.5], [0.2]], [1])
 
 
-def test_bootstrap_degenerate_samples():
-    [(lo, hi)] = bootstrap_ci([[0.4] * 25], iterations=200, seed=1)
+def test_bootstrap_degenerate_samples(monkeypatch):
+    monkeypatch.setattr(experiments, "BOOTSTRAP_ITERATIONS", 200)
+    [(lo, hi)] = bootstrap_ci([[0.4] * 25], [1])
     assert lo == hi == pytest.approx(0.4)
 
 
 def test_bootstrap_width_matches_binomial_se():
     rng = derived_rng("bern", 4)
     samples = [1.0 if rng.random() < 0.732 else 0.0 for _ in range(400)]
-    [(lo, hi)] = bootstrap_ci([samples], iterations=10_000, seed=4)
+    [(lo, hi)] = bootstrap_ci([samples], [4])
     half_width = (hi - lo) / 2
     assert half_width == pytest.approx(0.043, abs=0.01)
 
 
-def test_bootstrap_coverage():
+def test_bootstrap_coverage(monkeypatch):
+    monkeypatch.setattr(experiments, "BOOTSTRAP_ITERATIONS", 600)
     hits = 0
     trials = 300
     for t in range(trials):
         rng = derived_rng("cover", t)
         samples = [rng.random() for _ in range(1000)]
-        [(lo, hi)] = bootstrap_ci([samples], iterations=600, seed=t)
+        [(lo, hi)] = bootstrap_ci([samples], [t])
         hits += lo <= 0.5 <= hi
     assert hits / trials >= 0.94
 
 
-def test_bootstrap_is_seeded():
+def test_bootstrap_is_seeded(monkeypatch):
+    monkeypatch.setattr(experiments, "BOOTSTRAP_ITERATIONS", 500)
     rng = derived_rng("seeded-ci", 0)
     samples = [rng.random() for _ in range(50)]
-    assert bootstrap_ci([samples], iterations=500, seed=1) == bootstrap_ci(
-        [samples], iterations=500, seed=1
-    )
-    assert bootstrap_ci([samples], iterations=500, seed=1) != bootstrap_ci(
-        [samples], iterations=500, seed=2
-    )
+    assert bootstrap_ci([samples], [1]) == bootstrap_ci([samples], [1])
+    assert bootstrap_ci([samples], [1]) != bootstrap_ci([samples], [2])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +369,7 @@ def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, mo
             ),
             six_mixed,
         )
-        [(lo, hi)] = bootstrap_ci([result.stable_flags], seed=6)
+        [(lo, hi)] = bootstrap_ci([result.stable_flags], [6])
         alone.append(replace(result, ci_low=lo, ci_high=hi))
     assert [cells[0].result, cells[2].result] == alone
     # the two cells' intervals differ, so a mix-up of cells would show
@@ -384,7 +403,7 @@ def test_beta_sweep_runs_each_cell_on_the_game_at_that_beta(six_mixed):
             Condition(name=f"beta={cell.value:g}", oracle=oracle, episodes=20, seed_base=3),
             game,
         )
-        [(lo, hi)] = bootstrap_ci([result.stable_flags], seed=3)
+        [(lo, hi)] = bootstrap_ci([result.stable_flags], [3])
         assert cell.result == replace(result, ci_low=lo, ci_high=hi)
         assert cell.delta == value_gap_delta(game)
     # the two betas give the cells different games
@@ -401,13 +420,14 @@ def test_dimension_sweep_runs(six_mixed):
 # ---------------------------------------------------------------------------
 # output files
 
-def test_results_csv_schema(tmp_path, six_mixed):
+def test_results_csv_schema(tmp_path, six_mixed, monkeypatch):
+    monkeypatch.setattr(experiments, "BOOTSTRAP_ITERATIONS", 100)
     cond = Condition(
         name="tiny", oracle=noisy(0.86), episodes=10, seed_base=1,
         initial=InitialPartition(kind="random"),
     )
     result = run_condition(cond, six_mixed)
-    [(lo, hi)] = bootstrap_ci([result.stable_flags], iterations=100, seed=1)
+    [(lo, hi)] = bootstrap_ci([result.stable_flags], [1])
     result = replace(result, ci_low=lo, ci_high=hi)
     path = tmp_path / "results.csv"
     write_results_csv([result], path)
@@ -478,6 +498,20 @@ def test_one_agent_game_has_no_consistency_queries(solo_game, deadline):
     # the only deviation check of a lone agent is the self-comparison
     with deadline(5):
         assert sample_queries(solo_game, 30, 0) == []
+
+
+def test_every_agent_of_a_two_agent_game_has_a_consistency_query(dominated_pair):
+    for seed in range(5):
+        queries = sample_queries(dominated_pair, 40, seed)
+        assert len(queries) == 40 and {q.agent for q in queries} == {0, 1}
+        assert all(q.candidate.mask | 1 << q.agent != q.current.mask for q in queries)
+
+
+def test_generated_games_of_one_pool_share_a_roster_prefix():
+    big = generate_game(5, 2, 0.15, 1.3, seed=3, pool=5)
+    assert generate_game(3, 2, 0.15, 1.3, seed=3, pool=5).agents == big.agents[:3]
+    with pytest.raises(ValueError, match="profile pool smaller than the requested agent count"):
+        generate_game(5, 2, 0.15, 1.3, seed=3, pool=3)
 
 
 def test_run_condition_on_one_agent_game(solo_game, deadline):

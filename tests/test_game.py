@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from array import array
@@ -410,10 +411,40 @@ def test_game_invariants():
         GameSpec.from_profiles([[0.5]], beta=0.9)
     with pytest.raises(ValueError, match="profile"):
         GameSpec.from_profiles([[0.5, 0.5], [0.5]])
+    with pytest.raises(ValueError, match="at least one agent"):
+        GameSpec(agents=(), d=1)
+    pair = GameSpec.from_profiles([[0.5], [0.3]])
+    with pytest.raises(ValueError, match="agent ids must be 0..n-1 in order"):
+        GameSpec(agents=pair.agents[::-1], d=1)
     # every accepted game fits the 2**n value table
     assert GameSpec.from_profiles([[0.5]] * MAX_AGENTS).n == MAX_AGENTS
     with pytest.raises(ValueError, match=f"at most {MAX_AGENTS} agents"):
         GameSpec.from_profiles([[0.5]] * (MAX_AGENTS + 1))
+
+
+@pytest.mark.parametrize(
+    "n, alpha, beta",
+    [
+        (2, math.inf, 1.3),
+        (1, math.inf, 1.3),
+        (2, 0.15, math.inf),
+        (1, 0.15, math.inf),  # 1**inf is 1, but beta itself is not finite
+        (2, 1e308, 3.0),  # a finite alpha whose cost overflows
+        (2, 0.15, 1e6),  # 2**1e6 raises OverflowError
+    ],
+)
+def test_a_size_cost_that_is_not_finite_is_rejected(n, alpha, beta):
+    with pytest.raises(ValueError, match="finite"):
+        GameSpec.from_profiles([[0.5]] * n, alpha=alpha, beta=beta)
+
+
+def test_the_largest_finite_size_costs_give_finite_values():
+    for alpha, beta in ((1e307, 3.0), (8e307, 1.0), (0.15, 1000.0)):
+        game = GameSpec.from_profiles([[0.5], [0.3]], alpha=alpha, beta=beta)
+        assert all(math.isfinite(v) for v in value_table(game)[1:])
+        assert math.isfinite(coalition_value_range(game))
+    # one agent pays alpha * 1**beta
+    assert GameSpec.from_profiles([[0.5]], alpha=1e308, beta=1e6).n == 1
 
 
 def test_partition_invariants():
@@ -475,6 +506,15 @@ def test_a_pickled_game_hashes_under_the_loading_hash_seed():
         return done.stdout
 
     run("2", "load", run("1", "dump"))
+
+
+def test_a_pickled_game_drops_its_cached_hash():
+    game = GameSpec.from_profiles([[0.9, 0.1], [0.2, 0.8]], labels=["coder", "writer"])
+    hash(game)
+    assert "_hash" in game.__dict__
+    loaded = pickle.loads(pickle.dumps(game))
+    assert "_hash" not in loaded.__dict__
+    assert loaded == game and hash(loaded) == hash(game)
 
 
 def test_game_json_round_trip(six_mixed):

@@ -139,7 +139,7 @@ def test_round_trip_thousand_queries():
             q = OracleWireQuery(
                 query_id=f"q{i}", prompt="p", agent=0, current=(0,), candidate=(1,)
             )
-            a = endpoint.exchange(q, timeout_s=5.0)
+            a = endpoint.exchange(q.query_id, q.to_json_line(), timeout_s=5.0)
             assert a.query_id == f"q{i}"
             assert a.verdict == "CANDIDATE"
     finally:
@@ -152,7 +152,7 @@ def test_timeout_fires_within_ten_percent():
         q = OracleWireQuery(query_id="t", prompt="p", agent=0, current=(0,), candidate=())
         start = time.monotonic()
         with pytest.raises(OracleTimeoutError):
-            endpoint.exchange(q, timeout_s=0.5)
+            endpoint.exchange(q.query_id, q.to_json_line(), timeout_s=0.5)
         elapsed = time.monotonic() - start
         assert 0.5 <= elapsed <= 0.55
     finally:
@@ -164,7 +164,7 @@ def test_malformed_answer_is_protocol_error():
     try:
         q = OracleWireQuery(query_id="m", prompt="p", agent=0, current=(0,), candidate=())
         with pytest.raises(OracleWireError):
-            endpoint.exchange(q, timeout_s=5.0)
+            endpoint.exchange(q.query_id, q.to_json_line(), timeout_s=5.0)
     finally:
         endpoint.close()
 
@@ -174,7 +174,7 @@ def test_id_mismatch_is_rejected():
     try:
         q = OracleWireQuery(query_id="x", prompt="p", agent=0, current=(0,), candidate=())
         with pytest.raises(OracleIdMismatchError):
-            endpoint.exchange(q, timeout_s=5.0)
+            endpoint.exchange(q.query_id, q.to_json_line(), timeout_s=5.0)
     finally:
         endpoint.close()
 
@@ -197,8 +197,9 @@ def script_endpoint(tmp_path, source: str) -> StdioEndpoint:
     return StdioEndpoint((sys.executable, str(script)))
 
 
-def wire_query(query_id: str) -> OracleWireQuery:
-    return OracleWireQuery(query_id=query_id, prompt="p", agent=0, current=(0,), candidate=())
+def wire_line(query_id: str) -> str:
+    q = OracleWireQuery(query_id=query_id, prompt="p", agent=0, current=(0,), candidate=())
+    return q.to_json_line()
 
 
 def test_late_answer_is_dropped_after_a_timeout(tmp_path):
@@ -216,9 +217,10 @@ def test_late_answer_is_dropped_after_a_timeout(tmp_path):
     try:
         for query_id in ("q0", "q1"):  # the plugin is still asleep on q0
             with pytest.raises(OracleTimeoutError):
-                endpoint.exchange(wire_query(query_id), timeout_s=0.2)
+                endpoint.exchange(query_id, wire_line(query_id), timeout_s=0.2)
         for query_id in ("q2", "q3", "q4"):
-            assert endpoint.exchange(wire_query(query_id), timeout_s=5.0).query_id == query_id
+            answer = endpoint.exchange(query_id, wire_line(query_id), timeout_s=5.0)
+            assert answer.query_id == query_id
     finally:
         endpoint.close()
 
@@ -238,7 +240,7 @@ def test_query_writes_to_a_plugin_that_stops_reading_time_out(tmp_path, deadline
                     query_id=f"q{i}", prompt=prompt, agent=0, current=(0,), candidate=()
                 )
                 with pytest.raises(OracleTimeoutError):
-                    endpoint.exchange(q, timeout_s=0.01)
+                    endpoint.exchange(q.query_id, q.to_json_line(), timeout_s=0.01)
         assert time.monotonic() - start < 5.0
         assert endpoint._unsent  # the pipe filled up
     finally:
@@ -264,9 +266,9 @@ def test_unsent_query_bytes_go_out_ahead_of_the_next_query(tmp_path, deadline):
                     query_id=f"q{i}", prompt=prompt, agent=0, current=(0,), candidate=()
                 )
                 with pytest.raises(OracleTimeoutError):
-                    endpoint.exchange(q, timeout_s=0.001)
+                    endpoint.exchange(q.query_id, q.to_json_line(), timeout_s=0.001)
             assert endpoint._unsent
-            assert endpoint.exchange(wire_query("last"), timeout_s=5.0).query_id == "last"
+            assert endpoint.exchange("last", wire_line("last"), timeout_s=5.0).query_id == "last"
     finally:
         endpoint.close()
 
@@ -285,7 +287,7 @@ def test_answer_split_across_writes_is_joined(tmp_path):
     """)
     try:
         for query_id in ("s0", "s1"):
-            answer = endpoint.exchange(wire_query(query_id), timeout_s=5.0)
+            answer = endpoint.exchange(query_id, wire_line(query_id), timeout_s=5.0)
             assert (answer.query_id, answer.verdict) == (query_id, "CANDIDATE")
     finally:
         endpoint.close()
@@ -298,7 +300,7 @@ def test_last_line_without_newline_is_read_at_end_of_stream(tmp_path):
         sys.stdout.write(json.dumps({"query_id": query["query_id"], "verdict": "CURRENT"}))
     """)
     try:
-        assert endpoint.exchange(wire_query("last"), timeout_s=5.0).verdict == "CURRENT"
+        assert endpoint.exchange("last", wire_line("last"), timeout_s=5.0).verdict == "CURRENT"
     finally:
         endpoint.close()
 
@@ -310,7 +312,7 @@ def test_end_of_stream_while_waiting_is_wire_error(tmp_path):
     """)
     try:
         with pytest.raises(OracleWireError, match="plugin closed its output stream"):
-            endpoint.exchange(wire_query("gone"), timeout_s=5.0)
+            endpoint.exchange("gone", wire_line("gone"), timeout_s=5.0)
     finally:
         endpoint.close()
 
@@ -319,7 +321,7 @@ def test_sessions_start_no_threads(trio):
     before = threading.active_count()
     spec = stub_endpoint("--mode", "current")
     with open_sessions([OracleSpec(kind=OracleKind.EXTERNAL, external=spec)]) as sessions:
-        sessions[spec].ask(trio, worked_query())
+        sessions[spec].ask(trio, worked_query(), (), 0)
         assert threading.active_count() == before
     assert threading.active_count() == before
 
@@ -331,14 +333,14 @@ def test_session_answers_and_parse_fallback(trio):
     spec = stub_endpoint("--mode", "current")
     session = ExternalSession(spec)
     try:
-        assert session.ask(trio, worked_query(), ctx=(1, 2, 3)) is Verdict.PREFER_CURRENT
+        assert session.ask(trio, worked_query(), ctx=(1, 2, 3), rep=0) is Verdict.PREFER_CURRENT
     finally:
         session.close()
 
 
 def test_majority_defaults_to_current_when_all_attempts_fail(trio):
     class FailingSession:
-        def ask(self, game, q, ctx=(), rep=0):
+        def ask(self, game, q, ctx, rep):
             raise OracleParseFailure("nothing parseable")
 
     oracle = OracleSpec(
@@ -361,7 +363,17 @@ def test_a_non_string_confidence_is_not_read(trio, answering_plugin):
     command = answering_plugin(verdict="CURRENT", confidence=5, raw="")
     session = ExternalSession(ExternalEndpointSpec(command=command, timeout_s=5.0))
     try:
-        assert session.ask(trio, worked_query()) is Verdict.PREFER_CURRENT
+        assert session.ask(trio, worked_query(), (), 0) is Verdict.PREFER_CURRENT
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("verdict", ["MAYBE", ""])
+def test_an_unknown_verdict_word_falls_back_to_the_raw_text(verdict, trio, answering_plugin):
+    command = answering_plugin(verdict=verdict, raw="I prefer: CANDIDATE")
+    session = ExternalSession(ExternalEndpointSpec(command=command, timeout_s=5.0))
+    try:
+        assert session.ask(trio, worked_query(), (), 0) is Verdict.PREFER_CANDIDATE
     finally:
         session.close()
 
@@ -407,12 +419,12 @@ class RecordingEndpoint:
         self.sent: list[str] = []
         self.answers: list[OracleWireAnswer] = []
 
-    def exchange(self, query, timeout_s):
-        self.sent.append(query.to_json_line())
+    def exchange(self, query_id, line, timeout_s):
+        self.sent.append(line)
         if self.inner is None:
-            answer = OracleWireAnswer(query.query_id, "CURRENT", "")
+            answer = OracleWireAnswer(query_id, "CURRENT", "")
         else:
-            answer = self.inner.exchange(query, timeout_s)
+            answer = self.inner.exchange(query_id, line, timeout_s)
         self.answers.append(answer)
         return answer
 
@@ -448,6 +460,21 @@ def test_session_lines_are_the_reference_lines(protocol):
     assert "Skill_2" in expected[-1]
 
 
+def test_a_session_evicts_its_oldest_fragments(trio, monkeypatch):
+    monkeypatch.setattr(plugin, "_FRAGMENT_CACHE_SIZE", 2)
+    fragments: dict = {}
+    for key in "abcb":
+        plugin._cache(fragments, key, key.upper())
+    assert fragments == {"b": "B", "c": "C"}  # "a" went first; "b" was replaced in place
+    session = recording_session("staged")
+    expected = []
+    for q in all_queries(trio):
+        expected.append(reference_line("staged", trio, q, f"q-5-0-{session.queries_sent}"))
+        session.ask(trio, q, ctx=(5,), rep=0)
+        assert max(map(len, (session._heads, session._currents, session._candidates))) <= 2
+    assert session._endpoint.sent == expected
+
+
 def test_equal_games_keep_their_own_prompts():
     plus = GameSpec.from_profiles([[0.0, 0.5, 0.9], [0.3, 0.2, 0.1]])
     minus = GameSpec.from_profiles([[-0.0, 0.5, 0.9], [0.3, 0.2, 0.1]])
@@ -455,7 +482,7 @@ def test_equal_games_keep_their_own_prompts():
     q = PreferenceQuery(agent=0, current=Coalition.of([0]), candidate=Coalition.of([1]))
     session = recording_session()
     for game in (plus, minus, plus):
-        session.ask(game, q)
+        session.ask(game, q, (), 0)
     first, second, third = session._endpoint.sent
     assert "Math: -0.00" in second and "Math: -0.00" not in first + third
     assert second == reference_line("standard", minus, q, "q--0-1")
@@ -474,8 +501,8 @@ def test_stdio_plugin_receives_the_reference_bytes(tmp_path, trio):
     session = recording_session("staged", inner=echo)
     try:
         for q in all_queries(trio):
-            session.ask(trio, q, ctx=(1, 2))
-            session.ask(trio, q, ctx=(1, 2))
+            session.ask(trio, q, ctx=(1, 2), rep=0)
+            session.ask(trio, q, ctx=(1, 2), rep=0)
     finally:
         session.close()
     recorder = session._endpoint

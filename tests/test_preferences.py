@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from brute_force import brute_decide, brute_epsilon_bins, unit_uniform
 
+from coalitions import preferences
 from coalitions.game import Coalition, EMPTY_COALITION, TIE_EPS
 from coalitions.preferences import (
     ChoiceRecord,
@@ -68,9 +69,9 @@ def test_perfect_verdict_on_worked_example(trio):
     q = PreferenceQuery(agent=0, current=Coalition.of([0, 1]), candidate=Coalition.of([2]))
     delta = query_delta(trio, q)
     assert delta == pytest.approx(0.0183333, abs=1e-6)
-    assert answer(PERFECT, trio, q) is Verdict.PREFER_CANDIDATE
+    assert answer(PERFECT, trio, q, ()) is Verdict.PREFER_CANDIDATE
     back = PreferenceQuery(agent=0, current=Coalition.of([0, 2]), candidate=Coalition.of([1]))
-    assert answer(PERFECT, trio, back) is Verdict.PREFER_CURRENT
+    assert answer(PERFECT, trio, back, ()) is Verdict.PREFER_CURRENT
 
 
 def test_perfect_is_indifferent_on_exact_tie(trio):
@@ -154,7 +155,7 @@ def test_majority_boost_on_easy_decisions(trio):
     trials = 100_000
     for i in range(trials):
         hits += (
-            answer_majority(oracle, trio, q, ctx=("maj", i))
+            answer_majority(oracle, trio, q, ctx=("maj", i), external=None)
             is Verdict.PREFER_CANDIDATE
         )
     assert hits / trials == pytest.approx(0.896, abs=0.01)
@@ -165,7 +166,7 @@ def test_majority_k1_matches_single_answer(trio):
     q = PreferenceQuery(agent=1, current=Coalition.of([1]), candidate=Coalition.of([0]))
     for i in range(100):
         assert (
-            answer_majority(oracle, trio, q, ctx=("one", i))
+            answer_majority(oracle, trio, q, ctx=("one", i), external=None)
             is answer(oracle, trio, q, ctx=("one", i))
         )
 
@@ -173,7 +174,7 @@ def test_majority_k1_matches_single_answer(trio):
 def test_majority_of_perfect_is_perfect(trio):
     oracle = OracleSpec(kind=OracleKind.PERFECT, majority_k=5)
     q = PreferenceQuery(agent=0, current=Coalition.of([0, 1]), candidate=Coalition.of([2]))
-    assert answer_majority(oracle, trio, q) is answer(PERFECT, trio, q)
+    assert answer_majority(oracle, trio, q, (), None) is answer(PERFECT, trio, q, ())
 
 
 def test_majority_k_must_be_odd():
@@ -199,32 +200,25 @@ def queries_with_gap(game, gap_sign=1):
 
 
 def test_perfect_oracle_is_fully_consistent(six_mixed):
-    assert measure_consistency(PERFECT, six_mixed, queries_with_gap(six_mixed), repeats=10) == 1.0
+    assert measure_consistency(PERFECT, six_mixed, queries_with_gap(six_mixed)) == 1.0
+    with pytest.raises(ValueError, match="at least one query"):
+        measure_consistency(PERFECT, six_mixed, [])
 
 
-def test_flip_model_agreement_matches_two_point_formula(six_mixed):
+def test_flip_model_agreement_matches_two_point_formula(six_mixed, monkeypatch):
     # all-critical queries with keep probability p agree pairwise with
     # probability p^2 + (1-p)^2
+    monkeypatch.setattr(preferences, "CONSISTENCY_REPEATS", 1000)
     p = 0.86
     oracle = noisy(p, gap=10.0, seed=21)  # everything critical
-    agreement = measure_consistency(
-        oracle, six_mixed, queries_with_gap(six_mixed), repeats=1000
-    )
+    agreement = measure_consistency(oracle, six_mixed, queries_with_gap(six_mixed))
     assert agreement == pytest.approx(p * p + (1 - p) * (1 - p), abs=0.02)
 
 
-def test_sharp_logit_is_consistent_on_clear_gaps(six_mixed):
-    agreement = measure_consistency(
-        logit(1e-4, seed=3), six_mixed, queries_with_gap(six_mixed), repeats=25
-    )
+def test_sharp_logit_is_consistent_on_clear_gaps(six_mixed, monkeypatch):
+    monkeypatch.setattr(preferences, "CONSISTENCY_REPEATS", 25)
+    agreement = measure_consistency(logit(1e-4, seed=3), six_mixed, queries_with_gap(six_mixed))
     assert agreement == pytest.approx(1.0, abs=1e-6)
-
-
-def test_measure_consistency_needs_repeats(six_mixed):
-    with pytest.raises(ValueError):
-        measure_consistency(PERFECT, six_mixed, queries_with_gap(six_mixed), repeats=1)
-    with pytest.raises(ValueError, match="at least one query"):
-        measure_consistency(PERFECT, six_mixed, [])
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +430,28 @@ def test_oracle_spec_validation():
         OracleSpec(kind=OracleKind.LOGIT, epsilon=0.0)
     with pytest.raises(ValueError, match="p_critical"):
         OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, p_critical=0.99, p_easy=0.9)
+    for p_critical, p_easy in ((0.0, 0.9), (0.8, 1.5)):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, p_critical=p_critical, p_easy=p_easy)
     with pytest.raises(ValueError, match="endpoint"):
         OracleSpec(kind=OracleKind.EXTERNAL)
     assert OracleSpec(kind=OracleKind.CONSISTENCY_NOISE, epsilon=0.2).gap_threshold == pytest.approx(0.4)
 
 
-def test_decide_rejects_external_oracles():
+def test_decide_rejects_external_oracles(trio):
     oracle = OracleSpec(kind=OracleKind.EXTERNAL, external=ExternalEndpointSpec(command=("stub",)))
     with pytest.raises(ValueError, match="does not handle oracle kind"):
         decide(oracle, 0.1, ("external", 0))
+    q = PreferenceQuery(agent=0, current=Coalition.of([0, 1]), candidate=Coalition.of([2]))
+    with pytest.raises(RuntimeError, match="requires an active plugin session"):
+        answer(oracle, trio, q, ("external", 0))
+
+
+def test_preference_query_invariants():
+    with pytest.raises(ValueError, match="agent must belong to the current coalition"):
+        PreferenceQuery(agent=0, current=Coalition.of([1]), candidate=Coalition.of([2]))
+    with pytest.raises(ValueError, match="candidate coalition must not contain the agent"):
+        PreferenceQuery(agent=0, current=Coalition.of([0]), candidate=Coalition.of([0, 2]))
 
 
 # ---------------------------------------------------------------------------
