@@ -31,7 +31,7 @@ from .dynamics import EpisodeConfig, EpisodeLog, EpisodeOutcome, run_episode
 from .preferences import OracleKind, OracleSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundInputs:
     p: float
     p_easy: float
@@ -54,7 +54,7 @@ class BoundInputs:
             raise ValueError("epsilon_bar must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     consistency_factor: float
     structure_factor: float
@@ -189,7 +189,7 @@ def scaling_prediction(n: int) -> float:
     return min(1.0, 1.9 / math.sqrt(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegressionFit:
     slope: float
     intercept: float
@@ -206,26 +206,35 @@ class RegressionFit:
 
 
 def consistency_regression(points: Sequence[tuple[float, float]]) -> RegressionFit:
-    """Ordinary least squares of stability rate on consistency."""
+    """Ordinary least squares of stability rate on consistency.  A NaN or
+    infinite point, or a fit whose sums leave the float range, raises
+    ValueError: JSON has no NaN."""
     if len(points) < 2:
         raise ValueError("need at least two points")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("regression points must be finite")
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("degenerate regression: all consistency values equal")
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    sst = sum((y - my) ** 2 for y in ys)
-    ssr = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    r2 = 1.0 if sst == 0 else 1.0 - ssr / sst
+    try:
+        sxx = sum((x - mx) ** 2 for x in xs)
+        if sxx == 0:
+            raise ValueError("degenerate regression: all consistency values equal")
+        sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        slope = sxy / sxx
+        intercept = my - slope * mx
+        sst = sum((y - my) ** 2 for y in ys)
+        ssr = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
+        r2 = 1.0 if sst == 0 else 1.0 - ssr / sst
+    except OverflowError:  # a float ** 2 beyond the float range
+        raise ValueError("the fit overflows the float range") from None
+    if not all(map(math.isfinite, (slope, intercept, r2))):  # a sum beyond it
+        raise ValueError("the fit overflows the float range")
     return RegressionFit(slope=slope, intercept=intercept, r_squared=r2, n=len(points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreconditionReport:
     met: bool
     epsilon: float

@@ -208,15 +208,15 @@ def cmd_inspect(args) -> int:
 
 def cmd_run(args) -> int:
     manifest = _read_or_exit(load_manifest, args.manifest, "manifest")
-    manifest = dataclasses.replace(
-        manifest,
-        output_dir=Path(args.output_dir) if args.output_dir else manifest.output_dir,
-        seed=manifest.seed if args.seed is None else args.seed,
-    )
     if not manifest.game_path.exists():
         print(f"error: game file not found: {manifest.game_path}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        manifest = dataclasses.replace(
+            manifest,
+            output_dir=Path(args.output_dir) if args.output_dir else manifest.output_dir,
+            seed=manifest.seed if args.seed is None else args.seed,
+        )
         written = run_manifest(manifest)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot run manifest: {_reason(exc)}", file=sys.stderr)

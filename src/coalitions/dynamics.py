@@ -47,6 +47,7 @@ from .preferences import (
     PreferenceQuery,
     Verdict,
     answer_majority,
+    check_seed,
     derived_rng,
     draw_prefix,
     episode_draws,
@@ -67,7 +68,7 @@ class EpisodeOutcome(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InitialPartition:
     """Starting structure: all singletons, a seeded uniform draw, or explicit."""
 
@@ -103,6 +104,8 @@ def _random_masks(n: int, seed: int, episode_id: int) -> tuple[int, ...]:
     return random_partition(n, derived_rng("init", seed, episode_id)).masks
 
 
+# not slotted: Condition and sweep take EpisodeConfig.rule and .max_rounds,
+# class attributes that slots would make member descriptors, as defaults
 @dataclass(frozen=True)
 class EpisodeConfig:
     game: GameSpec
@@ -117,6 +120,8 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        check_seed("seed", self.seed)
+        check_seed("episode_id", self.episode_id)
         oracles = self.oracles
         if isinstance(oracles, OracleSpec):
             oracles = (oracles,)
@@ -168,7 +173,7 @@ class RoundRecord(NamedTuple):
     queries: tuple[QueryRecord, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeSummary:
     n_queries: int
     critical_queries: int
@@ -194,7 +199,7 @@ class EpisodeSummary:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeLog:
     config: EpisodeConfig
     rounds: tuple[RoundRecord, ...]
@@ -510,7 +515,7 @@ def _external_decider(oracle: OracleSpec, config: EpisodeConfig, agent: int, ext
     return decide_external
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergenceBound:
     max_deviations: float
     max_rounds: float
@@ -844,7 +849,7 @@ def write_episode_log(log: EpisodeLog, target: str | Path | IO[str]) -> None:
         Path(target).write_text(text, encoding="utf-8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplayReport:
     identical: bool
     lines_checked: int

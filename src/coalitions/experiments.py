@@ -41,6 +41,7 @@ from .preferences import (
     OracleSpec,
     PreferenceQuery,
     _quantiles,
+    check_seed,
     derived_rng,
     measure_consistency,
 )
@@ -77,7 +78,7 @@ CONSISTENCY_QUERIES = 30
 SWEEP_PROFILE_RANGE = (0.55, 0.85)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     """One experimental arm: an oracle template plus an episode budget.
 
@@ -98,6 +99,9 @@ class Condition:
     def __post_init__(self) -> None:
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        # episode i runs under seed seed_base + i
+        check_seed("seed_base", self.seed_base)
+        check_seed("seed_base + episodes - 1", self.seed_base + self.episodes - 1)
         if not self.sample_only and self.oracle is None:
             raise ValueError("dynamics conditions need an oracle")
 
@@ -109,7 +113,7 @@ class Condition:
         return self.oracle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionResult:
     name: str
     n_episodes: int
@@ -373,7 +377,7 @@ class SweepAxis(Enum):
     LAMBDA = "lambda"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepCell:
     axis: SweepAxis
     value: float
@@ -406,6 +410,7 @@ def sweep(
     plugin session.
     """
     _refuse_external([(f"sweep {axis.value!r}", oracle)], "sweeps")
+    check_seed("seed_base", seed_base)
     cells = []
     for value in values:
         # a value the cell's game or oracle rejects fails only that cell
@@ -572,7 +577,7 @@ def _check_serial(jobs: int) -> None:
         raise ValueError(f"runs are serial: jobs must be 1, got {jobs}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Manifest:
     game_path: Path
     output_dir: Path
@@ -583,6 +588,7 @@ class Manifest:
 
     def __post_init__(self) -> None:
         _check_serial(self.jobs)
+        check_seed("seed", self.seed)
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -636,6 +642,8 @@ def run_manifest(manifest: Manifest, jobs: int = 1) -> dict[str, Path]:
         )
         for spec in manifest.sweeps
     ]
+    for _, _, _, options in sweeps:
+        check_seed("a sweep's seed_base", options["seed_base"])
     oracles = [(f"condition {c.name!r}", c.oracle) for c in conditions]
     oracles += [(f"sweep {axis.value!r}", oracle) for axis, _, oracle, _ in sweeps]
     _refuse_external(oracles, "manifests")

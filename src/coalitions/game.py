@@ -49,7 +49,7 @@ class EnumerationBudgetError(ValueError):
     """Raised when an exhaustive check would exceed its cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapabilityProfile:
     """Skill vector of one agent, every entry in [0, 1]."""
 
@@ -71,7 +71,7 @@ class CapabilityProfile:
         return self.values[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentSpec:
     """One agent: a small integer id, a free-text label, and a profile.
 
@@ -84,6 +84,7 @@ class AgentSpec:
     profile: CapabilityProfile
 
 
+# not slotted: __hash__ caches the hash in the instance dict
 @dataclass(frozen=True)
 class GameSpec:
     """A full game instance: agents plus value-function parameters."""
@@ -102,6 +103,8 @@ class GameSpec:
             raise ValueError(f"at most {MAX_AGENTS} agents supported, got {n}")
         if [a.id for a in self.agents] != list(range(n)):
             raise ValueError("agent ids must be 0..n-1 in order")
+        if self.d < 1:
+            raise ValueError(f"a game needs at least one capability dimension, got d={self.d}")
         for a in self.agents:
             if len(a.profile) != self.d:
                 raise ValueError(
@@ -184,7 +187,7 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coalition:
     """A set of agent ids, stored as a bitmask."""
 
@@ -238,7 +241,7 @@ def mask_coalition(mask: int) -> Coalition:
     return Coalition(mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """An exclusive coalition structure over agents 0..n-1.
 
@@ -449,7 +452,7 @@ def coalition_value_range(game: GameSpec) -> float:
     return hi - lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignmentWitness:
     partition: Partition
     agent: int
@@ -460,7 +463,7 @@ class AlignmentWitness:
     potential_after: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignmentReport:
     passed: bool
     witness: AlignmentWitness | None = None

@@ -222,7 +222,7 @@ def parse_declaration(raw: str) -> Verdict:
 # ---------------------------------------------------------------------------
 # wire types
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleWireQuery:
     query_id: str
     prompt: str
@@ -245,7 +245,7 @@ class OracleWireQuery:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleWireAnswer:
     query_id: str
     verdict: str | None

@@ -54,7 +54,7 @@ class InsufficientDataError(ValueError):
     """A choice log is too thin to bin reliably."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExternalEndpointSpec:
     """How to start an external preference plugin and how to prompt it.
 
@@ -72,6 +72,7 @@ class ExternalEndpointSpec:
             raise ValueError("an external oracle needs a plugin command")
 
 
+# not slotted: cached_property keeps its values in the instance dict
 @dataclass(frozen=True)
 class OracleSpec:
     """Parameterized decision model; immutable and safe to share."""
@@ -97,6 +98,7 @@ class OracleSpec:
             raise ValueError("majority_k must be an odd integer >= 1")
         if self.kind is OracleKind.EXTERNAL and self.external is None:
             raise ValueError("external oracles need an endpoint spec")
+        check_seed("seed", self.seed)
 
     @cached_property
     def gap_threshold(self) -> float:
@@ -111,7 +113,7 @@ class OracleSpec:
         return draw_threshold(self.p_critical), draw_threshold(self.p_easy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferenceQuery:
     """One comparison: stay in `current` or join `candidate`.
 
@@ -131,6 +133,15 @@ class PreferenceQuery:
 
 # ---------------------------------------------------------------------------
 # counter-based randomness
+
+def check_seed(name: str, value: int) -> None:
+    """Raise ValueError unless `value` fits a draw key: `_key_bytes` packs
+    every seed and episode id as a signed 64-bit integer.  Seeds are checked
+    where they enter (oracles, episode configs, conditions, manifests,
+    sweeps, `estimate_epsilon`), before anything runs or is written."""
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{name} must lie in [-2**63, 2**63), got {value}")
+
 
 def _key_bytes(parts: Sequence[int | str]) -> bytes:
     buf = bytearray()
@@ -391,7 +402,7 @@ def _quantiles(row: np.ndarray, qs: Sequence[float]) -> list[float]:
 CRITICAL_IRRATIONAL_RATE = 1.0 / (1.0 + math.e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChoiceRecord:
     delta_v: float
     verdict: Verdict
@@ -400,7 +411,7 @@ class ChoiceRecord:
     episode: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpsilonEstimate:
     estimate: float | None
     ci_low: float | None
@@ -469,6 +480,7 @@ def estimate_epsilon(
         raise ValueError(f"bins must be >= 1, got {bins}")
     if min_per_bin < 1:
         raise ValueError(f"min_per_bin must be >= 1, got {min_per_bin}")
+    check_seed("seed", seed)
     records = [
         r if isinstance(r, ChoiceRecord) else ChoiceRecord(float(r[0]), Verdict(r[1]))
         for r in choice_log
@@ -476,6 +488,13 @@ def estimate_epsilon(
     records = [r for r in records if abs(r.delta_v) > TIE_EPS]
     if not any(r.delta_v > 0 for r in records) or not any(r.delta_v < 0 for r in records):
         raise ValueError("choice log must contain gaps of both signs")
+    # then some bin holds fewer than min_per_bin: refused before a
+    # 2 * bins bincount is allocated
+    if bins * min_per_bin > len(records):
+        raise InsufficientDataError(
+            f"{len(records)} choices cannot fill {bins} gap bins of at least "
+            f"{min_per_bin} choices each"
+        )
     gaps = np.abs([r.delta_v for r in records])
     width = float(gaps.max()) / bins  # > 0: every gap kept exceeds TIE_EPS
     irrational = [_is_irrational(r.delta_v, r.verdict) for r in records]

@@ -56,7 +56,7 @@ class StabilityConcept(Enum):
     CORE = "core"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviationWitness:
     """A profitable move certifying instability."""
 
@@ -76,7 +76,7 @@ class DeviationWitness:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockingSetWitness:
     """A jointly deviating set certifying core instability."""
 
@@ -92,7 +92,7 @@ class BlockingSetWitness:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityReport:
     concept: StabilityConcept
     stable: bool

@@ -282,6 +282,20 @@ def test_regression_degenerate_errors():
         consistency_regression([(0.5, 0.2)])
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([(0.5, 0.2), (math.nan, 0.8), (0.7, 0.4)], "points must be finite"),
+        ([(0.5, 0.2), (0.9, -math.inf)], "points must be finite"),
+        ([(1e308, 0.2), (-1e308, 0.8)], "overflows"),  # (x - mean) ** 2
+        ([(1e308, 1e308), (1.7e308, -1e308)], "overflows"),  # the sums
+    ],
+)
+def test_regression_refuses_a_fit_that_is_not_finite(points, message):
+    with pytest.raises(ValueError, match=message):
+        consistency_regression(points)
+
+
 # ---------------------------------------------------------------------------
 # deterministic gate
 

@@ -196,17 +196,22 @@ PAIR = [{"id": 0, "profile": [0.5]}, {"id": 1, "profile": [0.3]}]
         {"d": 1, "beta": math.inf, "agents": PAIR},
         {"d": 1, "alpha": 1e308, "beta": 3, "agents": PAIR},
         {"d": 1, "beta": 1e6, "agents": PAIR},
+        # no capability dimension: every value would be 0 / 0
+        {"d": 0, "agents": [{"id": 0, "profile": []}, {"id": 1, "profile": []}]},
     ],
     ids=[
         "bare-list", "scalar-profile", "unknown-aggregation",
         "infinite-alpha", "infinite-beta", "overflowing-cost", "overflowing-power",
+        "no-dimension",
     ],
 )
 def test_inspect_malformed_game_file_exits_2(content, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(content))
     assert run_cli("inspect", path) == 2
-    assert "error: cannot parse game file" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot parse game file")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +487,18 @@ def test_regress_command(tmp_path, capsys):
         # read, but no line can be fitted through them
         ("consistency,nash_rate\n0.71,0.521\n", "error: need at least two points\n"),
         ("consistency,nash_rate\n0.7,0.5\n0.7,0.6\n", "error: degenerate regression: "),
+        # a fit JSON could not hold
+        ("consistency,nash_rate\n0.5,0.3\nnan,0.4\n0.7,0.6\n",
+         "error: regression points must be finite\n"),
+        ("consistency,nash_rate\n1e308,0.3\n-1e308,0.4\n",
+         "error: the fit overflows the float range\n"),
+        ("consistency,nash_rate\n1e308,1e308\n1.7e308,-1e308\n",
+         "error: the fit overflows the float range\n"),
     ],
-    ids=["missing-file", "missing-column", "one-point", "equal-consistency"],
+    ids=[
+        "missing-file", "missing-column", "one-point", "equal-consistency",
+        "nan-point", "overflowing-square", "overflowing-sum",
+    ],
 )
 def test_regress_unreadable_points_exit_2(content, message, tmp_path, capsys):
     points = tmp_path / "points.csv"
@@ -507,12 +522,16 @@ def test_estimate_epsilon_command(tmp_path, capsys):
     assert 0.10 <= report["estimate"] <= 0.20
 
 
-@pytest.mark.parametrize("bins", ["0", "-3"])
-def test_estimate_epsilon_without_bins_exits_2(bins, tmp_path, capsys):
+def write_four_choices(tmp_path):
     rows = [ChoiceRecord(dv, decide(PERFECT, dv, ())) for dv in (-0.2, -0.1, 0.1, 0.2)]
     path = tmp_path / "choices.csv"
     write_choice_log(rows, path)
-    assert run_cli("estimate-epsilon", path, "--bins", bins) == 2
+    return path
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_estimate_epsilon_without_bins_exits_2(bins, tmp_path, capsys):
+    assert run_cli("estimate-epsilon", write_four_choices(tmp_path), "--bins", bins) == 2
     captured = capsys.readouterr()
     assert f"error: bins must be >= 1, got {bins}" in captured.err
     assert captured.out == ""
@@ -533,6 +552,21 @@ def test_estimate_epsilon_with_empty_bins_allowed_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: min_per_bin must be >= 1, got 0\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("bins", ["10000000000", "100000000000000000000"])
+def test_estimate_epsilon_with_more_bins_than_choices_can_fill_exits_2(bins, tmp_path, capsys):
+    # refused before a 2 * bins count array is allocated
+    assert run_cli("estimate-epsilon", write_four_choices(tmp_path), "--bins", bins) == 2
+    assert capsys.readouterr() == (
+        "", f"error: 4 choices cannot fill {bins} gap bins of at least 30 choices each\n"
+    )
+
+
+def test_estimate_epsilon_rejects_a_seed_no_draw_key_holds(tmp_path, capsys):
+    path = write_four_choices(tmp_path)
+    assert run_cli("estimate-epsilon", path, "--seed", 10**41) == 2
+    assert capsys.readouterr() == ("", f"error: seed must lie in [-2**63, 2**63), got {10**41}\n")
 
 
 def test_estimate_epsilon_passes_only_the_flags_given(tmp_path, monkeypatch, capsys):
@@ -673,6 +707,25 @@ _EXTERNAL = {
             "error: cannot run manifest: sweep 'alpha': an external oracle needs a "
             "plugin session, and manifests do not open one",
         ),
+        # every seed must fit a draw key's signed 64-bit integer
+        (
+            {"seed": 10**20, "conditions": [{"name": "staged", "episodes": 2}]},
+            f"error: cannot parse manifest: seed must lie in [-2**63, 2**63), got {10**20}",
+        ),
+        (
+            {"conditions": [{"name": "staged", "episodes": 2, "seed_base": 2**63}]},
+            f"error: cannot run manifest: seed_base must lie in [-2**63, 2**63), got {2**63}",
+        ),
+        (
+            {"conditions": [{"name": "staged", "episodes": 2, "seed_base": 2**63 - 1}]},
+            "error: cannot run manifest: seed_base + episodes - 1 must lie in "
+            f"[-2**63, 2**63), got {2**63}",
+        ),
+        (
+            {"sweeps": [{"axis": "alpha", "values": [0.1], "episodes": 2, "seed_base": -2**63 - 1}]},
+            "error: cannot run manifest: a sweep's seed_base must lie in [-2**63, 2**63), "
+            f"got {-2**63 - 1}",
+        ),
     ],
 )
 def test_run_bad_manifest_exits_2_and_writes_nothing(manifest, message, tmp_path, game_file, capsys):
@@ -683,7 +736,19 @@ def test_run_bad_manifest_exits_2_and_writes_nothing(manifest, message, tmp_path
     assert run_cli("run", path, "--output-dir", tmp_path / "out") == 2
     captured = capsys.readouterr()
     assert "error: " in captured.err and message in captured.err
-    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_seed_flag_no_draw_key_holds(tmp_path, game_file, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(
+        {"game": str(game_file), "conditions": [{"name": "staged", "episodes": 2}]}
+    ))
+    assert run_cli("run", path, "--output-dir", tmp_path / "out", "--seed", 10**20) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot run manifest: seed must lie in [-2**63, 2**63), got {10**20}\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -783,6 +848,14 @@ def test_sweep_command(game_file, tmp_path, capsys):
     assert header.endswith(",delta")
 
 
+def test_sweep_rejects_a_seed_no_draw_key_holds(game_file, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ("sweep", game_file, "--axis", "alpha", "--values", "0.1", "--episodes", "2")
+    assert run_cli(*argv, "--out", out, "--seed", 2**63) == 2
+    assert capsys.readouterr() == ("", f"error: seed must lie in [-2**63, 2**63), got {2**63}\n")
+    assert not out.exists()
+
+
 def test_seed_changes_sweep_outputs(game_file, tmp_path):
     outs = []
     for seed in (1, 1, 2):
@@ -795,6 +868,13 @@ def test_seed_changes_sweep_outputs(game_file, tmp_path):
         outs.append(out.read_text())
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
+
+
+def test_verify_rejects_a_seed_no_draw_key_holds(game_file, tmp_path, capsys):
+    part = write_partition(tmp_path, [[i] for i in range(6)])
+    argv = ("verify", game_file, "--partition", part, "--oracle", "consistency_noise")
+    assert run_cli(*argv, "--seed", 10**20) == 2
+    assert capsys.readouterr() == ("", f"error: seed must lie in [-2**63, 2**63), got {10**20}\n")
 
 
 def test_verify_with_behavioral_oracle(game_file, tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import os
 import stat
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +16,15 @@ from brute_force import brute_bootstrap_ci
 
 from coalitions.game import GameSpec, check_potential_alignment, value_gap_delta
 from coalitions.preferences import (
-    ExternalEndpointSpec, OracleKind, OracleSpec, _quantiles, derived_rng,
+    ChoiceRecord, ExternalEndpointSpec, OracleKind, OracleSpec, Verdict, _quantiles,
+    derived_rng, estimate_epsilon,
 )
 from coalitions.stability import bell_number, find_nash_stable
 from coalitions import experiments
 from coalitions.dynamics import EpisodeConfig, InitialPartition, run_episode
 from coalitions.experiments import (
     Condition,
+    Manifest,
     RESULT_COLUMNS,
     SWEEP_COLUMNS,
     SweepAxis,
@@ -108,6 +111,37 @@ def test_condition_rejects_no_episodes_and_a_missing_oracle():
         Condition(name="c", oracle=noisy(0.8), episodes=0)
     with pytest.raises(ValueError, match="dynamics conditions need an oracle"):
         Condition(name="c", oracle=None, episodes=5)
+
+
+def test_every_seed_entry_point_rejects_a_seed_no_draw_key_holds(six_mixed, tmp_path):
+    top, low = 2**63, -(2**63) - 1
+    perfect = OracleSpec(kind=OracleKind.PERFECT)
+    manifest = dict(game_path=Path("g.json"), output_dir=tmp_path / "out", jobs=1,
+                    conditions=(), sweeps=())
+    log = [ChoiceRecord(dv, Verdict.PREFER_CANDIDATE) for dv in (-0.2, 0.2)]
+    refusals = {
+        "seed": [
+            lambda s: OracleSpec(kind=OracleKind.PERFECT, seed=s),
+            lambda s: EpisodeConfig(game=six_mixed, oracles=(perfect,), seed=s),
+            lambda s: Manifest(seed=s, **manifest),
+            lambda s: estimate_epsilon(log, seed=s),
+        ],
+        "episode_id": [lambda s: EpisodeConfig(game=six_mixed, oracles=(perfect,), episode_id=s)],
+        "seed_base": [
+            lambda s: Condition(name="c", oracle=perfect, episodes=1, seed_base=s),
+            lambda s: sweep(six_mixed, SweepAxis.ALPHA, [0.1], perfect, seed_base=s),
+        ],
+    }
+    for name, builds in refusals.items():
+        for build in builds:
+            for seed in (top, low, 10**20):
+                with pytest.raises(ValueError, match=rf"^{name} must lie in \[-2\*\*63, 2\*\*63\)"):
+                    build(seed)
+    # the ends of the range are seeds; a condition's last episode must be one too
+    assert OracleSpec(kind=OracleKind.PERFECT, seed=top - 1).seed == top - 1
+    assert Condition(name="c", oracle=perfect, episodes=2, seed_base=low + 1).seed_base == low + 1
+    with pytest.raises(ValueError, match=f"seed_base \\+ episodes - 1 must lie .*got {top}$"):
+        Condition(name="c", oracle=perfect, episodes=2, seed_base=top - 1)
 
 
 def test_run_condition_asks_an_external_oracle_only_through_a_session(six_mixed, solo_game):

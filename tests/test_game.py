@@ -438,6 +438,14 @@ def test_a_size_cost_that_is_not_finite_is_rejected(n, alpha, beta):
         GameSpec.from_profiles([[0.5]] * n, alpha=alpha, beta=beta)
 
 
+def test_a_game_without_a_capability_dimension_is_rejected():
+    agents = [{"id": 0, "profile": []}, {"id": 1, "profile": []}]
+    with pytest.raises(ValueError, match="at least one capability dimension, got d=0"):
+        game_from_dict({"d": 0, "agents": agents})
+    with pytest.raises(ValueError, match="got d=0"):
+        GameSpec.from_profiles([[], []])
+
+
 def test_the_largest_finite_size_costs_give_finite_values():
     for alpha, beta in ((1e307, 3.0), (8e307, 1.0), (0.15, 1000.0)):
         game = GameSpec.from_profiles([[0.5], [0.3]], alpha=alpha, beta=beta)

@@ -1,6 +1,12 @@
-"""The package surface: lazy re-exports, and what importing a module loads."""
+"""The package surface: lazy re-exports, what importing a module loads, and
+the engine's slotted records."""
 
+import dataclasses
+import importlib
+import inspect
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +91,55 @@ def test_a_reexport_is_the_submodules_current_binding(monkeypatch):
     assert coalitions.run_episode is patched
     monkeypatch.undo()
     assert coalitions.run_episode is dynamics.run_episode is not patched
+
+
+#: the dataclasses whose instances keep a `__dict__`, and why
+UNSLOTTED = {
+    "GameSpec": "caches its hash in the instance dict; __getstate__ drops it from pickles",
+    "OracleSpec": "its cached_property values live in the instance dict, and the CLI reads "
+    "OracleSpec.epsilon as a class-level default",
+    "EpisodeConfig": "Condition and sweep take EpisodeConfig.rule and .max_rounds as their "
+    "defaults, which slots would turn into member descriptors",
+}
+
+
+def engine_dataclasses() -> dict[str, type]:
+    found = {}
+    for info in pkgutil.iter_modules(coalitions.__path__):
+        module = importlib.import_module(f"coalitions.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                if dataclasses.is_dataclass(obj):
+                    found[name] = obj
+    return found
+
+
+def test_every_engine_dataclass_is_slotted_but_the_three_that_need_a_dict():
+    classes = engine_dataclasses()
+    assert len(classes) == 31
+    with_dict = {name for name, cls in classes.items() if cls.__dictoffset__}
+    assert with_dict == set(UNSLOTTED)
+    for name, cls in classes.items():
+        if name not in UNSLOTTED:
+            assert "__slots__" in vars(cls), name
+
+
+def test_slotted_records_round_trip_through_pickle_and_replace(six_mixed):
+    log = dynamics.run_episode(
+        dynamics.EpisodeConfig(
+            game=six_mixed,
+            oracles=(preferences.OracleSpec(kind=preferences.OracleKind.PERFECT),),
+            initial=dynamics.InitialPartition(kind="random"),
+            seed=5,
+        )
+    )
+    record = preferences.ChoiceRecord(0.25, preferences.Verdict.PREFER_CANDIDATE, agent=2)
+    for obj in (log.terminal_partition, log, record):
+        assert not hasattr(obj, "__dict__")
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert dataclasses.replace(obj) == obj
+    assert dataclasses.replace(record, episode=7).episode == 7
+    moved = dataclasses.replace(log.terminal_partition, coalitions=(game.Coalition((1 << 6) - 1),))
+    assert moved == game.Partition.from_blocks(6, [range(6)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.agent = 3

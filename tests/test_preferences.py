@@ -334,6 +334,17 @@ def test_epsilon_insufficient_data():
         estimate_epsilon(rows, min_per_bin=30)
 
 
+@pytest.mark.parametrize("bins", [10**10, 10**20])
+def test_epsilon_refuses_more_bins_than_the_log_can_fill_before_binning(bins, monkeypatch):
+    def bincount(*args, **kwargs):
+        raise AssertionError("binned")
+
+    rows = logit_choice_log(0.15, n=2000, seed=1)
+    monkeypatch.setattr(preferences.np, "bincount", bincount)
+    with pytest.raises(InsufficientDataError, match=f"choices cannot fill {bins} gap bins of"):
+        estimate_epsilon(rows, bins=bins, min_per_bin=1)
+
+
 def test_epsilon_requires_a_choice_in_every_bin():
     rows = logit_choice_log(0.15, n=2000, seed=1)
     with pytest.raises(ValueError, match="min_per_bin must be >= 1, got 0"):
