@@ -2,7 +2,9 @@
 
 Exit codes follow one contract everywhere: 0 success (and stable / clean
 replay / bound satisfied), 1 domain-negative (unstable partition, divergent
-replay, no threshold found), 2 usage or I/O errors.
+replay, no threshold found), 2 usage or I/O errors.  Every command prints its
+result as one JSON object on stdout; a refused input or a failed file
+operation prints one `error:` line on stderr instead.
 """
 
 from __future__ import annotations
@@ -54,12 +56,9 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _emit(data: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        for key, value in data.items():
-            print(f"{key}: {value}")
+def _emit(data: dict) -> None:
+    """Print a command's result: every command prints one JSON object."""
+    print(json.dumps(data, indent=2, sort_keys=True))
 
 
 def _reason(exc: Exception) -> str:
@@ -88,11 +87,10 @@ def _load_partition_or_exit(path: str, n: int) -> Partition:
     return _read_or_exit(load_partition, path, "partition file", n)
 
 
-def _epsilon_or_exit(epsilon: float) -> float:
-    """`epsilon`, or exit 2 when it is no tolerance: NaN, infinite or below 0."""
+def _check_epsilon(epsilon: float) -> float:
+    """`epsilon`, or ValueError when it is no tolerance: NaN, infinite or below 0."""
     if not 0.0 <= epsilon < math.inf:
-        print(f"error: --epsilon must be finite and >= 0, got {epsilon}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"--epsilon must be finite and >= 0, got {epsilon}")
     return epsilon
 
 
@@ -104,7 +102,7 @@ _ENDPOINT_FLAGS = ("--oracle-cmd", "--oracle-timeout-ms", "--protocol")
 
 def _oracle_from_args(args) -> OracleSpec:
     """The oracle the flags describe; flags no oracle can have, and endpoint
-    flags without `--oracle external`, exit 2.
+    flags without `--oracle external`, raise ValueError.
 
     The flags given become an `oracle_from_dict` dict, so a flag left out
     takes the OracleSpec or ExternalEndpointSpec default.
@@ -120,13 +118,8 @@ def _oracle_from_args(args) -> OracleSpec:
             endpoint["timeout_s"] = args.oracle_timeout_ms / 1000.0
         data["external"] = {key: v for key, v in endpoint.items() if v is not None}
     elif given:
-        print(f"error: only --oracle external takes {', '.join(given)}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    try:
-        return oracle_from_dict(data)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"only --oracle external takes {', '.join(given)}")
+    return oracle_from_dict(data)
 
 
 def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
@@ -153,16 +146,12 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_inspect(args) -> int:
     game = _load_game_or_exit(args.game)
-    epsilon = _epsilon_or_exit(args.epsilon)
-    try:
-        delta = (
-            value_gap_delta(game)
-            if args.max_size is None
-            else value_gap_delta(game, max_size=args.max_size)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    epsilon = _check_epsilon(args.epsilon)
+    delta = (
+        value_gap_delta(game)
+        if args.max_size is None
+        else value_gap_delta(game, max_size=args.max_size)
+    )
     report = {
         "n": game.n,
         "d": game.d,
@@ -202,15 +191,14 @@ def cmd_inspect(args) -> int:
                 "gate_reasons": list(gate.reasons),
             }
         )
-    _emit(report, args.json)
+    _emit(report)
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     manifest = _read_or_exit(load_manifest, args.manifest, "manifest")
     if not manifest.game_path.exists():
-        print(f"error: game file not found: {manifest.game_path}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"game file not found: {manifest.game_path}")
     try:
         manifest = dataclasses.replace(
             manifest,
@@ -221,7 +209,7 @@ def cmd_run(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot run manifest: {_reason(exc)}", file=sys.stderr)
         return EXIT_USAGE
-    _emit({name: str(path) for name, path in written.items()}, args.json)
+    _emit({name: str(path) for name, path in written.items()})
     return EXIT_OK
 
 
@@ -232,12 +220,10 @@ def cmd_verify(args) -> int:
     oracle = _oracle_from_args(args)
     behavioral = oracle.kind is not OracleKind.PERFECT
     if behavioral and concept is not StabilityConcept.NASH:
-        print(
-            f"error: --concept {concept.value} is checked against the game's values; "
-            "only --concept nash takes an oracle",
-            file=sys.stderr,
+        raise ValueError(
+            f"--concept {concept.value} is checked against the game's values; "
+            "only --concept nash takes an oracle"
         )
-        return EXIT_USAGE
     if concept is StabilityConcept.INDIVIDUAL:
         report = verify_individual(game, partition)
     elif concept is StabilityConcept.CORE:
@@ -257,7 +243,7 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     else:
         report = verify_nash(game, partition, oracle)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    _emit(report.to_dict())
     return EXIT_OK if report.stable else EXIT_DOMAIN
 
 
@@ -273,24 +259,21 @@ def cmd_replay(args) -> int:
     if not report.identical:
         out["recorded"] = report.recorded_line
         out["replayed"] = report.replayed_line
-    _emit(out, args.json)
+    _emit(out)
     return EXIT_OK if report.identical else EXIT_DOMAIN
 
 
 def cmd_bounds(args) -> int:
     if (args.game is None) != (args.partition is None):
-        print("error: --game and --partition must be given together", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--game and --partition must be given together")
     if args.epsilon is not None and args.game is None:
-        print("error: --epsilon needs --game and --partition", file=sys.stderr)
-        return EXIT_USAGE
-    epsilon = OracleSpec.epsilon if args.epsilon is None else _epsilon_or_exit(args.epsilon)
+        raise ValueError("--epsilon needs --game and --partition")
+    epsilon = OracleSpec.epsilon if args.epsilon is None else _check_epsilon(args.epsilon)
     params = _read_or_exit(
         lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.params, "params file"
     )
     if not isinstance(params, dict):
-        print("error: params must be a JSON object", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("params must be a JSON object")
     if args.game is not None:
         game = _load_game_or_exit(args.game)
         partition = _load_partition_or_exit(args.partition, game.n)
@@ -312,8 +295,7 @@ def cmd_bounds(args) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: invalid params: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = stability_lower_bound(inputs)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    _emit(stability_lower_bound(inputs).to_dict())
     return EXIT_OK
 
 
@@ -326,12 +308,7 @@ def _read_points(path: str) -> list[tuple[float, float]]:
 
 def cmd_regress(args) -> int:
     points = _read_or_exit(_read_points, args.points, "points file")
-    try:
-        fit = consistency_regression(points)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
+    _emit(consistency_regression(points).to_dict())
     return EXIT_OK
 
 
@@ -341,22 +318,13 @@ def cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        print("error: --values must be a comma-separated list of numbers", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--values must be a comma-separated list of numbers") from None
     out = output_file(args.out or f"sweep_{args.axis}.csv")
     options = {} if args.episodes is None else {"episodes": args.episodes}
-    try:
-        cells = sweep(game, SweepAxis(args.axis), values, oracle, seed_base=args.seed, **options)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cells = sweep(game, SweepAxis(args.axis), values, oracle, seed_base=args.seed, **options)
     write_sweep_csv(cells, out)
-    _emit({"written": str(out), "cells": len(cells)}, args.json)
-    # the CSV row has no room for the cause; a failed cell's name holds it
-    failed = [c.result.name for c in cells if not c.result.stable_flags]
-    for name in failed:
-        print(f"error: sweep cell {name}", file=sys.stderr)
-    return EXIT_USAGE if failed else EXIT_OK
+    _emit({"written": str(out), "cells": len(cells)})
+    return EXIT_OK
 
 
 def cmd_estimate_epsilon(args) -> int:
@@ -367,11 +335,7 @@ def cmd_estimate_epsilon(args) -> int:
         for key in ("bins", "min_per_bin", "seed")
         if getattr(args, key) is not None
     }
-    try:
-        est = estimate_epsilon(records, **options)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    est = estimate_epsilon(records, **options)
     out = {
         "found": est.found,
         "estimate": est.estimate,
@@ -380,7 +344,7 @@ def cmd_estimate_epsilon(args) -> int:
         "bin_centers": list(est.bin_centers),
         "bin_rates": [None if math.isnan(r) else r for r in est.bin_rates],
     }
-    _emit(out, args.json)
+    _emit(out)
     return EXIT_OK if est.found else EXIT_DOMAIN
 
 
@@ -395,14 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--epsilon", type=float, default=OracleSpec.epsilon)
     p.add_argument("--max-size", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("run", help="execute an experiment manifest")
     p.add_argument("manifest")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="certify stability of a partition")
@@ -417,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a recorded episode log and diff it")
     p.add_argument("log")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("bounds", help="evaluate the stability lower bound")
@@ -438,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     _add_oracle_args(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -449,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int)
     p.add_argument("--min-per-bin", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate_epsilon)
 
     return parser
@@ -467,7 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
-    except OSError as exc:
+    # one error line for every refused input and failed file operation
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

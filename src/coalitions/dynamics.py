@@ -123,8 +123,6 @@ class EpisodeConfig:
         check_seed("seed", self.seed)
         check_seed("episode_id", self.episode_id)
         oracles = self.oracles
-        if isinstance(oracles, OracleSpec):
-            oracles = (oracles,)
         if len(oracles) == 1:
             oracles = oracles * self.game.n
         if len(oracles) != self.game.n:
@@ -209,7 +207,6 @@ class EpisodeLog:
     deviation_count: int
     summary: EpisodeSummary
     error: str | None = None
-    engine: str = ENGINE_VERSION
 
 
 # Records built without the Python-level `__new__` of a NamedTuple: one C
@@ -782,7 +779,7 @@ def _header_config(members: tuple[_Same, ...]) -> str:
     return _canonical(shared)[1:-1]
 
 
-def _header_line(config: EpisodeConfig, engine: str) -> str:
+def _header_line(config: EpisodeConfig) -> str:
     """The header as canonical JSON: the cached shared members with the
     episode's id and seed formatted in."""
     shared = _header_config(
@@ -804,7 +801,7 @@ def _header_line(config: EpisodeConfig, engine: str) -> str:
         config.episode_id,
         shared,
         config.seed,
-        json.dumps(engine),
+        json.dumps(ENGINE_VERSION),
     )
 
 
@@ -815,7 +812,7 @@ def episode_log_lines(log: EpisodeLog) -> list[str]:
     embeds an exhaustive ground-truth verification of the final partition so
     a log is auditable without re-running anything.
     """
-    lines = [_header_line(log.config, log.engine)]
+    lines = [_header_line(log.config)]
     record_queries = log.config.record_queries
     # A round starts at the potential the previous one ended at: the very
     # float object in run_episode's records, so its text is reused.  Only

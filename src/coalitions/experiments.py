@@ -22,12 +22,14 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .game import (
+    MAX_AGENTS,
     GameSpec,
     deviation_plan,
     load_game,
@@ -105,9 +107,8 @@ class Condition:
         if not self.sample_only and self.oracle is None:
             raise ValueError("dynamics conditions need an oracle")
 
-    def effective_oracle(self) -> OracleSpec | None:
-        if self.oracle is None:
-            return None
+    def effective_oracle(self) -> OracleSpec:
+        """The oracle, seeded by seed_base if its seed is 0 (dynamics conditions only)."""
         if self.oracle.seed == 0:
             return replace(self.oracle, seed=self.seed_base)
         return self.oracle
@@ -128,7 +129,7 @@ class ConditionResult:
     ground_truth_rate: float
     n_errors: int
     # per episode, in order: 1.0 if it ended Nash-stable, else 0.0
-    stable_flags: tuple[float, ...] = ()
+    stable_flags: tuple[float, ...]
 
     def row(self) -> list:
         return [
@@ -215,7 +216,6 @@ def run_condition(
         gt_rate = sum(stable_flags) / len(stable_flags)
     else:
         oracle = condition.effective_oracle()
-        assert oracle is not None
         conv_rounds = []
         gt_count = 0
         for idx in range(condition.episodes):
@@ -349,8 +349,8 @@ def generate_game(
     draw-to-draw luck).
     """
     rows = n if pool is None else pool
-    if rows < n:
-        raise ValueError("profile pool smaller than the requested agent count")
+    if not 1 <= n <= rows:
+        raise ValueError(f"agent count {n} outside 1..{rows}, the profile pool")
     rng = derived_rng("gamegen", seed, rows, d)
     profiles = [
         [lo + (hi - lo) * rng.random() for _ in range(d)] for _ in range(rows)
@@ -388,7 +388,26 @@ class SweepCell:
         return [self.axis.value, self.value] + self.result.row()[1:] + [self.delta]
 
 
-def sweep(
+def _cell_number(axis: SweepAxis, value) -> float:
+    """A sweep value as a float.  A value that is not a number, or on the
+    agent-count and dimension axes not a whole one, raises ValueError
+    naming its cell, and so does an agent count outside 1..MAX_AGENTS:
+    every agent-count cell draws from a profile pool of the largest count."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise TypeError
+        number = float(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"sweep cell {axis.value}={value!r}: not a float") from None
+    whole = axis in (SweepAxis.AGENT_COUNT, SweepAxis.DIMENSION)
+    if whole and not number.is_integer():
+        raise ValueError(f"sweep cell {axis.value}={number:g}: not a whole number")
+    if axis is SweepAxis.AGENT_COUNT and not 1 <= number <= MAX_AGENTS:
+        raise ValueError(f"sweep cell {axis.value}={number:g}: agent counts lie in 1..{MAX_AGENTS}")
+    return number
+
+
+def sweep_cells(
     game: GameSpec,
     axis: SweepAxis,
     values: Sequence[float],
@@ -397,34 +416,35 @@ def sweep(
     episodes: int = 200,
     seed_base: int,
     max_rounds: int = EpisodeConfig.max_rounds,
-) -> list[SweepCell]:
-    """Rerun one condition across an axis; per-cell failures do not abort.
+) -> list[tuple[float, GameSpec, Condition]]:
+    """Every cell of a sweep as `(value, game, condition)`, built before
+    any cell runs.
 
     Agent-count and dimension cells resample profiles from a seeded uniform
     generator over SWEEP_PROFILE_RANGE (the template supplies the remaining
     parameters); cost axes reuse the template's agents; the lambda axis
     reparameterizes the oracle's rationality bound (and with it the
-    critical-gap threshold).  The CIs of
-    the cells that ran come from one `bootstrap_ci` call after the last cell.
-    An external oracle is refused before any cell runs: a sweep opens no
-    plugin session.
+    critical-gap threshold).  A value that is not a number, or that the
+    cell's game, oracle or condition rejects, raises one ValueError naming
+    the cell.  An external oracle is refused: a sweep opens no plugin
+    session.
     """
     _refuse_external([(f"sweep {axis.value!r}", oracle)], "sweeps")
     check_seed("seed_base", seed_base)
+    numbers = [_cell_number(axis, value) for value in values]
     cells = []
-    for value in values:
-        # a value the cell's game or oracle rejects fails only that cell
+    for value in numbers:
+        name = f"{axis.value}={value:g}"
         try:
-            cell_game = game
-            cell_oracle = oracle
+            cell_game, cell_oracle = game, oracle
             if axis is SweepAxis.ALPHA:
-                cell_game = game.with_params(alpha=float(value))
+                cell_game = game.with_params(alpha=value)
             elif axis is SweepAxis.BETA:
-                cell_game = game.with_params(beta=float(value))
+                cell_game = game.with_params(beta=value)
             elif axis is SweepAxis.AGENT_COUNT:
                 cell_game = generate_game(
                     int(value), game.d, game.alpha, game.beta, seed_base,
-                    *SWEEP_PROFILE_RANGE, pool=int(max(values)),
+                    *SWEEP_PROFILE_RANGE, pool=int(max(numbers)),
                 )
             elif axis is SweepAxis.DIMENSION:
                 cell_game = generate_game(
@@ -432,36 +452,52 @@ def sweep(
                     *SWEEP_PROFILE_RANGE,
                 )
             elif axis is SweepAxis.LAMBDA:
-                cell_oracle = replace(oracle, epsilon=float(value), critical_gap=None)
+                cell_oracle = replace(oracle, epsilon=value, critical_gap=None)
             condition = Condition(
-                name=f"{axis.value}={value:g}",
+                name=name,
                 oracle=cell_oracle,
                 episodes=episodes,
                 seed_base=seed_base,
                 max_rounds=max_rounds,
             )
+        except ValueError as exc:
+            raise ValueError(f"sweep cell {name}: {exc}") from None
+        cells.append((value, cell_game, condition))
+    return cells
+
+
+def sweep(
+    game: GameSpec, axis: SweepAxis, values: Sequence[float], oracle: OracleSpec, **options
+) -> list[SweepCell]:
+    """Rerun one condition across an axis: run, in order, the cells that
+    `sweep_cells` builds from the same arguments.
+
+    A cell that raises while it runs becomes a row of 0 episodes and NaN
+    rates, and its exception is logged; the other cells still run.  The CIs
+    of the cells that ran come from one `bootstrap_ci` call after the last.
+    """
+    plan = sweep_cells(game, axis, values, oracle, **options)
+    cells, ran = [], []
+    for value, cell_game, condition in plan:
+        try:
             result = run_condition(condition, cell_game)
             delta = value_gap_delta(cell_game)
-        except Exception as exc:  # record the failure, keep sweeping
+        except Exception as exc:
+            # imported here: a run that no cell fails loads no logging
+            import logging
+
+            logging.getLogger(__name__).error("sweep cell %s failed: %r", condition.name, exc)
+            nan = math.nan
             result = ConditionResult(
-                name=f"{axis.value}={value:g} [failed: {exc}]",
-                n_episodes=0,
-                nash_rate=math.nan,
-                ci_low=math.nan,
-                ci_high=math.nan,
-                conv_mean=None,
-                conv_sd=None,
-                welfare_mean=math.nan,
-                welfare_sd=math.nan,
-                consistency=None,
-                ground_truth_rate=math.nan,
-                n_errors=0,
+                name=condition.name, n_episodes=0, nash_rate=nan, ci_low=nan, ci_high=nan,
+                conv_mean=None, conv_sd=None, welfare_mean=nan, welfare_sd=nan,
+                consistency=None, ground_truth_rate=nan, n_errors=0, stable_flags=(),
             )
-            delta = math.nan
-        cells.append(SweepCell(axis=axis, value=float(value), delta=delta, result=result))
-    # a failed cell's result has no stable flags
-    ran = [i for i, cell in enumerate(cells) if cell.result.stable_flags]
-    done = _with_intervals([cells[i].result for i in ran], [seed_base] * len(ran))
+            delta = nan
+        else:
+            ran.append(len(cells))
+        cells.append(SweepCell(axis=axis, value=value, delta=delta, result=result))
+    done = _with_intervals([cells[i].result for i in ran], [plan[i][2].seed_base for i in ran])
     for i, result in zip(ran, done):
         cells[i] = replace(cells[i], result=result)
     return cells
@@ -616,9 +652,10 @@ def load_manifest(path: str | Path) -> Manifest:
 def run_manifest(manifest: Manifest, jobs: int = 1) -> dict[str, Path]:
     """Execute a manifest: per-condition logs, results.csv, sweep CSVs.
 
-    Every condition, sweep axis and sweep oracle is built before anything
-    is written, so a manifest entry they reject leaves no output.  An external
-    oracle is refused there too: a manifest opens no plugin session.  Runs
+    Every condition and every sweep cell is built before anything is
+    written, so a manifest entry they reject leaves no output; the sweeps
+    still run after the conditions.  An external oracle is refused there
+    too: a manifest opens no plugin session.  Runs
     are serial: `jobs` must be 1.  Each condition's episodes stream into
     its open `episodes_<name>.jsonl` as they finish, so a run's memory does
     not depend on the episode count; a condition that raises leaves no log
@@ -642,11 +679,11 @@ def run_manifest(manifest: Manifest, jobs: int = 1) -> dict[str, Path]:
         )
         for spec in manifest.sweeps
     ]
-    for _, _, _, options in sweeps:
-        check_seed("a sweep's seed_base", options["seed_base"])
     oracles = [(f"condition {c.name!r}", c.oracle) for c in conditions]
     oracles += [(f"sweep {axis.value!r}", oracle) for axis, _, oracle, _ in sweeps]
     _refuse_external(oracles, "manifests")
+    for axis, values, oracle, options in sweeps:
+        sweep_cells(game, axis, values, oracle, **options)
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}

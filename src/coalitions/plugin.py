@@ -229,12 +229,11 @@ class OracleWireQuery:
     agent: int
     current: tuple[int, ...]
     candidate: tuple[int, ...]
-    v: int = WIRE_VERSION
 
     def to_json_line(self) -> str:
         return json.dumps(
             {
-                "v": self.v,
+                "v": WIRE_VERSION,
                 "query_id": self.query_id,
                 "prompt": self.prompt,
                 "agent": self.agent,

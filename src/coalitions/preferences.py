@@ -419,7 +419,6 @@ class EpsilonEstimate:
     found: bool
     bin_centers: tuple[float, ...]
     bin_rates: tuple[float, ...]
-    threshold: float = CRITICAL_IRRATIONAL_RATE
 
 
 def _is_irrational(delta: float, verdict: Verdict) -> bool:
@@ -451,7 +450,7 @@ def _bin_rates(counts: np.ndarray) -> tuple[list[int], list[float]]:
 
 
 def estimate_epsilon(
-    choice_log: Sequence[ChoiceRecord | tuple],
+    choice_log: Sequence[ChoiceRecord],
     bins: int = 10,
     min_per_bin: int = 30,
     bootstrap_iterations: int = 500,
@@ -481,11 +480,7 @@ def estimate_epsilon(
     if min_per_bin < 1:
         raise ValueError(f"min_per_bin must be >= 1, got {min_per_bin}")
     check_seed("seed", seed)
-    records = [
-        r if isinstance(r, ChoiceRecord) else ChoiceRecord(float(r[0]), Verdict(r[1]))
-        for r in choice_log
-    ]
-    records = [r for r in records if abs(r.delta_v) > TIE_EPS]
+    records = [r for r in choice_log if abs(r.delta_v) > TIE_EPS]
     if not any(r.delta_v > 0 for r in records) or not any(r.delta_v < 0 for r in records):
         raise ValueError("choice log must contain gaps of both signs")
     # then some bin holds fewer than min_per_bin: refused before a

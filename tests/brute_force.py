@@ -235,11 +235,11 @@ def brute_decide(
     return hit if unit_uniform("pref", oracle.seed, *ctx, rep) < p else miss
 
 
-def brute_header_line(config, engine: str) -> str:
+def brute_header_line(config) -> str:
     """A log's header line as the canonical JSON (sorted keys, no spaces)
     of its whole dict, the config re-encoded for every episode."""
     return json.dumps(
-        {"type": "header", "engine": engine, "config": config_to_dict(config)},
+        {"type": "header", "engine": ENGINE_VERSION, "config": config_to_dict(config)},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -371,7 +371,7 @@ def brute_episode(config) -> list[str]:
         "phi_initial": round(phi_initial, 12),
         "phi_terminal": round(phi, 12),
     }
-    lines = [brute_header_line(config, ENGINE_VERSION)]
+    lines = [brute_header_line(config)]
     lines += [_canonical(brute_round_dict(r, config.record_queries)) for r in rounds]
     lines.append(_canonical({
         "type": "terminal",

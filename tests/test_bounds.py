@@ -289,6 +289,8 @@ def test_regression_degenerate_errors():
         ([(0.5, 0.2), (0.9, -math.inf)], "points must be finite"),
         ([(1e308, 0.2), (-1e308, 0.8)], "overflows"),  # (x - mean) ** 2
         ([(1e308, 1e308), (1.7e308, -1e308)], "overflows"),  # the sums
+        # every square is finite, the sums are not: slope inf / inf is NaN
+        ([(-1.3e154, -1.3e154), (1.3e154, 1.3e154)], "overflows"),
     ],
 )
 def test_regression_refuses_a_fit_that_is_not_finite(points, message):

@@ -1,8 +1,6 @@
 """CLI subcommands, exit codes, and file formats."""
 
 import collections
-import contextlib
-import io
 import json
 import math
 import shlex
@@ -59,7 +57,7 @@ def run_cli(*argv) -> int:
 # inspect
 
 def test_inspect_reference_game(game_file, capsys):
-    assert run_cli("inspect", game_file, "--epsilon", "0.15", "--json") == 0
+    assert run_cli("inspect", game_file, "--epsilon", "0.15") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["n"] == 6 and report["d"] == 3
     assert report["bell_n"] == 203
@@ -69,7 +67,7 @@ def test_inspect_reference_game(game_file, capsys):
 
 
 def test_inspect_counterexample_alignment_witness(duo_file, capsys):
-    assert run_cli("inspect", duo_file, "--json") == 0
+    assert run_cli("inspect", duo_file) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["alignment"] == "FAIL"
     assert report["alignment_witness"]["agent"] == 1
@@ -78,14 +76,14 @@ def test_inspect_counterexample_alignment_witness(duo_file, capsys):
 def test_inspect_single_agent(tmp_path, solo_game, capsys):
     path = tmp_path / "solo.json"
     save_game(solo_game, path)
-    assert run_cli("inspect", path, "--json") == 0
+    assert run_cli("inspect", path) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["gate"] == "PASS"
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_inspect_rejects_a_max_size_below_one(size, game_file, capsys):
-    assert run_cli("inspect", game_file, "--max-size", size, "--json") == 2
+    assert run_cli("inspect", game_file, "--max-size", size) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: max_size must be >= 1, got {size}\n"
     assert captured.out == ""
@@ -103,15 +101,15 @@ def test_inspect_runs_each_structural_check_once(game_file, monkeypatch, capsys)
         for module in list(sys.modules.values()):
             if module.__name__.startswith("coalitions") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    assert run_cli("inspect", game_file, "--json") == 0
+    assert run_cli("inspect", game_file) == 0
     assert json.loads(capsys.readouterr().out)["gate"] == "FAIL"
     assert calls == {"check_potential_alignment": 1, "value_gap_delta": 1}
 
 
 def test_inspect_defaults_are_the_field_defaults(game_file, capsys):
-    assert run_cli("inspect", game_file, "--json") == 0
+    assert run_cli("inspect", game_file) == 0
     bare = capsys.readouterr().out
-    assert run_cli("inspect", game_file, "--epsilon", "0.15", "--max-size", "4", "--json") == 0
+    assert run_cli("inspect", game_file, "--epsilon", "0.15", "--max-size", "4") == 0
     assert capsys.readouterr().out == bare
     assert json.loads(bare)["epsilon"] == 0.15
 
@@ -128,7 +126,7 @@ def all_tie_game_file(tmp_path, n):
 def test_inspect_reports_alignment_up_to_the_enumeration_cap(tmp_path, capsys):
     path = all_tie_game_file(tmp_path, MAX_ENUM_AGENTS)
     start = time.process_time()
-    assert run_cli("inspect", path, "--json") == 0
+    assert run_cli("inspect", path) == 0
     assert time.process_time() - start < 2.0
     # parse_constant sees only the non-JSON words Infinity, -Infinity and NaN
     report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
@@ -145,14 +143,14 @@ def test_inspect_rejects_an_epsilon_that_is_not_finite_or_is_negative(
     epsilon, game_file, monkeypatch, capsys
 ):
     monkeypatch.setattr(coalitions.cli, "value_gap_delta", pytest.fail)
-    assert run_cli("inspect", game_file, f"--epsilon={epsilon}", "--json") == 2
+    assert run_cli("inspect", game_file, f"--epsilon={epsilon}") == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: --epsilon must be finite and >= 0, got {float(epsilon)}\n"
     assert captured.out == ""
 
 
 def test_inspect_takes_a_zero_epsilon(game_file, capsys):
-    assert run_cli("inspect", game_file, "--epsilon", "0", "--json") == 0
+    assert run_cli("inspect", game_file, "--epsilon", "0") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["epsilon"] == 0.0 and report["gate"] == "FAIL"
     assert report["gate_reasons"] == ["potential alignment fails"]
@@ -160,7 +158,7 @@ def test_inspect_takes_a_zero_epsilon(game_file, capsys):
 
 def test_inspect_skips_alignment_above_the_enumeration_cap(tmp_path, capsys):
     path = all_tie_game_file(tmp_path, MAX_ENUM_AGENTS + 1)
-    assert run_cli("inspect", path, "--json") == 0
+    assert run_cli("inspect", path) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["alignment"] is None and report["gate"] is None
     assert report["note"] == (
@@ -310,7 +308,7 @@ def test_replay_tampered_log(tmp_path, six_mixed, capsys):
             lines[i] = line.replace('"phi_before":', '"phi_before":1e9,"x":', 1)
             break
     path.write_text("\n".join(lines) + "\n")
-    assert run_cli("replay", path, "--json") == 1
+    assert run_cli("replay", path) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["first_divergence"] == i
 
@@ -494,10 +492,13 @@ def test_regress_command(tmp_path, capsys):
          "error: the fit overflows the float range\n"),
         ("consistency,nash_rate\n1e308,1e308\n1.7e308,-1e308\n",
          "error: the fit overflows the float range\n"),
+        # every square is finite, but the sums are not: the slope is inf / inf
+        ("consistency,nash_rate\n-1.3e154,-1.3e154\n1.3e154,1.3e154\n",
+         "error: the fit overflows the float range\n"),
     ],
     ids=[
         "missing-file", "missing-column", "one-point", "equal-consistency",
-        "nan-point", "overflowing-square", "overflowing-sum",
+        "nan-point", "overflowing-square", "overflowing-sum", "non-finite-fit",
     ],
 )
 def test_regress_unreadable_points_exit_2(content, message, tmp_path, capsys):
@@ -517,7 +518,7 @@ def test_estimate_epsilon_command(tmp_path, capsys):
         rows.append(ChoiceRecord(dv, decide(oracle, dv, ("cli", i))))
     path = tmp_path / "choices.csv"
     write_choice_log(rows, path)
-    assert run_cli("estimate-epsilon", path, "--json") == 0
+    assert run_cli("estimate-epsilon", path) == 0
     report = json.loads(capsys.readouterr().out)
     assert 0.10 <= report["estimate"] <= 0.20
 
@@ -548,7 +549,7 @@ def test_estimate_epsilon_with_empty_bins_allowed_exits_2(tmp_path, capsys):
         rows += [ChoiceRecord(0.95, up)] * 2 + [ChoiceRecord(-0.95, down)] * 2
     path = tmp_path / "choices.csv"
     write_choice_log(rows, path)
-    assert run_cli("estimate-epsilon", path, "--min-per-bin", "0", "--json") == 2
+    assert run_cli("estimate-epsilon", path, "--min-per-bin", "0") == 2
     captured = capsys.readouterr()
     assert captured.err == "error: min_per_bin must be >= 1, got 0\n"
     assert captured.out == ""
@@ -560,6 +561,18 @@ def test_estimate_epsilon_with_more_bins_than_choices_can_fill_exits_2(bins, tmp
     assert run_cli("estimate-epsilon", write_four_choices(tmp_path), "--bins", bins) == 2
     assert capsys.readouterr() == (
         "", f"error: 4 choices cannot fill {bins} gap bins of at least 30 choices each\n"
+    )
+
+
+def test_estimate_epsilon_with_a_thin_bin_exits_2(tmp_path, capsys):
+    # four choices fill two bins of two in total, but three gaps share the
+    # first bin and leave one in the second
+    rows = [ChoiceRecord(dv, decide(PERFECT, dv, ())) for dv in (0.1, -0.2, 0.3, -1.0)]
+    path = tmp_path / "choices.csv"
+    write_choice_log(rows, path)
+    assert run_cli("estimate-epsilon", path, "--bins", "2", "--min-per-bin", "2") == 2
+    assert capsys.readouterr() == (
+        "", "error: thinnest gap bin holds 1 choices; need at least 2\n"
     )
 
 
@@ -615,7 +628,7 @@ def test_run_manifest(tmp_path, game_file, capsys):
             }
         )
     )
-    assert run_cli("run", manifest, "--json") == 0
+    assert run_cli("run", manifest) == 0
     written = json.loads(capsys.readouterr().out)
     assert (tmp_path / "out" / "results.csv").exists()
     assert "results" in written
@@ -723,8 +736,31 @@ _EXTERNAL = {
         ),
         (
             {"sweeps": [{"axis": "alpha", "values": [0.1], "episodes": 2, "seed_base": -2**63 - 1}]},
-            "error: cannot run manifest: a sweep's seed_base must lie in [-2**63, 2**63), "
-            f"got {-2**63 - 1}",
+            f"error: cannot run manifest: seed_base must lie in [-2**63, 2**63), got {-2**63 - 1}",
+        ),
+        # every sweep cell is built before anything is written, the
+        # conditions' logs included
+        (
+            {"conditions": [{"name": "staged", "episodes": 2}],
+             "sweeps": [{"axis": "alpha", "values": [0.1, -1], "episodes": 2}]},
+            "error: cannot run manifest: sweep cell alpha=-1: alpha must be > 0",
+        ),
+        (
+            {"conditions": [{"name": "staged", "episodes": 2}],
+             "sweeps": [{"axis": "alpha", "values": [0.1, "x"], "episodes": 2}]},
+            "error: cannot run manifest: sweep cell alpha='x': not a float",
+        ),
+        (
+            {"conditions": [{"name": "staged", "episodes": 2}],
+             "sweeps": [{"axis": "beta", "values": [None], "episodes": 2}]},
+            "error: cannot run manifest: sweep cell beta=None: not a float",
+        ),
+        (
+            {"conditions": [{"name": "staged", "episodes": 2}],
+             "sweeps": [{"axis": "alpha", "values": [0.1], "episodes": 2,
+                         "seed_base": 2**63 - 1}]},
+            "error: cannot run manifest: sweep cell alpha=0.1: seed_base + episodes - 1 must "
+            f"lie in [-2**63, 2**63), got {2**63}",
         ),
     ],
 )
@@ -1002,13 +1038,10 @@ def test_sweep_values_may_start_with_a_negative_number(spelling, game_file, tmp_
     code = run_cli(
         "sweep", game_file, "--axis", "alpha", *spelling, "--episodes", "2", "--out", out,
     )
-    captured = capsys.readouterr()
-    # the game rejects alpha = -1, which fails that cell only
+    # the game rejects alpha = -1, which refuses the sweep before any cell runs
     assert code == 2
-    assert captured.err.splitlines() == ["error: sweep cell alpha=-1 [failed: alpha must be > 0]"]
-    rows = out.read_text().splitlines()
-    assert len(rows) == 3
-    assert rows[1].startswith("alpha,-1.0,0,nan,") and rows[2].startswith("alpha,0.2,2,")
+    assert capsys.readouterr() == ("", "error: sweep cell alpha=-1: alpha must be > 0\n")
+    assert not out.exists()
 
 
 _ENDPOINT_ONLY = [
@@ -1089,20 +1122,33 @@ def test_sweep_refuses_an_external_oracle_before_any_cell_runs(
     assert list(tmp_path.iterdir()) == [game_file]
 
 
-def test_sweep_reports_failed_cells_and_exits_2(game_file, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("agents", "inf,4", "agents=inf: not a whole number"),
+        ("agents", "4,0", "agents=0: agent counts lie in 1..20"),
+        ("agents", "3,2.5", "agents=2.5: not a whole number"),
+        ("dimension", "2,nan", "dimension=nan: not a whole number"),
+        ("beta", "1.2,0.5", "beta=0.5: beta must be finite and >= 1"),
+        ("lambda", "0.1,-0.2", "lambda=-0.2: "),
+    ],
+)
+def test_sweep_refuses_a_bad_cell_before_any_cell_runs(
+    axis, values, message, game_file, tmp_path, monkeypatch, capsys
+):
+    from coalitions import experiments
+
+    monkeypatch.setattr(experiments, "run_condition", pytest.fail)
     out = tmp_path / "sweep.csv"
     code = run_cli(
-        "sweep", game_file, "--axis", "agents", "--values", "0,3", "--episodes", "2",
-        "--out", out,
+        "sweep", game_file, "--axis", axis, "--values", values, "--episodes", "2",
+        "--oracle", "logit", "--epsilon", "0.1", "--out", out,
     )
     captured = capsys.readouterr()
     assert code == 2
-    errors = captured.err.splitlines()
-    assert len(errors) == 1 and errors[0].startswith("error: sweep cell agents=0 [failed: ")
-    # the CSV is still written, the failed cell as a row of NaNs
-    rows = out.read_text().splitlines()
-    assert len(rows) == 3 and rows[1].startswith("agents,0.0,0,nan,")
-    assert "cells: 2" in captured.out
+    assert captured.err.startswith(f"error: sweep cell {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(tmp_path.iterdir()) == [game_file]
 
 
 _SWEEP_ARGV = ("sweep", "game.json", "--axis", "alpha", "--values", "0.1")
@@ -1153,13 +1199,10 @@ _ENDPOINT_FLAGS = tuple(flag for flag, _ in _ENDPOINT_ONLY)
 def test_oracle_flags_and_oracle_dicts_agree(drawn):
     flags, data = drawn
     args = build_parser().parse_args([*_SWEEP_ARGV, *flags])
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr):
-        try:
-            from_flags = json.dumps(oracle_to_dict(_oracle_from_args(args)), sort_keys=True)
-        except SystemExit as exc:
-            assert exc.code == 2
-            from_flags = stderr.getvalue()
+    try:
+        from_flags = json.dumps(oracle_to_dict(_oracle_from_args(args)), sort_keys=True)
+    except ValueError as exc:
+        from_flags = f"error: {exc}\n"
     # no dict describes endpoint flags given with an internal oracle
     stray = [f for f in flags if f in _ENDPOINT_FLAGS] if "external" not in data else []
     if stray:
@@ -1241,3 +1284,50 @@ def test_replay_multi_episode_condition_file(tmp_path, game_file):
     assert run_cli("run", manifest) == 0
     log_file = tmp_path / "out" / "episodes_cot.jsonl"
     assert run_cli("replay", log_file) == 0
+
+
+# ---------------------------------------------------------------------------
+# one output format
+
+def _one_argv_per_command(tmp_path, game_file, six_mixed) -> dict:
+    """A successful argv of every subcommand."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "game": str(game_file), "output_dir": str(tmp_path / "out"),
+        "conditions": [{"name": "staged", "episodes": 2}],
+    }))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(BOUND_PARAMS))
+    points = tmp_path / "points.csv"
+    points.write_text("consistency,nash_rate\n0.5,0.3\n0.7,0.6\n")
+    choices = tmp_path / "choices.csv"
+    write_choice_log([ChoiceRecord(dv, decide(PERFECT, dv, ())) for dv in (-0.2, 0.2)], choices)
+    return {
+        "inspect": ["inspect", game_file],
+        "run": ["run", manifest],
+        "verify": ["verify", game_file, "--partition",
+                   write_partition(tmp_path, [[i] for i in range(6)])],
+        "replay": ["replay", episode_file(tmp_path, six_mixed)],
+        "bounds": ["bounds", "--params", params],
+        "regress": ["regress", points],
+        "sweep": ["sweep", game_file, "--axis", "alpha", "--values", "0.1", "--episodes", "2",
+                  "--out", tmp_path / "sweep.csv"],
+        "estimate-epsilon": ["estimate-epsilon", choices, "--bins", "1", "--min-per-bin", "1"],
+    }
+
+
+def test_every_command_prints_one_json_object(tmp_path, game_file, six_mixed, capsys):
+    argvs = _one_argv_per_command(tmp_path, game_file, six_mixed)
+    [commands] = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    assert set(argvs) == set(commands)
+    for name, argv in argvs.items():
+        assert run_cli(*argv) == 0, name
+        assert isinstance(json.loads(capsys.readouterr().out), dict), name
+
+
+def test_no_command_takes_a_json_flag(tmp_path, game_file, six_mixed, capsys):
+    for name, argv in _one_argv_per_command(tmp_path, game_file, six_mixed).items():
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--json")
+        assert exc.value.code == 2, name
+        assert "unrecognized arguments: --json" in capsys.readouterr().err, name

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +39,7 @@ from coalitions.experiments import (
     run_manifest,
     sample_queries,
     sweep,
+    sweep_cells,
     write_results_csv,
     _with_intervals,
 )
@@ -389,7 +391,7 @@ def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, mo
     oracle = noisy(0.86)
     cells = sweep(six_mixed, SweepAxis.LAMBDA, [0.1, 0.2, 0.3], oracle, episodes=30, seed_base=6)
     failed = cells[1].result
-    assert failed.name == "lambda=0.2 [failed: boom]"
+    assert failed.name == "lambda=0.2" and failed.n_episodes == 0
     assert math.isnan(failed.ci_low) and math.isnan(failed.ci_high)
     assert math.isnan(cells[1].delta)
     alone = []
@@ -411,21 +413,42 @@ def test_sweep_keeps_a_failed_cell_and_the_intervals_of_the_others(six_mixed, mo
 
 
 @pytest.mark.parametrize(
-    "axis, bad, good, message",
+    "axis, values, message",
     [
-        (SweepAxis.AGENT_COUNT, 0, 3, "at least one agent"),
-        (SweepAxis.ALPHA, -0.1, 0.2, "alpha must be > 0"),
+        (SweepAxis.AGENT_COUNT, [3, 0], "agents=0: agent counts lie in 1..20"),
+        (SweepAxis.AGENT_COUNT, [3, 21], "agents=21: agent counts lie in 1..20"),
+        (SweepAxis.AGENT_COUNT, [3, math.inf], "agents=inf: not a whole number"),
+        (SweepAxis.DIMENSION, [2, 2.5], "dimension=2.5: not a whole number"),
+        (SweepAxis.ALPHA, [0.2, -0.1], "alpha=-0.1: alpha must be > 0"),
+        (SweepAxis.ALPHA, [0.2, "0.1"], "alpha='0.1': not a float"),
+        (SweepAxis.ALPHA, [0.2, None], "alpha=None: not a float"),
+        (SweepAxis.ALPHA, [0.2, True], "alpha=True: not a float"),
+        (SweepAxis.BETA, [1.2, 10**400], f"beta={10**400}: not a float"),
+    ],
+    ids=[
+        "agents-0", "agents-21", "agents-inf", "dimension-2.5", "alpha-negative",
+        "alpha-string", "alpha-null", "alpha-bool", "beta-int-beyond-float",
     ],
 )
-def test_sweep_keeps_a_cell_whose_value_the_game_rejects(six_mixed, axis, bad, good, message):
-    cells = sweep(six_mixed, axis, [bad, good], noisy(0.86), episodes=20, seed_base=6)
-    failed = cells[0].result
-    assert failed.name.startswith(f"{axis.value}={bad:g} [failed: ")
-    assert message in failed.name
-    assert math.isnan(failed.nash_rate) and math.isnan(cells[0].delta)
-    # the good cell is the one a sweep over it alone gives (same profile pool)
-    alone = sweep(six_mixed, axis, [good], noisy(0.86), episodes=20, seed_base=6)
-    assert cells[1] == alone[0]
+def test_sweep_refuses_a_cell_before_any_cell_runs(six_mixed, monkeypatch, axis, values, message):
+    monkeypatch.setattr(experiments, "run_condition", pytest.fail)
+    for build in (sweep_cells, sweep):
+        with pytest.raises(ValueError, match=f"^sweep cell {re.escape(message)}$"):
+            build(six_mixed, axis, values, noisy(0.86), episodes=20, seed_base=6)
+
+
+def test_sweep_runs_the_cells_sweep_cells_builds(six_mixed):
+    built = sweep_cells(six_mixed, SweepAxis.AGENT_COUNT, [4, 6], noisy(0.86), episodes=20,
+                        seed_base=6)
+    assert [(value, game.n, c.name) for value, game, c in built] == [
+        (4.0, 4, "agents=4"), (6.0, 6, "agents=6"),
+    ]
+    # both cells draw from the profile pool of the largest count
+    assert built[0][1].agents == built[1][1].agents[:4]
+    cells = sweep(six_mixed, SweepAxis.AGENT_COUNT, [4, 6], noisy(0.86), episodes=20, seed_base=6)
+    assert [(c.value, c.delta, c.result.name) for c in cells] == [
+        (value, value_gap_delta(game), condition.name) for value, game, condition in built
+    ]
 
 
 def test_beta_sweep_runs_each_cell_on_the_game_at_that_beta(six_mixed):
@@ -544,8 +567,9 @@ def test_every_agent_of_a_two_agent_game_has_a_consistency_query(dominated_pair)
 def test_generated_games_of_one_pool_share_a_roster_prefix():
     big = generate_game(5, 2, 0.15, 1.3, seed=3, pool=5)
     assert generate_game(3, 2, 0.15, 1.3, seed=3, pool=5).agents == big.agents[:3]
-    with pytest.raises(ValueError, match="profile pool smaller than the requested agent count"):
-        generate_game(5, 2, 0.15, 1.3, seed=3, pool=3)
+    for n in (5, 0, -1):
+        with pytest.raises(ValueError, match=f"^agent count {n} outside 1..3, the profile pool$"):
+            generate_game(n, 2, 0.15, 1.3, seed=3, pool=3)
 
 
 def test_run_condition_on_one_agent_game(solo_game, deadline):

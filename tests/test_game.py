@@ -413,6 +413,8 @@ def test_game_invariants():
         GameSpec.from_profiles([[0.5, 0.5], [0.5]])
     with pytest.raises(ValueError, match="at least one agent"):
         GameSpec(agents=(), d=1)
+    with pytest.raises(ValueError, match="at least one agent"):
+        GameSpec.from_profiles([])
     pair = GameSpec.from_profiles([[0.5], [0.3]])
     with pytest.raises(ValueError, match="agent ids must be 0..n-1 in order"):
         GameSpec(agents=pair.agents[::-1], d=1)

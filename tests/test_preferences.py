@@ -11,6 +11,7 @@ from brute_force import brute_decide, brute_epsilon_bins, unit_uniform
 from coalitions import preferences
 from coalitions.game import Coalition, EMPTY_COALITION, TIE_EPS
 from coalitions.preferences import (
+    CRITICAL_IRRATIONAL_RATE,
     ChoiceRecord,
     ExternalEndpointSpec,
     InsufficientDataError,
@@ -334,6 +335,15 @@ def test_epsilon_insufficient_data():
         estimate_epsilon(rows, min_per_bin=30)
 
 
+def test_epsilon_refuses_a_thin_bin_when_the_log_could_fill_every_bin():
+    # 4 choices for 2 bins of at least 2, but gaps 0.1, 0.2 and 0.3 share the
+    # first bin (width 0.5) and leave 1.0 alone in the second
+    rows = [ChoiceRecord(dv, Verdict.PREFER_CANDIDATE) for dv in (0.1, -0.2, 0.3, -1.0)]
+    message = "^thinnest gap bin holds 1 choices; need at least 2$"
+    with pytest.raises(InsufficientDataError, match=message):
+        estimate_epsilon(rows, bins=2, min_per_bin=2)
+
+
 @pytest.mark.parametrize("bins", [10**10, 10**20])
 def test_epsilon_refuses_more_bins_than_the_log_can_fill_before_binning(bins, monkeypatch):
     def bincount(*args, **kwargs):
@@ -366,7 +376,7 @@ def test_a_resample_that_empties_the_bin_before_the_crossing_has_none():
         est = estimate_epsilon(rows, bins=3, min_per_bin=1, seed=seed)
         assert est.bin_rates == (0.5, 1.0, 0.0)
         assert est.found
-        assert est.estimate == pytest.approx(1.5 * width + (1 - est.threshold) * width)
+        assert est.estimate == pytest.approx(1.5 * width + (1 - CRITICAL_IRRATIONAL_RATE) * width)
         # every resample that keeps the middle choice crosses where the log does
         assert est.ci_low == est.ci_high == est.estimate
 
